@@ -14,9 +14,8 @@ from .grassmann import (B_map, GrPlane, gr_classify, immersion_rank,
                         plane_basis, plane_from_dict, plane_from_json,
                         plane_from_pencil, plane_to_dict, plane_to_json,
                         stratum_dimension_probe)
-from .invariants import (InvariantReport, circle_map, classify,
-                         condition_probe, deg_f, pencil_gcd, winding_arg,
-                         winding_roots)
+from .invariants import (InvariantReport, circle_map, classify, deg_f,
+                         pencil_gcd, winding_arg, winding_roots)
 from .periods import (DEFAULT_QUAD, PencilBasis, QuadConfig, a_periods,
                       b_periods, derived_pencil, phi_map,
                       rational_plane_distance, solve_Ba, sym_integral)
@@ -36,7 +35,7 @@ __all__ = [
     "b_periods", "sym_integral", "derived_pencil", "phi_map",
     "rational_plane_distance",
     "InvariantReport", "classify", "pencil_gcd", "deg_f", "circle_map",
-    "winding_arg", "winding_roots", "condition_probe",
+    "winding_arg", "winding_roots",
     "WhithamTangent", "whitham_tangent", "rotation_tangent", "bezout_solve",
     "rotation_selector", "constant_Q_selector", "flow", "FlowAbort",
     "attach_handle", "handle_invariant_check",

@@ -99,17 +99,22 @@ def _figure_path(out):
     return stem + ".png"
 
 
-def _load_curve(cfg):
+def _load_spec(cfg, what):
+    """The parsed JSON of the --spec file; ``what`` names the record kinds
+    it may hold."""
     if not cfg.spec:
-        raise ValidationError("missing --spec: a curve record file is needed")
+        raise ValidationError("missing --spec: %s" % what)
     try:
         with open(cfg.spec) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ValidationError("cannot read --spec %s: %s" % (cfg.spec, exc))
     except ValueError as exc:
         raise ValidationError("--spec %s is not JSON: %s" % (cfg.spec, exc))
-    curve = curve_from_dict(data)
+
+
+def _load_curve(cfg):
+    curve = curve_from_dict(_load_spec(cfg, "a curve record file is needed"))
     if cfg.tol is not None:
         curve = build_curve(curve.eta, tol=cfg.tol)
     return curve
@@ -559,15 +564,7 @@ def cmd_deform(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_gr(cfg):
-    if not cfg.spec:
-        raise ValidationError("missing --spec: a plane or curve record file")
-    try:
-        with open(cfg.spec) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError("cannot read --spec %s: %s" % (cfg.spec, exc))
-    except ValueError as exc:
-        raise ValidationError("--spec %s is not JSON: %s" % (cfg.spec, exc))
+    data = _load_spec(cfg, "a plane or curve record file")
     if "M" in data:
         plane = plane_from_dict(data)
     elif "eta" in data:
@@ -602,8 +599,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="-", metavar="PATH",
                         help="output file ('-' for stdout)")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        default=None, help="output format where applicable")
     common.add_argument("--tol", type=float, default=None,
                         help="tolerance override")
     common.add_argument("--quad-nodes", type=int, default=None,
@@ -616,8 +611,12 @@ def _build_parser():
         prog="spectral",
         description="spectral curve pencils, invariants, deformations")
     sub = ap.add_subparsers(dest="command", required=True)
+    # only classify and scan have two output formats
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                     default=None, help="output format")
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[common, fmt],
                        help="invariant report for one curve")
     p.add_argument("--spec", required=True, metavar="PATH")
     p.add_argument("--maxden", type=int, default=None,
@@ -627,7 +626,7 @@ def _build_parser():
                    help="unit-circle marker angle for the proximity report "
                         "(default: farthest from the branch cuts)")
 
-    p = sub.add_parser("scan", parents=[common],
+    p = sub.add_parser("scan", parents=[common, fmt],
                        help="random moduli scan at fixed genus")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)

@@ -328,11 +328,7 @@ def y_along(curve, path, seed_sign=1):
         raise ValidationError("path must contain at least two vertices")
     pts = _refine_polyline(curve, pts)
     w = curve.w(pts)
-    y = np.empty_like(w)
-    y[0] = seed_sign * np.sqrt(w[0])
-    # |delta arg| < pi/2 makes each ratio lie in the right half plane, so the
-    # principal square root of the ratio is the continuous branch
-    y[1:] = np.cumprod(np.sqrt(w[1:] / w[:-1])) * y[0]
+    y = continue_sqrt(w, seed_sign * np.sqrt(w[0]))
     return SheetPath(points=pts, y_values=y, seed_sign=seed_sign)
 
 
@@ -342,17 +338,19 @@ def continue_sqrt(values, seed):
     ``values`` are samples of a nonvanishing function along a path and
     ``seed`` satisfies seed^2 ~ values[0].  Consecutive samples must keep
     the argument step under pi/2 (raises ResolutionError otherwise, which
-    callers treat as "use more nodes").
+    the period engine treats as "use more nodes").
     """
     values = np.asarray(values, dtype=complex)
     if np.any(values == 0):
         raise ResolutionError("square root tracking hit an exact zero")
     ratio = values[1:] / values[:-1]
-    if np.any(ratio.real <= 0) or np.any(np.abs(np.angle(ratio)) >= 0.5 * np.pi):
+    # |delta arg| < pi/2 puts each ratio in the right half plane, where the
+    # principal square root of the ratio is the continuous branch
+    if np.any(ratio.real <= 0):
         raise ResolutionError("square root tracking under-resolved; increase node count")
     out = np.empty_like(values)
     out[0] = seed
-    out[1:] = np.cumprod(np.sqrt(ratio)) * seed
+    out[1:] = seed * np.cumprod(np.sqrt(ratio))
     return out
 
 
@@ -459,17 +457,6 @@ class Homology:
                     "lambda0 collides with a cut crossing of S^1 near angle %.6f; "
                     "choose a base point away from arg(eta_j)" % math.atan2(z.imag, z.real)
                 )
-
-    # -- cut data ----------------------------------------------------------
-
-    def cut_segment(self, j):
-        """Endpoints (eta_j, 1/conj(eta_j)) of the j-th radial cut."""
-        return self.curve.eta[j], self.curve.partners[j]
-
-    @property
-    def base_ray(self):
-        """Direction of the cut joining the branch points 0 and infinity."""
-        return self.curve.base_angle
 
 
 def _segment_distance(p, q, z):

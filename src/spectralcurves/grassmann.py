@@ -30,7 +30,6 @@ by finite differences over the 2g real root coordinates.
 import json
 import logging
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .curve import build_curve
 from .errors import InvariantError, ResolutionError, ValidationError
 from .invariants import GCD_TOL, pencil_gcd
 from .periods import solve_Ba
-from .polyring import CPoly, real_coords, real_place, resultant
+from .polyring import real_coords, real_place, resultant
 from .polyring import roots as poly_roots
 
 log = logging.getLogger(__name__)
@@ -143,8 +142,7 @@ def _circle_band(tol):
 def gr_classify(plane, tol=GCD_TOL):
     """Common-root data of the plane: validated gcd degree, membership in
     the common-root stratum, and the gcd roots on the unit circle."""
-    b1, b2 = plane_basis(plane)
-    gcd = pencil_gcd(SimpleNamespace(b1=b1, b2=b2), tol)
+    gcd = pencil_gcd(*plane_basis(plane), tol)
     deg = gcd.formal_degree
     s1 = []
     if deg > 0:
@@ -184,8 +182,7 @@ def _membership_residuals(plane, tol):
 
     Returns (case, clusters) where clusters is a list of (label, rho).
     """
-    b1, b2 = plane_basis(plane)
-    gcd = pencil_gcd(SimpleNamespace(b1=b1, b2=b2), tol)
+    gcd = pencil_gcd(*plane_basis(plane), tol)
     deg = gcd.formal_degree
     rts = sorted((complex(z) for z in poly_roots(gcd)), key=lambda z: z.real)
     band = _circle_band(tol)

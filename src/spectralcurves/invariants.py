@@ -13,21 +13,17 @@ reported.  Strata:
 * V_j    : coprime pencil, winding j;
 * S      : gcd root on the unit circle (all pencil elements vanish there);
 * R_only : gcd nontrivial but no root on the unit circle.
-
-condition_probe assembles numerical surrogates for the equivalent
-characterizations of common-root curves (gcd degree one, adjacency of two
-distinct V_j, and the expected local dimensions of the two strata).
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import InvariantError, ResolutionError, ValidationError
 from .periods import derived_pencil, solve_Ba
-from .polyring import CPoly, approx_gcd, resultant, roots
+from .polyring import CPoly, approx_gcd, roots
 
 log = logging.getLogger(__name__)
 
@@ -98,8 +94,8 @@ def _refine_gcd(gcd, b1, b2):
     return CPoly.from_roots(refined)
 
 
-def pencil_gcd(basis, tol=GCD_TOL):
-    """Approximate gcd of the pencil, validated by test division.
+def pencil_gcd(b1, b2, tol=GCD_TOL):
+    """Approximate gcd of the pencil (b1, b2), validated by test division.
 
     A curve close to (but not on) the common-root stratum can fool the
     singular-value criterion; if dividing b1 and b2 by the candidate gcd
@@ -108,13 +104,13 @@ def pencil_gcd(basis, tol=GCD_TOL):
     """
     t = tol
     for _ in range(8):
-        gcd = approx_gcd(basis.b1, basis.b2, tol=t)
+        gcd = approx_gcd(b1, b2, tol=t)
         if gcd.formal_degree == 0:
             return gcd
-        gcd = _refine_gcd(gcd, basis.b1, basis.b2)
+        gcd = _refine_gcd(gcd, b1, b2)
         try:
-            _deflate(basis.b1, gcd)
-            _deflate(basis.b2, gcd)
+            _deflate(b1, gcd)
+            _deflate(b2, gcd)
             return gcd
         except ResolutionError:
             t /= 10.0
@@ -124,12 +120,12 @@ def pencil_gcd(basis, tol=GCD_TOL):
 def deg_f(basis, tol=GCD_TOL):
     """Degree of the circle map: g+1 minus the gcd degree of the pencil."""
     g = basis.curve.genus
-    return g + 1 - pencil_gcd(basis, tol).formal_degree
+    return g + 1 - pencil_gcd(basis.b1, basis.b2, tol).formal_degree
 
 
 def _deflated_pair(basis, tol=GCD_TOL):
     dp = derived_pencil(basis)
-    gcd = pencil_gcd(basis, tol)
+    gcd = pencil_gcd(basis.b1, basis.b2, tol)
     return _deflate(dp.b0, gcd), _deflate(dp.binf, gcd)
 
 
@@ -167,7 +163,8 @@ def winding_arg(basis, samples=512, tol=GCD_TOL):
     for p in (num, den):
         try:
             rts = roots(p, tol=1e-6) if p.effective_degree() > 0 else []
-        except Exception:
+        except (ResolutionError, ValidationError) as exc:
+            log.debug("winding window seeding skipped: %s", exc)
             rts = []
         for r in rts:
             d = abs(abs(r) - 1.0)
@@ -213,7 +210,7 @@ def winding_roots(basis, tol=GCD_TOL, boundary_tol=1e-9):
     but below the ~t^2 circle clearance a handle smoothed with t = 1e-3
     leaves behind, so near-boundary curves still count cleanly.
     """
-    gcd = pencil_gcd(basis, tol)
+    gcd = pencil_gcd(basis.b1, basis.b2, tol)
     counts = []
     for s in (1j, -1j):
         p = basis.b1 + basis.b2 * s
@@ -239,7 +236,7 @@ def classify(curve, basis=None, tol=GCD_TOL, quad=None):
     if basis is None:
         basis = solve_Ba(curve, quad=quad)
     g = curve.genus
-    gcd = pencil_gcd(basis, tol)
+    gcd = pencil_gcd(basis.b1, basis.b2, tol)
     gdeg = gcd.formal_degree
     groots = tuple(roots(gcd, tol=curve.tol)) if gdeg > 0 else ()
     df = g + 1 - gdeg
@@ -287,143 +284,4 @@ def classify(curve, basis=None, tol=GCD_TOL, quad=None):
         v_index=v_index,
         lambda0=lam0,
         genus0_flags=flags,
-    )
-
-
-# ---------------------------------------------------------------------------
-# condition probe
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConditionProbe:
-    """Side-by-side numerical surrogates for the common-root conditions.
-
-    Empirical evidence only: dimensions come from finite-difference
-    Jacobian ranks of stratum residuals and are reported together with a
-    Richardson consistency flag (same rank at fd_step and fd_step/10).
-    """
-
-    gcd_degree: int
-    c_prime: bool                  # gcd degree exactly one
-    b_prime: bool                  # >= 2 distinct windings in the FD star
-    windings_found: tuple
-    r_dim: int                     # est. dim of the common-root stratum
-    r_dim_target: int              # 2g - 1
-    s_dim: object                  # est. dim of the fixed-lambda0 stratum (None off S)
-    s_dim_target: int              # 2g - 2
-    lambda0: object
-    fd_step: float
-    consistent: bool
-
-
-def _eta_coords(curve):
-    return np.array([x for z in curve.eta for x in (z.real, z.imag)])
-
-
-def _curve_at(coords, tol):
-    from .curve import build_curve
-
-    eta = coords.reshape(-1, 2) @ np.array([1.0, 1.0j])
-    return build_curve(eta, tol=tol)
-
-
-def _resultant_residual(curve, quad=None):
-    basis = solve_Ba(curve, quad=quad)
-    r = resultant(basis.b1, basis.b2)
-    g1 = np.linalg.norm(basis.b1.coeffs)
-    g2 = np.linalg.norm(basis.b2.coeffs)
-    n = basis.b1.formal_degree
-    return complex(r / (g1 ** n * g2 ** n))
-
-
-def _value_residual(curve, lam0, quad=None):
-    basis = solve_Ba(curve, quad=quad)
-    return np.array([complex(basis.b1(lam0)), complex(basis.b2(lam0))])
-
-
-def _fd_rank(coords, fun, ncomp, step, tol, rel_cut=0.05):
-    """Numerical rank of the FD Jacobian of a residual map R^{2g} -> R^ncomp."""
-    dim = len(coords)
-    jac = np.zeros((ncomp, dim))
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = step
-        fp = fun(_curve_at(coords + e, tol))
-        fm = fun(_curve_at(coords - e, tol))
-        d = (np.atleast_1d(fp) - np.atleast_1d(fm)) / (2.0 * step)
-        jac[:, i] = np.concatenate([(x.real, x.imag) for x in d]) if np.iscomplexobj(d) \
-            else np.repeat(d, 1)
-    s = np.linalg.svd(jac, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s >= rel_cut * s[0]))
-
-
-def condition_probe(curve, tol=GCD_TOL, fd_step=1e-3, quad=None, star=None):
-    """Probe the numerical surrogates of the common-root characterizations.
-
-    Requires the curve to lie on the common-root stratum at tolerance
-    (gcd degree >= 1); in particular genus 0 and 1 always raise, since no
-    such curves exist there.
-    """
-    basis = solve_Ba(curve, quad=quad)
-    gcd = pencil_gcd(basis, tol)
-    gdeg = gcd.formal_degree
-    if gdeg == 0:
-        raise ValidationError(
-            "probe undefined off the common-root stratum (gcd degree 0 at tol %.1e)" % tol
-        )
-    g = curve.genus
-
-    lam0 = None
-    grts = roots(gcd, tol=curve.tol)
-    circ = [z for z in grts if abs(abs(z) - 1.0) <= max(tol, 1e-8)]
-    if circ:
-        lam0 = complex(circ[0] / abs(circ[0]))  # snap exactly onto the circle
-
-    coords = _eta_coords(curve)
-    dim = len(coords)
-
-    # (B'): winding values over a finite-difference star
-    rng = np.random.default_rng(7)
-    if star is None:
-        star = [np.eye(dim)[i] * sgn for i in range(dim) for sgn in (+1, -1)]
-        star += list(rng.standard_normal((2 * dim, dim)))
-    windings = set()
-    for v in star:
-        v = np.asarray(v, dtype=float)
-        v = v / np.linalg.norm(v)
-        try:
-            pc = _curve_at(coords + fd_step * v, curve.tol)
-            rep = classify(pc, quad=quad, tol=tol)
-        except (ValidationError, ResolutionError, InvariantError):
-            continue
-        if rep.gcd_degree == 0:
-            windings.add(rep.winding)
-    b_prime = len(windings) >= 2
-
-    # (A'): local dimension of the common-root stratum via residual rank
-    ranks_r, ranks_s = [], []
-    for h in (fd_step, fd_step / 10.0):
-        ranks_r.append(_fd_rank(coords, lambda c: np.array([_resultant_residual(c, quad)]),
-                                2, h, curve.tol))
-        if lam0 is not None:
-            ranks_s.append(_fd_rank(coords, lambda c: _value_residual(c, lam0, quad),
-                                    4, h, curve.tol))
-    r_dim = dim - ranks_r[0]
-    s_dim = (dim - ranks_s[0]) if lam0 is not None else None
-    consistent = ranks_r[0] == ranks_r[1] and (lam0 is None or ranks_s[0] == ranks_s[1])
-
-    return ConditionProbe(
-        gcd_degree=gdeg,
-        c_prime=(gdeg == 1),
-        b_prime=b_prime,
-        windings_found=tuple(sorted(windings)),
-        r_dim=r_dim,
-        r_dim_target=2 * g - 1,
-        s_dim=s_dim,
-        s_dim_target=2 * g - 2,
-        lambda0=lam0,
-        fd_step=fd_step,
-        consistent=consistent,
     )

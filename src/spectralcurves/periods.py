@@ -31,7 +31,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import roots_jacobi, roots_legendre
 
-from .curve import SpectralCurve, homology_cycles
+from .curve import SpectralCurve, continue_sqrt, homology_cycles
 from .errors import ResolutionError, ValidationError
 from .polyring import CPoly, real_place, reality_check
 
@@ -52,13 +52,6 @@ class QuadConfig:
 
 
 DEFAULT_QUAD = QuadConfig()
-
-
-@dataclass(frozen=True)
-class DiffSpec:
-    """A reversal-real numerator polynomial b of formal degree g+1."""
-
-    b: CPoly
 
 
 @dataclass(frozen=True)
@@ -92,24 +85,6 @@ class DerivedPencil:
 
 def _principal_sqrt(z):
     return complex(np.sqrt(complex(z)))
-
-
-def _track_sqrt(samples, seed):
-    """Square-root continuation along samples whose first entry matches seed^2.
-
-    Raises ResolutionError when consecutive samples turn by >= pi/2 in
-    argument; the moment engine treats that as "double the node count".
-    """
-    samples = np.asarray(samples, dtype=complex)
-    if np.any(samples == 0):
-        raise ResolutionError("square-root tracking hit a zero sample")
-    ratio = samples[1:] / samples[:-1]
-    if np.any(ratio.real <= 0):
-        raise ResolutionError("square-root tracking under-resolved")
-    out = np.empty(len(samples), dtype=complex)
-    out[0] = seed
-    out[1:] = seed * np.cumprod(np.sqrt(ratio))
-    return out
 
 
 class PeriodEngine:
@@ -209,7 +184,7 @@ class PeriodEngine:
         # reference branch is pinned at the regular endpoint lambda = part
         vref = complex(self._deflated_square(part, j))
         v = self._deflated_square(lam, j)
-        track = _track_sqrt(np.concatenate([[vref], v]), _principal_sqrt(vref))[1:]
+        track = continue_sqrt(np.concatenate([[vref], v]), _principal_sqrt(vref))[1:]
         powers = np.arange(c.genus + 2)
         mono = lam[:, None] ** (powers[None, :] - 1)
         return -2j * (np.pi / n) * np.sum(mono / track[:, None], axis=0)
@@ -229,7 +204,7 @@ class PeriodEngine:
         wsq = self._deflated_square(lam, j) * (lam - c.partners[j])
         wend = complex(self._deflated_square(target, j)) * (target - c.partners[j])
         samples = np.concatenate([[wref], wsq, [wend]])
-        track = _track_sqrt(samples, _principal_sqrt(wref))
+        track = continue_sqrt(samples, _principal_sqrt(wref))
         u, u_end = track[1:-1], track[-1]
         scale = np.sqrt(complex(target - start) / 2.0)
         powers = np.arange(c.genus + 2)
@@ -253,7 +228,7 @@ class PeriodEngine:
         seed = y_start * np.exp(-0.5j * start_angle)
         if abs(seed * seed - sref) > 1e-6 * max(1.0, abs(sref)):
             raise ResolutionError("circle seed inconsistent with incoming leg")
-        u = _track_sqrt(np.concatenate([[sref], ssq]), seed)[1:]
+        u = continue_sqrt(np.concatenate([[sref], ssq]), seed)[1:]
         powers = np.arange(c.genus + 2)
         phase = np.exp(1j * (powers[None, :] - 0.5) * theta[:, None])
         vals = (r0 ** powers)[None, :] * phase / u[:, None]
@@ -275,7 +250,7 @@ class PeriodEngine:
         wref = start * c.a(start)
         wsq = lam * c.a(lam)
         wend = target * c.a(target)
-        track = _track_sqrt(np.concatenate([[wref], wsq, [wend]]), _principal_sqrt(wref))
+        track = continue_sqrt(np.concatenate([[wref], wsq, [wend]]), _principal_sqrt(wref))
         y, y_end = track[1:-1], track[-1]
         powers = np.arange(c.genus + 2)
         mono = lam[:, None] ** (powers[None, :] - 1)
@@ -300,8 +275,6 @@ def get_engine(curve, quad=None):
 # ---------------------------------------------------------------------------
 
 def _as_poly(b):
-    if isinstance(b, DiffSpec):
-        return b.b
     if isinstance(b, CPoly):
         return b
     return CPoly(b)
@@ -395,11 +368,6 @@ def solve_Ba(curve, quad=None, tol=None):
         raise ValidationError(
             "degenerate period map: kernel dimension %d != 2" % kernel.shape[0]
         )
-    if g == 0:
-        # no constraints; the chart of degree-1 reversal-real polynomials is
-        # exactly two-dimensional
-        kernel = np.eye(2)
-        gap = np.inf
     if gap < 1e6:
         raise ValidationError("degenerate period map: kernel gap %.3e below 1e6" % gap)
 

@@ -39,7 +39,7 @@ from numpy.polynomial import polynomial as npoly
 from .curve import build_curve
 from .errors import InvariantError, ResolutionError, ValidationError
 from .invariants import GCD_TOL, _deflate, _deflated_pair, classify, pencil_gcd
-from .periods import b_periods, solve_Ba
+from .periods import PencilBasis, b_periods, solve_Ba
 from .polyring import CPoly, real_place, reality_check
 from .polyring import roots as poly_roots
 
@@ -59,21 +59,6 @@ class _StratumCollapse(ResolutionError):
     stratum; shrinking the handle parameter cannot recover from this."""
 
 
-class _Pair:
-    """Minimal stand-in for a solved basis (pencil_gcd wants .b1/.b2)."""
-
-    def __init__(self, b1, b2):
-        self.b1 = b1
-        self.b2 = b2
-
-
-def _pencil(basis_or_pair):
-    if hasattr(basis_or_pair, "b1"):
-        return basis_or_pair.b1, basis_or_pair.b2
-    b1, b2 = basis_or_pair
-    return b1, b2
-
-
 def _rows(p, length):
     """Real/imaginary coefficient rows of p, zero-padded to ``length``."""
     c = np.zeros(length, dtype=np.complex128)
@@ -85,11 +70,16 @@ def _rows(p, length):
 # tangent algebra
 # ---------------------------------------------------------------------------
 
+def _driver(a, c):
+    """i (2 lambda a c' - a c - lambda a' c): the c-side of the derivative
+    equation."""
+    return ((a * c.derivative()).times_lambda() * 2.0 - a * c
+            - (a.derivative() * c).times_lambda()) * 1j
+
+
 def _derivative_residual(a, c, b, a_dot, b_dot):
     """2 a b_dot - a_dot b - i (2 lambda a c' - a c - lambda a' c)."""
-    driver = ((a * c.derivative()).times_lambda() * 2.0 - a * c
-              - (a.derivative() * c).times_lambda()) * 1j
-    return a * b_dot * 2.0 - a_dot * b - driver
+    return a * b_dot * 2.0 - a_dot * b - _driver(a, c)
 
 
 @dataclass(frozen=True)
@@ -168,7 +158,7 @@ def bezout_solve(a, b1, b2, Q, tol=1e-9, freedom=None, gcd=None):
     Q = _coerce_Q(Q)
     deg_b = b1.formal_degree          # g + 1
     if gcd is None:
-        gcd = pencil_gcd(_Pair(b1, b2), GCD_TOL)
+        gcd = pencil_gcd(b1, b2, GCD_TOL)
     if gcd.formal_degree > 0 and not Q.is_zero(1e-13):
         _, rem = npoly.polydiv(Q.coeffs, gcd.coeffs)
         if float(np.max(np.abs(rem))) > max(tol, 1e-9) * max(1.0, Q.norm_inf()):
@@ -231,11 +221,11 @@ def whitham_tangent(curve, basis, Q, tol=None, freedom=None):
     with gcd(a, b1, b2) = 1 the gauged solution is unique.
     """
     tol = tol if tol is not None else curve.tol
-    b1, b2 = _pencil(basis)
+    b1, b2 = basis.b1, basis.b2
     a = curve.a
     g = curve.genus
 
-    gcd = pencil_gcd(basis if hasattr(basis, "b1") else _Pair(b1, b2), GCD_TOL)
+    gcd = pencil_gcd(b1, b2, GCD_TOL)
     if gcd.formal_degree > 0:
         for r in poly_roots(gcd, tol=curve.tol):
             if abs(a(r)) < 1e-6 * max(1.0, a.norm_inf()):
@@ -244,10 +234,6 @@ def whitham_tangent(curve, basis, Q, tol=None, freedom=None):
 
     c1, c2 = bezout_solve(a, b1, b2, Q, tol=max(tol, 1e-9), freedom=freedom,
                           gcd=gcd)
-
-    def driver(c):
-        return (((a * c.derivative()).times_lambda() * 2.0 - a * c
-                 - (a.derivative() * c).times_lambda()) * 1j)
 
     dim_a = 2 * g + 1                 # chart of reversal-real degree 2g
     dim_b = b1.formal_degree + 1      # chart of reversal-real degree g+1
@@ -270,7 +256,7 @@ def whitham_tangent(curve, basis, Q, tol=None, freedom=None):
         e2 = a * vb2 * 2.0 - va * b2
         cols.append(np.concatenate([_rows(e1, nrow), _rows(e2, nrow)]))
     mat = np.stack(cols, axis=1)
-    rhs = np.concatenate([_rows(driver(c1), nrow), _rows(driver(c2), nrow)])
+    rhs = np.concatenate([_rows(_driver(a, c1), nrow), _rows(_driver(a, c2), nrow)])
 
     # gauge: lead a_dot equals the conjugate of the constant coefficient,
     # whose chart coordinates occupy slots 0 (real) and 1 (imaginary)
@@ -307,7 +293,7 @@ def rotation_tangent(curve, basis):
     for g >= 1 (the root advection and the derivative equations are the
     same either way, and both conventions coincide at g = 0 up to gauge).
     """
-    b1, b2 = _pencil(basis)
+    b1, b2 = basis.b1, basis.b2
     a = curve.a
     g = curve.genus
     half = (g + 1) / 2.0
@@ -321,16 +307,15 @@ def rotation_tangent(curve, basis):
     return tangent
 
 
-def rotation_selector(curve, b1, b2):
-    """Flow selector for the rigid rotation."""
-    return rotation_tangent(curve, (b1, b2))
+# Flow selector for the rigid rotation.
+rotation_selector = rotation_tangent
 
 
 def constant_Q_selector(Q, freedom=None):
     """Flow selector re-solving the tangent system with a fixed Q."""
 
-    def select(curve, b1, b2):
-        return whitham_tangent(curve, (b1, b2), Q, freedom=freedom)
+    def select(curve, basis):
+        return whitham_tangent(curve, basis, Q, freedom=freedom)
 
     return select
 
@@ -361,19 +346,21 @@ def _advect(curve, a_dot):
 
 def _state_derivative(eta, b1, b2, selector, tol):
     curve = build_curve(eta, tol=tol)
-    tan = selector(curve, b1, b2)
+    # the frame is carried by the flow, not solved: it has no kernel gap
+    tan = selector(curve, PencilBasis(curve, b1, b2, kernel_gap=math.nan))
     return _advect(curve, tan.a_dot), tan.b1_dot, tan.b2_dot
 
 
 def flow(curve, selector, dt, steps, quad=None, tol=None):
     """Classical RK4 integration of an isoperiodic direction field.
 
-    ``selector(curve, b1, b2) -> WhithamTangent`` is evaluated at every
-    stage on the carried frame.  After each step the curve is re-built and
-    validated, the pencil basis re-solved (for reporting and downstream
-    classification), and the B-periods of the carried frame compared with
-    the previous step: drift above 100 * tol relative to the period scale
-    rejects the step and halves dt.  (The budget is relative because the
+    ``selector(curve, basis) -> WhithamTangent`` is evaluated at every
+    stage on the carried frame (b1, b2), passed as a PencilBasis.  After
+    each step the curve is re-built and validated, the pencil basis
+    re-solved (for reporting and downstream classification), and the
+    B-periods of the carried frame compared with the previous step: drift
+    above 100 * tol relative to the period scale rejects the step and
+    halves dt.  (The budget is relative because the
     period quadratures themselves carry relative error; anything a scheme
     could genuinely violate sits orders of magnitude above it.)  After
     eight halvings the flow aborts with the trajectory so far attached to

@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from spectralcurves import build_curve
+from spectralcurves.cli import ANNULUS, MIN_SEPARATION
 from spectralcurves.grassmann import plane_from_pencil
 from spectralcurves.polyring import CPoly, symmetrize_reality
 
-# Sampling window shared with the CLI scan command: roots drawn area-uniform
-# from the annulus, rejected when two branch points come too close.
-ANNULUS = (0.05, 0.95)
-MIN_SEPARATION = 0.05
-
 
 def sample_eta(genus, rng, annulus=ANNULUS, min_sep=MIN_SEPARATION):
-    """Draw ``genus`` branch roots area-uniformly from the annulus."""
+    """Draw ``genus`` branch roots area-uniformly from the CLI scan's
+    annulus, rejecting draws where two roots come too close."""
     lo2, hi2 = annulus[0] ** 2, annulus[1] ** 2
     for _ in range(1000):
         r = np.sqrt(rng.uniform(lo2, hi2, size=genus))

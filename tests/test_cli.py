@@ -257,6 +257,23 @@ def test_gr_rejects_unknown_record(tmp_path, capsys):
     assert "M" in err and "eta" in err
 
 
+# ---------------------------------------------------------------- --format
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--steps", "1"],
+    ["deform", "--alpha-angle", "0.9"],
+    ["gr"],
+])
+def test_single_format_commands_refuse_format(argv, g1_spec, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--spec", g1_spec, "--format", "json", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "g1.json"]
+
+
 # ------------------------------------------------------------ entrypoint
 
 

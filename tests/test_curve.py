@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from spectralcurves.curve import (
     SpectralCurve,
     build_curve,
+    continue_sqrt,
     curve_from_dict,
     curve_from_json,
     curve_to_dict,
@@ -15,7 +16,7 @@ from spectralcurves.curve import (
     rotate_curve,
     y_along,
 )
-from spectralcurves.errors import ValidationError
+from spectralcurves.errors import ResolutionError, ValidationError
 from spectralcurves.polyring import reality_check
 
 from conftest import sample_eta
@@ -125,6 +126,26 @@ def test_tracked_path_satisfies_curve_equation():
     sp = hom.a_cycle(0)
     w = sp.points * c.a(sp.points)
     assert np.max(np.abs(sp.y_values**2 - w)) < 1e-10 * max(1.0, np.max(np.abs(w)))
+
+
+def test_continue_sqrt_refuses_quarter_turns_and_zeros():
+    assert np.allclose(continue_sqrt([1.0, np.exp(0.49j * np.pi)], 1.0),
+                       [1.0, np.exp(0.245j * np.pi)])
+    for step in (1j, np.exp(2.0j), -1.0):
+        with pytest.raises(ResolutionError, match="under-resolved"):
+            continue_sqrt([1.0, step], 1.0)
+    with pytest.raises(ResolutionError, match="zero"):
+        continue_sqrt([1.0, 0.0, 1.0], 1.0)
+
+
+def test_y_along_is_the_continuation_of_curve_values():
+    c = build_curve([0.41 + 0.2j, -0.33 - 0.41j])
+    loop = homology_cycles(c).b_lasso(1)
+    for sign in (1, -1):
+        sp = y_along(c, loop, seed_sign=sign)
+        w = c.w(sp.points)
+        assert np.array_equal(sp.y_values, continue_sqrt(w, sign * np.sqrt(w[0])))
+        assert np.max(np.abs(sp.y_values**2 - w)) < 1e-12 * max(1.0, np.max(np.abs(w)))
 
 
 def test_a_cycle_closes_on_one_sheet():
