@@ -531,25 +531,22 @@ def _angular_logslope(basis, tol=GCD_TOL):
     return slope
 
 
-def _bisect_zero(f, lo, hi, iters=80):
-    flo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def _slope_zeros(slope, grid):
+    """Zeros of ``slope`` in the sign-change intervals of ``grid``, bisected
+    together with one ``slope`` call per step; a step that moves no bracket
+    is a fixed point, so stopping there equals taking all 80 steps."""
     v = slope(grid)
-    out = []
-    for i in np.nonzero(np.signbit(v[:-1]) != np.signbit(v[1:]))[0]:
-        out.append(_bisect_zero(lambda th: float(slope(np.array([th]))[0]),
-                                grid[i], grid[i + 1]))
-    return out
+    i = np.nonzero(np.signbit(v[:-1]) != np.signbit(v[1:]))[0]
+    lo, hi, flo = grid[i], grid[i + 1], v[i]
+    for _ in range(80 if i.size else 0):
+        mid = 0.5 * (lo + hi)
+        fm = slope(mid)
+        left = flo * fm <= 0
+        step = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
+        if all(np.array_equal(a, b) for a, b in zip(step, (lo, hi, flo))):
+            break
+        lo, hi, flo = step
+    return list(0.5 * (lo + hi))
 
 
 def _new_critical_pair(slope0, slope1, psi, t_used):
@@ -560,7 +557,7 @@ def _new_critical_pair(slope0, slope1, psi, t_used):
     count ambiguous)."""
     width = 0.45
     margin = 0.05 + 2.0 * t_used
-    for _ in range(40):
+    while True:
         dense = min(width / 3.0, max(0.01, 4.0 * t_used))
         grid = np.union1d(psi + np.linspace(-width, width, 8001),
                           psi + np.linspace(-dense, dense, 4001))
@@ -575,10 +572,6 @@ def _new_critical_pair(slope0, slope1, psi, t_used):
             raise InvariantError(
                 "could not isolate a clean window around alpha for "
                 "critical-point counting")
-    else:
-        raise InvariantError(
-            "could not isolate a clean window around alpha for "
-            "critical-point counting")
     if len(z1) != len(z0) + 2:
         near = min((abs(z - psi) for z in z0), default=np.inf)
         hint = ""

@@ -1,6 +1,7 @@
 """End-to-end checks of the batch driver: exit codes, formats, determinism."""
 
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
+import spectralcurves
 from spectralcurves.cli import main
 from spectralcurves.curve import build_curve, curve_to_json
 
@@ -278,10 +280,15 @@ def test_single_format_commands_refuse_format(argv, g1_spec, tmp_path, capsys):
 
 
 def test_console_script_smoke(g1_spec):
+    # the child imports the same package as this process, however pytest
+    # put it on sys.path (an exported PYTHONPATH or pyproject's pythonpath)
+    pkg_root = os.path.dirname(os.path.dirname(spectralcurves.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from spectralcurves.cli import main; sys.exit(main(sys.argv[1:]))",
          "classify", "--spec", g1_spec],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert '"stratum": "V_0"' in proc.stdout

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
+from spectralcurves import periods
 from spectralcurves.curve import build_curve, homology_cycles
 from spectralcurves.errors import ResolutionError, ValidationError
 from spectralcurves.periods import (
     QuadConfig,
+    _gauss_rule,
     a_periods,
     b_periods,
     derived_pencil,
@@ -195,3 +198,43 @@ def test_rational_distance_detects_integer_plane():
     off = rational_plane_distance(m + 1e-3 * rng.standard_normal(m.shape),
                                   max_denominator=4)
     assert 1e-5 < off < 1e-2
+
+
+# ------------------------------------------------------------ rule cache
+
+
+@pytest.mark.parametrize("n", [64, 257])
+def test_gauss_rule_is_scipys_rule_shared_read_only(n):
+    for kind, want in (("jacobi", roots_jacobi(n, 0.0, -0.5)),
+                       ("legendre", roots_legendre(n))):
+        x, w = _gauss_rule(kind, n)
+        assert np.array_equal(x, want[0]) and np.array_equal(w, want[1])
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        again = _gauss_rule(kind, n)
+        assert again[0] is x and again[1] is w
+
+
+def test_periods_do_not_depend_on_rule_cache_state():
+    # a rule table keyed by n alone would hand the Jacobi leg a Legendre
+    # rule (or the reverse) depending on which was built first
+    curve = CURVE_G2
+    b = solve_Ba(curve).b1
+    lam0 = complex(np.exp(2.1j))
+
+    def cold(first_sym):
+        _gauss_rule.cache_clear()
+        periods._engine.cache_clear()
+        if first_sym:
+            s = sym_integral(curve, b, lam0)
+            return b_periods(curve, b), s
+        bp = b_periods(curve, b)
+        return bp, sym_integral(curve, b, lam0)
+
+    bp1, s1 = cold(first_sym=False)
+    bp2, s2 = cold(first_sym=True)
+    periods._engine.cache_clear()
+    bp3, s3 = b_periods(curve, b), sym_integral(curve, b, lam0)   # warm rules
+    assert np.array_equal(bp1, bp2) and np.array_equal(bp1, bp3)
+    assert s1 == s2 == s3

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spectralcurves import whitham
 from spectralcurves.curve import build_curve
 from spectralcurves.errors import ValidationError
 from spectralcurves.invariants import classify
@@ -10,6 +11,8 @@ from spectralcurves.periods import b_periods, solve_Ba
 from spectralcurves.polyring import CPoly, reality_check
 from spectralcurves.whitham import (
     FlowAbort,
+    _angular_logslope,
+    _slope_zeros,
     attach_handle,
     bezout_solve,
     constant_Q_selector,
@@ -159,6 +162,82 @@ def test_attach_handle_rejects_degenerate_parameters():
         attach_handle(curve, b, complex(np.exp(0.9j)), 0.0)
     with pytest.raises(ValidationError, match="unit circle"):
         attach_handle(curve, b, 0.9 * np.exp(0.9j), 1e-2)
+
+
+# --------------------------------------------- critical-point bisection
+
+
+def _reference_slope_zeros(slope, grid):
+    """The scalar bisection _slope_zeros replaced: 80 halvings of each
+    sign-change interval in turn, one point per slope call."""
+    def bisect(f, lo, hi, iters=80):
+        flo = f(lo)
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            fm = f(mid)
+            if flo * fm <= 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        return 0.5 * (lo + hi)
+
+    v = slope(grid)
+    return [bisect(lambda th: float(slope(np.array([th]))[0]), grid[i], grid[i + 1])
+            for i in np.nonzero(np.signbit(v[:-1]) != np.signbit(v[1:]))[0]]
+
+
+def _counted(slope):
+    def f(theta):
+        f.calls += 1
+        return slope(theta)
+    f.calls = 0
+    return f
+
+
+def _assert_matches_reference(slope, grid):
+    f = _counted(slope)
+    got = _slope_zeros(f, grid)
+    assert f.calls <= 81
+    assert got == _reference_slope_zeros(slope, grid)
+    return got
+
+
+def test_slope_zeros_equal_scalar_bisection_on_random_bases():
+    full = np.linspace(-np.pi, np.pi, 4001)
+    for genus in (1, 2, 3):
+        for seed in range(3):
+            slope = _angular_logslope(solve_Ba(random_curve(genus, 700 + seed)))
+            zeros = _assert_matches_reference(slope, full)
+            assert zeros
+            # the only sign change of this grid is in its last interval
+            z = zeros[0]
+            last = np.append(np.linspace(z - 1e-2, z - 1e-3, 100), z + 1e-3)
+            assert len(_assert_matches_reference(slope, last)) == 1
+            # no sign change: a short window where |slope| peaks
+            top = full[np.argmax(np.abs(slope(full)))]
+            quiet = np.linspace(top - 1e-3, top + 1e-3, 101)
+            assert _assert_matches_reference(slope, quiet) == []
+
+
+def test_slope_zeros_bisect_all_brackets_in_81_calls():
+    grid = np.linspace(-np.pi, np.pi, 3001)
+    zeros = _assert_matches_reference(lambda th: np.sin(40.0 * th + 0.1), grid)
+    assert len(zeros) == 80
+
+
+def test_slope_zeros_equal_scalar_bisection_in_handle_check(monkeypatch):
+    seen = []
+
+    def recording(slope, grid):
+        seen.append((slope, grid))
+        return _slope_zeros(slope, grid)
+
+    monkeypatch.setattr(whitham, "_slope_zeros", recording)
+    chk = handle_invariant_check(random_curve(2, 52), complex(np.exp(0.9j)), 1e-2)
+    assert len(chk.new_circle_critical_points) == 2
+    assert len(seen) >= 2 and all(len(grid) > 8001 for _, grid in seen)
+    for slope, grid in seen:
+        _assert_matches_reference(slope, grid)
 
 
 def test_handle_check_laws_on_one_triple():
