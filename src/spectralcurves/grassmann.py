@@ -29,6 +29,7 @@ by finite differences over the 2g real root coordinates.
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ from .curve import build_curve
 from .errors import InvariantError, ResolutionError, ValidationError
 from .invariants import GCD_TOL, pencil_gcd
 from .periods import solve_Ba
-from .polyring import real_coords, real_place, resultant
+from .polyring import CPoly, _sylvester, real_coords, real_place_coeffs
 from .polyring import roots as poly_roots
 
 log = logging.getLogger(__name__)
@@ -79,12 +80,22 @@ class GrPlane:
         object.__setattr__(self, "M", m)
 
 
+def _basis_coeffs(genus, mats):
+    """Coefficient stacks, shape (n, g+2) each, of the normalized bases of
+    a stack of graph-coordinate matrices of shape (n, g, 2)."""
+    # chart of b1: (1, 0, M[:, 0]); chart of b2: (0, 1, M[:, 1])
+    charts = np.zeros((len(mats), 2, genus + 2))
+    charts[:, 0, 0] = charts[:, 1, 1] = 1.0
+    charts[:, :, 2:] = np.swapaxes(mats, 1, 2)
+    c = real_place_coeffs(genus + 1, charts)
+    return c[:, 0], c[:, 1]
+
+
 def plane_basis(plane):
     """Normalized basis (b1, b2) of the plane: b1(0) = 1, b2(0) = i,
     top coefficients 1 and -i, middle blocks the columns of M."""
-    g = plane.genus
-    b1 = real_place(g + 1, np.concatenate([[1.0, 0.0], plane.M[:, 0]]))
-    b2 = real_place(g + 1, np.concatenate([[0.0, 1.0], plane.M[:, 1]]))
+    c1, c2 = _basis_coeffs(plane.genus, plane.M[None])
+    b1, b2 = CPoly(c1[0]), CPoly(c2[0])
     if b1(0.0) != 1.0 or b2(0.0) != 1j:
         raise InvariantError("graph-coordinate normalization failed")
     return b1, b2
@@ -151,37 +162,124 @@ def gr_classify(plane, tol=GCD_TOL):
     return {"gcd_degree": deg, "in_R": deg > 0, "S1_roots": s1}
 
 
-def _windowed_circle_min(b1, b2, psi0, width, coarse=96):
-    """min over the circle arc |theta - psi0| <= width of |b1|^2 + |b2|^2."""
-    from scipy.optimize import minimize_scalar
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
 
-    def f(theta):
-        lam = np.exp(1j * np.asarray(theta))
-        return np.abs(b1(lam)) ** 2 + np.abs(b2(lam)) ** 2
 
+def _bounded_min(f, a, b, xatol):
+    """Row-wise bounded Brent minimisation on the intervals [a, b].
+
+    A masked-array port of the bounded Brent loop (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973) as scipy's ``fminbound``
+    runs it: every row takes its own golden-section or parabolic step,
+    with the same tolerances and bookkeeping as that scalar loop, and
+    drops out of the active set once it meets the loop's stopping test
+    (or the loop's default cap of 500 evaluations).  ``f(rows, x)``
+    evaluates the objectives of the given rows at one abscissa each.
+    Returns the smallest value found for every row.
+    """
+    rows = np.arange(len(a))
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    rat = e = np.zeros(len(a))
+    fx = fnfc = ffulc = f(rows, xf)
+    out = fx.copy()
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        go = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
+        out[rows] = fx
+        if num >= 500 or not go.any():
+            return out
+        if not go.all():
+            rows, a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, xm, tol1, tol2 = (
+                v[go] for v in (rows, a, b, xf, fx, nfc, fnfc, fulc, ffulc,
+                                rat, e, xm, tol1, tol2))
+        # parabolic step through (xf, nfc, fulc), where it is acceptable
+        r = (xf - nfc) * (fx - ffulc)
+        q = (xf - fulc) * (fx - fnfc)
+        p = (xf - fulc) * q - (xf - nfc) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                     & (p > q * (a - xf)) & (p < q * (b - xf)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (p + 0.0) / q
+        x = xf + step
+        si = np.sign(xm - xf) + ((xm - xf) == 0)
+        step = np.where(((x - a) < tol2) | ((b - x) < tol2), tol1 * si, step)
+        # golden-section step into the larger part everywhere else
+        e_golden = np.where(xf >= xm, a - xf, b - xf)
+        e = np.where(parabolic, rat, e_golden)
+        rat = np.where(parabolic, step, _GOLDEN * e_golden)
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = f(rows, x)
+        num += 1
+
+        better = fu <= fx
+        right = x >= xf
+        a = np.where(better, np.where(right, xf, a), np.where(right, a, x))
+        b = np.where(better, np.where(right, b, xf), np.where(right, x, b))
+        second = ~better & ((fu <= fnfc) | (nfc == xf))
+        third = (~better & ~second
+                 & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc)))
+        shift = better | second
+        fulc = np.where(shift, nfc, np.where(third, x, fulc))
+        ffulc = np.where(shift, fnfc, np.where(third, fu, ffulc))
+        nfc = np.where(better, xf, np.where(second, x, nfc))
+        fnfc = np.where(better, fx, np.where(second, fu, fnfc))
+        xf = np.where(better, x, xf)
+        fx = np.where(better, fu, fx)
+
+
+def _circle_values(c1, c2, theta):
+    """|b1|^2 + |b2|^2 at exp(i theta), by Horner on coefficient rows c1,
+    c2 of shape (n, d+1); theta broadcasts against (n, k)."""
+    lam = np.exp(1j * theta)
+    v1, v2 = c1[:, -1:], c2[:, -1:]
+    for k in range(c1.shape[1] - 2, -1, -1):
+        v1 = c1[:, k:k + 1] + v1 * lam
+        v2 = c2[:, k:k + 1] + v2 * lam
+    return np.abs(v1) ** 2 + np.abs(v2) ** 2
+
+
+def _windowed_circle_min(c1, c2, psi0, width, coarse=96):
+    """Row-wise min over the circle arc |theta - psi0| <= width of
+    |b1|^2 + |b2|^2, for coefficient rows c1, c2 of shape (n, d+1).
+
+    A coarse grid locates each row's minimum, and a bounded Brent search
+    refines it between the grid neighbours of the best grid point.
+    """
     grid = psi0 + np.linspace(-width, width, coarse)
-    vals = f(grid)
-    k = int(np.argmin(vals))
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(coarse - 1, k + 1)]
-    res = minimize_scalar(lambda t: float(f(t)), bounds=(lo, hi),
-                          method="bounded",
-                          options={"xatol": 1e-14})
-    return min(float(res.fun), float(vals[k]))
+    vals = _circle_values(c1, c2, grid)
+    k = np.argmin(vals, axis=1)
+    lo = grid[np.maximum(k - 1, 0)]
+    hi = grid[np.minimum(k + 1, coarse - 1)]
+    fun = _bounded_min(
+        lambda rows, t: _circle_values(c1[rows], c2[rows], t[:, None])[:, 0],
+        lo, hi, xatol=1e-14)
+    return np.minimum(fun, vals[np.arange(len(k)), k])
 
 
 def _membership_residuals(plane, tol):
-    """Per-stratum scalar residuals rho: M-matrix -> float >= 0.
+    """Per-stratum residuals rho: a stack of M-matrices, shape (n, g, 2),
+    to their residuals, shape (n,), each >= 0.
 
     Unit-circle common roots contribute a windowed minimum of
     |b1|^2 + |b2|^2 over the nearby arc (one window per root: the
     "clusters").  An off-circle reflection pair contributes the
     normalized |resultant|.  Either way the residual vanishes on the
     stratum and grows *quadratically* in the normal displacement, which
-    is what the quadratic-form fit downstream expects.
+    is what the quadratic-form fit downstream expects.  Every row is
+    computed on its own, so a row's residual does not depend on the
+    rest of the stack.
 
     Returns (case, clusters) where clusters is a list of (label, rho).
     """
+    g = plane.genus
     gcd = pencil_gcd(*plane_basis(plane), tol)
     deg = gcd.formal_degree
     rts = sorted((complex(z) for z in poly_roots(gcd)), key=lambda z: z.real)
@@ -194,17 +292,30 @@ def _membership_residuals(plane, tol):
     def arc_cluster(z0):
         psi0 = float(np.angle(z0))
 
-        def rho(mat):
-            q1, q2 = plane_basis(GrPlane(plane.genus, mat))
-            return _windowed_circle_min(q1, q2, psi0, width)
+        def rho(mats):
+            return _windowed_circle_min(*_basis_coeffs(g, mats), psi0, width)
 
         return ("arc@%.4f" % psi0, rho)
 
     def resultant_cluster():
-        def rho(mat):
-            q1, q2 = plane_basis(GrPlane(plane.genus, mat))
-            scale = (q1.norm_inf() * q2.norm_inf()) ** (plane.genus + 1)
-            return abs(resultant(q1, q2)) / max(scale, 1e-300)
+        def rho(mats):
+            c1, c2 = _basis_coeffs(g, mats)
+            n1, n2 = np.abs(c1).max(axis=1), np.abs(c2).max(axis=1)
+            # Sylvester determinants at the full degree g+1.  Graph form
+            # keeps both top coefficients at modulus one, so the 1e-9
+            # trimming of polyring.resultant could only drop one beside a
+            # coefficient near 1e9; such a plane is refused, not trimmed.
+            kept = ((np.abs(c1[:, -1]) > 1e-9 * n1)
+                    & (np.abs(c2[:, -1]) > 1e-9 * n2))
+            if not kept.all():
+                raise ValidationError(
+                    "resultant residual needs plane coefficients below 1e9 "
+                    "in modulus (largest %.3g)" % float(np.max([n1, n2])))
+            det = np.linalg.det(_sylvester(c1, c2))
+            # hypot and Python's float power, as abs(complex) and
+            # float ** int compute them
+            scale = np.array([s ** (g + 1) for s in (n1 * n2).tolist()])
+            return np.hypot(det.real, det.imag) / np.maximum(scale, 1e-300)
 
         return ("resultant", rho)
 
@@ -292,12 +403,9 @@ def _quadratic_normals(rho, rho0, mat0, dirs, radius, rel_cut=0.05):
     """
     d = dirs.shape[1]
     iu = np.triu_indices(d)
-    rows = np.empty((len(dirs), d + len(iu[0])))
-    ys = np.empty(len(dirs))
-    for i, v in enumerate(dirs):
-        ys[i] = (rho(mat0 + radius * v.reshape(mat0.shape)) - rho0) / radius**2
-        outer = np.outer(v, v)
-        rows[i] = np.concatenate([v, outer[iu]])
+    ys = (rho(mat0 + radius * dirs.reshape(-1, *mat0.shape)) - rho0) / radius**2
+    outer = dirs[:, :, None] * dirs[:, None, :]
+    rows = np.concatenate([dirs, outer[:, iu[0], iu[1]]], axis=1)
     sol, _, _, _ = np.linalg.lstsq(rows, ys, rcond=None)
     A = np.zeros((d, d))
     A[iu] = sol[d:]
@@ -357,9 +465,10 @@ def stratum_dimension_probe(plane, radius=1e-3, samples=None, tol=GCD_TOL,
     mat0 = np.asarray(plane.M, dtype=float)
     dirs = _directions(dim, samples, rng)
 
-    sheet_normals = []
+    sheet_normals, rho0s = [], []
     for label, rho in clusters:
-        rho0 = rho(mat0)
+        rho0 = rho(mat0[None])[0]
+        rho0s.append(rho0)
         rank_r, n_r, _ = _quadratic_normals(rho, rho0, mat0, dirs, radius)
         rank_c, n_c, _ = _quadratic_normals(rho, rho0, mat0, dirs,
                                             radius / 10.0)
@@ -381,18 +490,13 @@ def stratum_dimension_probe(plane, radius=1e-3, samples=None, tol=GCD_TOL,
 
     # second-order persistence along the estimated tangent space
     _, _, vt = np.linalg.svd(stacked)
-    tangent = vt[normal_rank:]
-    ratios = []
-    for tv in tangent[: min(3, len(tangent))]:
-        big = small = 0.0
-        for _, rho in clusters:
-            rho0 = rho(mat0)
-            big = max(big, abs(
-                rho(mat0 + radius * tv.reshape(mat0.shape)) - rho0))
-            small = max(small, abs(
-                rho(mat0 + 0.1 * radius * tv.reshape(mat0.shape)) - rho0))
-        if big > 1e-13:
-            ratios.append(big / max(small, 1e-300))
+    tangent = vt[normal_rank:normal_rank + 3]
+    steps = np.concatenate([radius * tangent, 0.1 * radius * tangent])
+    stack = mat0 + steps.reshape(-1, *mat0.shape)
+    moves = np.max([np.abs(rho(stack) - rho0)
+                    for (_, rho), rho0 in zip(clusters, rho0s)], axis=0)
+    big, small = moves[:len(tangent)], moves[len(tangent):]
+    ratios = [hi / max(lo, 1e-300) for hi, lo in zip(big, small) if hi > 1e-13]
     persistence = float(min(ratios)) if ratios else float("inf")
     if ratios and persistence < 200.0:
         raise ResolutionError(

@@ -29,7 +29,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import roots_jacobi, roots_legendre
 
 from .curve import SpectralCurve, continue_sqrt, homology_cycles
@@ -475,7 +474,7 @@ def rational_plane_distance(matrix, max_denominator=12, shortlist=256):
     q, r = np.linalg.qr(m.T)
     keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, float(np.max(np.abs(m))))
     q = q[:, keep]
-    if q.shape[1] == 0:
+    if q.shape[1] in (0, dim):   # zero matrix, or a span holding every plane
         return 0.0
 
     vecs = _integer_directions(dim, max_denominator)
@@ -490,17 +489,18 @@ def rational_plane_distance(matrix, max_denominator=12, shortlist=256):
     k = min(shortlist, len(vf))
     short = vf[np.argpartition(sin2, k - 1)[:k]]
 
-    best = np.pi / 2
-    for i in range(k):
-        for j in range(i + 1, k):
-            pair = np.stack([short[i], short[j]], axis=1)
-            if np.linalg.matrix_rank(pair) < 2:
-                continue
-            ang = scipy.linalg.subspace_angles(pair, q)
-            worst = float(np.max(ang)) if len(ang) else 0.0
-            if worst < best:
-                best = worst
-    return best
+    # Every shortlist pair at once.  Two distinct primitive vectors with
+    # positive leading entries are independent, so each pair spans a plane.
+    # The smaller of span(q) and a pair plane, less its projection onto the
+    # larger, has the sines of the principal angles as singular values
+    # (Bjorck & Golub 1973), which keeps small angles at full precision.
+    i, j = np.triu_indices(k, 1)
+    planes, _ = np.linalg.qr(np.stack([short[i], short[j]], axis=2))
+    small, large = (planes, q) if q.shape[1] >= 2 else (q, planes)
+    outside = small - large @ (np.swapaxes(large, -1, -2) @ small)
+    sines = np.linalg.svd(outside, compute_uv=False)[:, 0]
+    worst = np.arcsin(np.minimum(sines, 1.0))
+    return float(np.min(worst, initial=np.pi / 2))
 
 
 # ---------------------------------------------------------------------------

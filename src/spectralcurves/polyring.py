@@ -33,6 +33,7 @@ __all__ = [
     "real_dim",
     "real_coords",
     "real_place",
+    "real_place_coeffs",
 ]
 
 
@@ -240,17 +241,21 @@ def roots(p: CPoly, tol=1e-9):
 
 
 def _sylvester(cp, cq):
-    """Sylvester matrix of two coefficient vectors (ascending order)."""
-    n = len(cp) - 1
-    m = len(cq) - 1
+    """Sylvester matrix of two coefficient vectors (ascending order).
+
+    Stacks of vectors, shapes ``(..., n + 1)`` and ``(..., m + 1)`` with
+    the same leading shape, give the stack of their Sylvester matrices.
+    """
+    n = cp.shape[-1] - 1
+    m = cq.shape[-1] - 1
     size = n + m
-    s = np.zeros((size, size), dtype=np.complex128)
-    pr = cp[::-1]  # descending
-    qr = cq[::-1]
+    s = np.zeros(cp.shape[:-1] + (size, size), dtype=np.complex128)
+    pr = cp[..., ::-1]  # descending
+    qr = cq[..., ::-1]
     for i in range(m):
-        s[i, i : i + n + 1] = pr
+        s[..., i, i : i + n + 1] = pr
     for i in range(n):
-        s[m + i, i : i + m + 1] = qr
+        s[..., m + i, i : i + m + 1] = qr
     return s
 
 
@@ -351,16 +356,21 @@ def real_coords(p: CPoly) -> np.ndarray:
 
 def real_place(degree: int, x) -> CPoly:
     """Inverse of :func:`real_coords`: build the reflection-real polynomial."""
+    return CPoly(real_place_coeffs(degree, x))
+
+
+def real_place_coeffs(degree: int, x) -> np.ndarray:
+    """Coefficients of :func:`real_place` for a stack of charts.
+
+    ``x`` has shape ``(..., degree + 1)``; the result has the same shape
+    and holds the ascending complex coefficients of each polynomial.
+    """
     x = np.asarray(x, dtype=float)
-    if len(x) != degree + 1:
+    if x.shape[-1:] != (degree + 1,):
         raise InvariantError(
-            f"chart expects {degree + 1} coordinates, got {len(x)}"
+            f"chart expects {degree + 1} coordinates, got shape {x.shape}"
         )
-    c = np.zeros(degree + 1, dtype=np.complex128)
     half = (degree + 1) // 2
-    for i in range(half):
-        c[i] = x[2 * i] + 1j * x[2 * i + 1]
-        c[degree - i] = np.conj(c[i])
-    if degree % 2 == 0:
-        c[degree // 2] = x[degree]
-    return CPoly(c)
+    low = x[..., 0 : 2 * half : 2] + 1j * x[..., 1 : 2 * half : 2]
+    # low block, the real middle coefficient (even degree only), mirrors
+    return np.concatenate([low, x[..., 2 * half :], np.conj(low[..., ::-1])], axis=-1)

@@ -8,6 +8,9 @@ from spectralcurves.errors import ValidationError
 from spectralcurves.grassmann import (
     B_map,
     GrPlane,
+    _basis_coeffs,
+    _membership_residuals,
+    _windowed_circle_min,
     gr_classify,
     immersion_rank,
     plane_basis,
@@ -18,7 +21,8 @@ from spectralcurves.grassmann import (
     plane_to_json,
     stratum_dimension_probe,
 )
-from spectralcurves.invariants import classify
+from spectralcurves.invariants import GCD_TOL, classify
+from spectralcurves.polyring import resultant
 
 from conftest import random_curve, shared_plane
 
@@ -152,3 +156,142 @@ def test_probe_is_deterministic():
     a = stratum_dimension_probe(plane, seed=7)
     b = stratum_dimension_probe(plane, seed=7)
     assert a == b
+
+
+# ------------------------------------------------ batched residuals
+
+
+def _scalar_windowed_circle_min(b1, b2, psi0, width, coarse=96):
+    """One plane's windowed circle minimum as it was computed before the
+    residuals were batched: grid search, then scipy's bounded Brent."""
+    from scipy.optimize import minimize_scalar
+
+    def f(theta):
+        lam = np.exp(1j * np.asarray(theta))
+        return np.abs(b1(lam)) ** 2 + np.abs(b2(lam)) ** 2
+
+    grid = psi0 + np.linspace(-width, width, coarse)
+    vals = f(grid)
+    k = int(np.argmin(vals))
+    lo = grid[max(0, k - 1)]
+    hi = grid[min(coarse - 1, k + 1)]
+    res = minimize_scalar(lambda t: float(f(t)), bounds=(lo, hi),
+                          method="bounded", options={"xatol": 1e-14})
+    return min(float(res.fun), float(vals[k]))
+
+
+def _scalar_resultant_residual(plane):
+    """One plane's normalized |resultant|, as computed before batching."""
+    q1, q2 = plane_basis(plane)
+    scale = (q1.norm_inf() * q2.norm_inf()) ** (plane.genus + 1)
+    return abs(resultant(q1, q2)) / max(scale, 1e-300)
+
+
+E = np.exp
+# (circle roots, reflection-pair roots, fill roots) of shared planes
+ARC_PLANES = [
+    ([E(0.4j)], [], [0.35]),
+    ([E(-2.2j)], [], [-0.3 + 0.2j]),
+    ([E(0.4j)], [], [0.35, -0.2 + 0.3j]),
+    ([E(1.2j), E(-1.4j)], [], [0.3]),
+    ([E(-1.1j)], [], [0.3, -0.4j, 0.2 + 0.45j]),
+    ([E(2.0j), E(3.1j)], [], [0.4, -0.3j]),
+]
+PAIR_PLANES = [
+    ([], [0.55 + 0.2j], [-0.3j]),
+    ([], [-0.4 + 0.35j], [0.25]),
+    ([], [0.3 - 0.5j], [0.2, -0.45 + 0.1j]),
+    ([], [-0.6j], [0.35 + 0.3j, -0.2]),
+]
+
+
+def _perturbations(plane, n, scale, seed):
+    rng = np.random.default_rng(seed)
+    return plane.M[None] + scale * rng.standard_normal((n, plane.genus, 2))
+
+
+@pytest.mark.parametrize("spec", ARC_PLANES)
+def test_windowed_minimum_matches_scipy_brent(spec):
+    plane = shared_plane(*spec)
+    g = plane.genus
+    stack = _perturbations(plane, 24, 1e-3, seed=g)
+    c1, c2 = _basis_coeffs(g, stack)
+    for z in spec[0]:
+        psi0 = float(np.angle(z))
+        got = _windowed_circle_min(c1, c2, psi0, 0.3)
+        want = [_scalar_windowed_circle_min(*plane_basis(GrPlane(g, m)),
+                                            psi0, 0.3) for m in stack]
+        assert got.shape == (len(stack),)
+        assert np.allclose(got, want, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("spec", ARC_PLANES + PAIR_PLANES)
+def test_residual_rows_do_not_depend_on_the_stack(spec):
+    plane = shared_plane(*spec)
+    stack = _perturbations(plane, 17, 1e-3, seed=5)
+    _, clusters = _membership_residuals(plane, GCD_TOL)
+    for _, rho in clusters:
+        whole = rho(stack)
+        rows = np.concatenate([rho(stack[i:i + 1]) for i in range(len(stack))])
+        assert whole.tobytes() == rows.tobytes()
+        assert rho(stack[::-1]).tobytes() == whole[::-1].tobytes()
+
+
+@pytest.mark.parametrize("spec", PAIR_PLANES)
+def test_resultant_residual_is_the_scalar_resultant_bit_for_bit(spec):
+    plane = shared_plane(*spec)
+    case, clusters = _membership_residuals(plane, GCD_TOL)
+    assert case == "pair_off_circle" and len(clusters) == 1
+    rho = clusters[0][1]
+    stack = np.concatenate([plane.M[None],
+                            _perturbations(plane, 12, 1e-3, seed=1),
+                            _perturbations(plane, 12, 1e-1, seed=2)])
+    want = [_scalar_resultant_residual(GrPlane(plane.genus, m)) for m in stack]
+    assert np.array_equal(rho(stack), want)
+
+
+def test_resultant_residual_refuses_coefficients_it_would_trim():
+    plane = shared_plane(*PAIR_PLANES[0])
+    _, [(_, rho)] = _membership_residuals(plane, GCD_TOL)
+    huge = np.stack([plane.M, plane.M])
+    huge[1, 0, 0] = 2e9
+    with pytest.raises(ValidationError, match="below 1e9"):
+        rho(huge)
+    assert np.all(np.isfinite(rho(huge[:1])))
+
+
+# Discrete report fields of the probe on planes of genus 2 and 3, frozen
+# from the pair-by-pair scipy implementation: (spec, (genus, gcd_degree,
+# case, dimension, singular, sheets, sheet_dimensions, normal_rank,
+# samples)).
+FROZEN_PROBES = [
+    (([E(0.4j)], [], [0.35, -0.2 + 0.3j]),
+     (2, 1, "S1_simple", 3, False, 1, (3,), 1, 45)),
+    (([E(2.5j)], [], [0.5j, 0.25 - 0.1j]),
+     (2, 1, "S1_simple", 3, False, 1, (3,), 1, 45)),
+    (([E(-1.1j)], [], [0.3, -0.4j, 0.2 + 0.45j]),
+     (3, 1, "S1_simple", 5, False, 1, (5,), 1, 84)),
+    (([E(3.0j)], [], [0.15 + 0.15j, -0.5, 0.4 - 0.3j]),
+     (3, 1, "S1_simple", 5, False, 1, (5,), 1, 84)),
+    (PAIR_PLANES[0], (2, 2, "pair_off_circle", 2, False, 1, (2,), 2, 45)),
+    (PAIR_PLANES[1], (2, 2, "pair_off_circle", 2, False, 1, (2,), 2, 45)),
+    (PAIR_PLANES[2], (3, 2, "pair_off_circle", 4, False, 1, (4,), 2, 84)),
+    (PAIR_PLANES[3], (3, 2, "pair_off_circle", 4, False, 1, (4,), 2, 84)),
+    (([E(1.2j), E(-1.4j)], [], [0.3]),
+     (2, 2, "S1_double", 3, True, 2, (3, 3), 2, 45)),
+    (([E(0.3j), E(1.4j)], [], [-0.25 + 0.2j]),
+     (2, 2, "S1_double", 3, True, 2, (3, 3), 2, 45)),
+    (([E(2.0j), E(3.1j)], [], [0.4, -0.3j]),
+     (3, 2, "S1_double", 5, True, 2, (5, 5), 2, 84)),
+    (([E(-0.5j), E(0.6j)], [], [0.2 + 0.3j, -0.45]),
+     (3, 2, "S1_double", 5, True, 2, (5, 5), 2, 84)),
+]
+
+
+@pytest.mark.parametrize("spec, want", FROZEN_PROBES)
+def test_probe_discrete_fields_frozen(spec, want):
+    rep = stratum_dimension_probe(shared_plane(*spec))
+    got = (rep.genus, rep.gcd_degree, rep.case, rep.dimension, rep.singular,
+           rep.sheets, rep.sheet_dimensions, rep.normal_rank, rep.samples)
+    assert got == want
+    assert rep.persistence_ratio > 200.0

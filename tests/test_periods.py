@@ -191,6 +191,52 @@ def test_rational_distance_trivial_below_plane_dim():
     assert rational_plane_distance(np.array([[1.0, 2.0], [0.5, -1.0]])) == 0.0
 
 
+def _pair_loop_distance(matrix, max_denominator, shortlist):
+    """The rational probe as it was before the pairs were batched: one
+    matrix_rank and one scipy subspace_angles call per shortlist pair."""
+    import scipy.linalg
+
+    m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    dim = m.shape[1]
+    q, r = np.linalg.qr(m.T)
+    q = q[:, np.abs(np.diag(r)) > 1e-12 * max(1.0, float(np.max(np.abs(m))))]
+    vf = periods._integer_directions(dim, max_denominator).astype(np.float64)
+    proj = vf @ q
+    sin2 = 1.0 - (proj * proj).sum(axis=1) / np.linalg.norm(vf, axis=1) ** 2
+    k = min(shortlist, len(vf))
+    short = vf[np.argpartition(sin2, k - 1)[:k]]
+    best = np.pi / 2
+    for i in range(k):
+        for j in range(i + 1, k):
+            pair = np.stack([short[i], short[j]], axis=1)
+            if np.linalg.matrix_rank(pair) < 2:
+                continue
+            best = min(best, float(np.max(scipy.linalg.subspace_angles(pair, q))))
+    return best
+
+
+def _probe_matrices():
+    rng = np.random.default_rng(17)
+    integer = np.array([[1.0, 0.0, -2.0, 3.0], [0.0, 3.0, 1.0, -1.0]])
+    row = rng.standard_normal(3)
+    return {
+        "random 2x3": rng.standard_normal((2, 3)),
+        "random 2x4": rng.standard_normal((2, 4)),
+        "rank one 2x3": np.stack([row, -2.5 * row]),
+        "near-integer 2x3": integer[:, :3] + 1e-7 * rng.standard_normal((2, 3)),
+        "near-integer 2x4": integer + 1e-5 * rng.standard_normal((2, 4)),
+    }
+
+
+@pytest.mark.parametrize("shortlist", [16, 64])
+@pytest.mark.parametrize("name", sorted(_probe_matrices()))
+def test_rational_distance_matches_subspace_angles_loop(name, shortlist):
+    m = _probe_matrices()[name]
+    got = rational_plane_distance(m, max_denominator=4, shortlist=shortlist)
+    want = _pair_loop_distance(m, 4, shortlist)
+    assert abs(got - want) <= 1e-12
+
+
 def test_rational_distance_detects_integer_plane():
     m = np.array([[1.0, 0.0, -2.0], [0.0, 3.0, 1.0]])
     assert rational_plane_distance(m, max_denominator=4) < 1e-12

@@ -11,12 +11,14 @@ from spectralcurves.polyring import (
     real_coords,
     real_dim,
     real_place,
+    real_place_coeffs,
     reality_check,
     resultant,
     rho_star,
     roots,
     symmetrize_reality,
 )
+from spectralcurves.polyring import _sylvester
 
 finite_complex = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -153,6 +155,20 @@ def test_real_coordinates_roundtrip():
         p = real_place(d, x)
         assert reality_check(p)[0]
         assert np.allclose(real_coords(p), x, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 5])
+def test_stacked_charts_and_sylvester_matrices_are_their_rows(d):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((4, 3, d + 1))
+    x[x > 1.0] = -0.0
+    stack = real_place_coeffs(d, x)
+    q = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    sylv = _sylvester(stack, q)
+    for i, j in np.ndindex(4, 3):
+        row = real_place(d, x[i, j]).coeffs
+        assert stack[i, j].tobytes() == row.tobytes()
+        assert sylv[i, j].tobytes() == _sylvester(row, q[i, j]).tobytes()
 
 
 # ------------------------------------------------------------ roots, gcd
