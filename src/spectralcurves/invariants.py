@@ -15,6 +15,7 @@ reported.  Strata:
 * R_only : gcd nontrivial but no root on the unit circle.
 """
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -94,6 +95,7 @@ def _refine_gcd(gcd, b1, b2):
     return CPoly.from_roots(refined)
 
 
+@functools.lru_cache(maxsize=128)
 def pencil_gcd(b1, b2, tol=GCD_TOL):
     """Approximate gcd of the pencil (b1, b2), validated by test division.
 
@@ -101,6 +103,9 @@ def pencil_gcd(b1, b2, tol=GCD_TOL):
     singular-value criterion; if dividing b1 and b2 by the candidate gcd
     leaves a visible residue, the tolerance is tightened until the
     candidate is consistent (possibly trivial).
+
+    Memoised per (b1, b2, tol): CPoly is immutable and hashes its
+    coefficients, so one classification reuses one gcd.
     """
     t = tol
     for _ in range(8):

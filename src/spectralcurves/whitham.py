@@ -144,7 +144,7 @@ def _coerce_Q(Q):
     return q
 
 
-def bezout_solve(a, b1, b2, Q, tol=1e-9, freedom=None, gcd=None):
+def bezout_solve(a, b1, b2, Q, tol=1e-9, freedom=None):
     """Solve c1 b2 - c2 b1 = Q a for reversal-real (c1, c2) of degree g+1.
 
     Returns the minimum-norm solution of the real coefficient system.
@@ -157,8 +157,7 @@ def bezout_solve(a, b1, b2, Q, tol=1e-9, freedom=None, gcd=None):
     """
     Q = _coerce_Q(Q)
     deg_b = b1.formal_degree          # g + 1
-    if gcd is None:
-        gcd = pencil_gcd(b1, b2, GCD_TOL)
+    gcd = pencil_gcd(b1, b2, GCD_TOL)
     if gcd.formal_degree > 0 and not Q.is_zero(1e-13):
         _, rem = npoly.polydiv(Q.coeffs, gcd.coeffs)
         if float(np.max(np.abs(rem))) > max(tol, 1e-9) * max(1.0, Q.norm_inf()):
@@ -232,8 +231,7 @@ def whitham_tangent(curve, basis, Q, tol=None, freedom=None):
                 raise ValidationError(
                     "nonunique tangent: a, b1, b2 share the root %s" % r)
 
-    c1, c2 = bezout_solve(a, b1, b2, Q, tol=max(tol, 1e-9), freedom=freedom,
-                          gcd=gcd)
+    c1, c2 = bezout_solve(a, b1, b2, Q, tol=max(tol, 1e-9), freedom=freedom)
 
     dim_a = 2 * g + 1                 # chart of reversal-real degree 2g
     dim_b = b1.formal_degree + 1      # chart of reversal-real degree g+1
@@ -465,6 +463,7 @@ class HandleDeformation:
     a_t: CPoly
     b_t: CPoly
     curve: object
+    basis: object            # solved pencil basis of the handle curve
     base: object
 
 
@@ -502,7 +501,8 @@ def attach_handle(curve, b, alpha, t, sqrt_choice=1, tol=None, quad=None):
     z = -alpha * sab * complex(b(0.0))
     b_t = basis_t.b1 * z.real + basis_t.b2 * z.imag
     return HandleDeformation(alpha=alpha, sqrt_alpha_bar=sab, t=t,
-                             a_t=curve_t.a, b_t=b_t, curve=curve_t, base=curve)
+                             a_t=curve_t.a, b_t=b_t, curve=curve_t,
+                             basis=basis_t, base=curve)
 
 
 @dataclass(frozen=True)
@@ -517,55 +517,70 @@ class HandleCheck:
     new_circle_critical_points: tuple
 
 
-def _angular_logslope(basis, tol=GCD_TOL):
-    """d/dtheta of arg f~ along the unit circle, as a callable of theta.
-
-    Zeros are exactly the critical points of the unimodular circle map."""
-    num, den = _deflated_pair(basis, tol)
-    dnum, dden = num.derivative(), den.derivative()
-
-    def slope(theta):
-        lam = np.exp(1j * np.asarray(theta, dtype=float))
-        return np.real(lam * (dnum(lam) / num(lam) - dden(lam) / den(lam)))
-
-    return slope
-
-
-def _slope_zeros(slope, grid):
-    """Zeros of ``slope`` in the sign-change intervals of ``grid``, bisected
-    together with one ``slope`` call per step; a step that moves no bracket
-    is a fixed point, so stopping there equals taking all 80 steps."""
-    v = slope(grid)
-    i = np.nonzero(np.signbit(v[:-1]) != np.signbit(v[1:]))[0]
-    lo, hi, flo = grid[i], grid[i + 1], v[i]
-    for _ in range(80 if i.size else 0):
-        mid = 0.5 * (lo + hi)
-        fm = slope(mid)
-        left = flo * fm <= 0
-        step = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
-        if all(np.array_equal(a, b) for a, b in zip(step, (lo, hi, flo))):
-            break
-        lo, hi, flo = step
-    return list(0.5 * (lo + hi))
+def _angular_logslope(num, den, theta):
+    """d/dtheta of arg f~ for f~ = -num/den at angles ``theta``, its theta
+    derivative, and the size of the terms it differences (its rounding
+    scale).  Zeros are exactly the critical points of the circle map."""
+    lam = np.exp(1j * np.asarray(theta, dtype=float))
+    n0, m0 = num(lam), den(lam)
+    dn, dd = num.derivative(), den.derivative()
+    ln, ld = dn(lam) / n0, dd(lam) / m0
+    s = lam * (ln - ld)
+    curv = lam * lam * (dn.derivative()(lam) / n0 - ln * ln
+                        - dd.derivative()(lam) / m0 + ld * ld)
+    return np.real(s), -np.imag(s + curv), np.abs(ln) + np.abs(ld)
 
 
-def _new_critical_pair(slope0, slope1, psi, t_used):
+def _critical_angles(num, den):
+    """Angles of all critical points of the circle map f~ = -num/den.
+
+    On S^1, d/dtheta arg f~ = lam W / (num den) with W = num' den - num den'
+    self-reciprocal (its formal top coefficient cancels; off-circle roots
+    pair as r, 1/conj(r)), so the critical points are the unit-circle
+    roots of W.  A root is kept when closer to S^1 than its perturbation
+    bound under a backward error of 64 eps ||W||, then polished by three
+    Newton steps on the slope.  Each kept zero must be farther from its
+    neighbours than four times their errors (Newton step plus rounding);
+    else a near-circle pair is within rounding of a double root, which
+    raises InvariantError.
+    """
+    rounding = 64.0 * np.finfo(float).eps
+    w = (num.derivative() * den - num * den.derivative()).coeffs[:-1]
+    r = np.roots(w[::-1])
+    # ||r| - 1| <= bound, multiplied through by |W'(r)|, which is 0 at a double root
+    near = (np.abs(np.abs(r) - 1.0) * np.abs(npoly.polyval(r, npoly.polyder(w)))
+            <= rounding * np.linalg.norm(w)
+            * np.linalg.norm(np.abs(r)[:, None] ** np.arange(len(w)), axis=1))
+    theta = np.angle(r[near])
+    for _ in range(3):
+        s, ds, _ = _angular_logslope(num, den, theta)
+        theta = theta - s / ds
+    theta = np.sort(theta % (2.0 * np.pi))
+    s, ds, scale = _angular_logslope(num, den, theta)
+    err = 4.0 * (np.abs(s) + rounding * scale) / np.abs(ds)
+    gaps = np.diff(theta, append=theta[:1] + 2.0 * np.pi)
+    if not np.all(gaps > err + np.roll(err, -1)):
+        raise InvariantError(
+            "critical points of the circle map not resolved: a near-circle "
+            "root pair of W is within rounding of a double root")
+    return theta
+
+
+def _new_critical_pair(crit0, crit1, psi, t_used):
     """Window count of circle-map critical points: the deformed map must
     have exactly two more than the base map near psi.  The window shrinks
-    until no zero of either map sits within a margin of its edges (zeros
-    displace by O(t) under the deformation, so an edge zero would make the
-    count ambiguous)."""
+    until no critical point of either map sits within a margin of its
+    edges (they displace by O(t) under the deformation, so an edge one
+    would make the count ambiguous).  Angles are unwrapped to offsets from
+    psi in [-pi, pi), as psi +- width may cross +-pi."""
+    off0, off1 = ((np.asarray(c) - psi + np.pi) % (2.0 * np.pi) - np.pi
+                  for c in (crit0, crit1))
     width = 0.45
     margin = 0.05 + 2.0 * t_used
     while True:
-        dense = min(width / 3.0, max(0.01, 4.0 * t_used))
-        grid = np.union1d(psi + np.linspace(-width, width, 8001),
-                          psi + np.linspace(-dense, dense, 4001))
-        z0 = _slope_zeros(slope0, grid)
-        z1 = _slope_zeros(slope1, grid)
-        edges = (psi - width, psi + width)
-        if all(min(abs(z - edges[0]), abs(z - edges[1])) > margin
-               for z in z0 + z1):
+        z0 = off0[np.abs(off0) <= width]
+        z1 = off1[np.abs(off1) <= width]
+        if np.all(width - np.abs(np.concatenate([z0, z1])) > margin):
             break
         width *= 0.93
         if width < 0.12:
@@ -573,7 +588,7 @@ def _new_critical_pair(slope0, slope1, psi, t_used):
                 "could not isolate a clean window around alpha for "
                 "critical-point counting")
     if len(z1) != len(z0) + 2:
-        near = min((abs(z - psi) for z in z0), default=np.inf)
+        near = np.min(np.abs(z0), initial=np.inf)
         hint = ""
         if near < 6.0 * t_used:
             hint = (" -- a base critical point lies %.3g from alpha, so the "
@@ -582,7 +597,7 @@ def _new_critical_pair(slope0, slope1, psi, t_used):
             "expected two new critical points of the deformed circle map "
             "near alpha: window holds %d before and %d after (t=%g)%s"
             % (len(z0), len(z1), t_used, hint))
-    return tuple(sorted(z1, key=lambda z: abs(z - psi))[:2])
+    return tuple(psi + z1[np.argsort(np.abs(z1), kind="stable")[:2]])
 
 
 def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
@@ -602,14 +617,15 @@ def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
         raise ValidationError(
             "handle check requires a coprime pencil (gcd degree 0), got %d"
             % report0.gcd_degree)
-    slope0 = _angular_logslope(basis, tol)
+    pair0 = _deflated_pair(basis, tol)
     psi = float(np.angle(alpha))
-    s_alpha = float(slope0(psi))
+    s_alpha = float(_angular_logslope(*pair0, psi)[0])
     if abs(s_alpha) < 1e-5:
         raise ValidationError(
             "alpha is (numerically) a critical point of the circle map: "
             "angular slope %.3e" % s_alpha)
     sign = 1 if s_alpha > 0 else -1
+    crit0 = _critical_angles(*pair0)
 
     t_used = float(t)
     last_exc = None
@@ -617,8 +633,7 @@ def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
         try:
             deformed = attach_handle(curve, basis.b1, alpha, t_used,
                                      tol=curve.tol, quad=quad)
-            basis1 = solve_Ba(deformed.curve, quad=quad)
-            report1 = classify(deformed.curve, basis1, tol=tol)
+            report1 = classify(deformed.curve, deformed.basis, tol=tol)
             if report1.gcd_degree != 0:
                 raise _StratumCollapse(
                     "deformed pencil sits within gcd tolerance of the "
@@ -636,8 +651,9 @@ def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
                     "(slope sign %+d at alpha)"
                     % (report0.winding, report1.winding,
                        report0.winding - sign, sign))
-            slope1 = _angular_logslope(basis1, tol)
-            pair = _new_critical_pair(slope0, slope1, psi, t_used)
+            pair = _new_critical_pair(
+                crit0, _critical_angles(*_deflated_pair(deformed.basis, tol)),
+                psi, t_used)
             return HandleCheck(alpha=alpha, t=t_used,
                                deg_f_before=report0.deg_f,
                                deg_f_after=report1.deg_f,

@@ -5,8 +5,11 @@ import pytest
 
 from spectralcurves import build_curve
 from spectralcurves.cli import ANNULUS, MIN_SEPARATION
+from spectralcurves.errors import InvariantError, ValidationError
 from spectralcurves.grassmann import plane_from_pencil
+from spectralcurves.periods import solve_Ba
 from spectralcurves.polyring import CPoly, symmetrize_reality
+from spectralcurves.whitham import attach_handle, handle_invariant_check
 
 
 def sample_eta(genus, rng, annulus=ANNULUS, min_sep=MIN_SEPARATION):
@@ -29,6 +32,28 @@ def random_curve(genus, seed):
     """Deterministic random curve keyed by (genus, seed)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(genus,)))
     return build_curve(sample_eta(genus, rng))
+
+
+def grow_to_genus3(target_jumps, handle_t=0.1):
+    """Attach two handles to the genus-1 base, steering each winding jump;
+    returns the genus-3 curve."""
+    curve = build_curve([0.5])
+    for want in target_jumps:
+        for psi in np.linspace(-np.pi, np.pi, 181):
+            if min(abs(np.angle(np.exp(1j * (psi - a)))) for a in curve.cut_angles) < 0.12:
+                continue
+            try:
+                chk = handle_invariant_check(curve, complex(np.exp(1j * psi)), handle_t)
+            except (InvariantError, ValidationError):
+                continue
+            if chk.winding_after - chk.winding_before == want:
+                basis = solve_Ba(curve)
+                curve = attach_handle(curve, basis.b1,
+                                      complex(np.exp(1j * psi)), chk.t).curve
+                break
+        else:
+            raise AssertionError("no handle angle produced jump %+d" % want)
+    return curve
 
 
 def shared_plane(roots_circle, roots_pair, fill):

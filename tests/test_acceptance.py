@@ -19,7 +19,6 @@ from spectralcurves.invariants import circle_map, classify, winding_roots
 from spectralcurves.periods import b_periods, solve_Ba
 from spectralcurves.polyring import CPoly
 from spectralcurves.whitham import (
-    attach_handle,
     constant_Q_selector,
     flow,
     handle_invariant_check,
@@ -28,7 +27,7 @@ from spectralcurves.whitham import (
     whitham_tangent,
 )
 
-from conftest import sample_eta, shared_plane
+from conftest import grow_to_genus3, sample_eta, shared_plane
 
 SUITE_SEED = 2026
 SUITE_GENERA = (1, 2, 3, 4)
@@ -117,33 +116,12 @@ def test_c05_genus_one_moduli_are_uniform():
         assert rep.gcd_degree == 0
 
 
-def grow_to_genus3(target_jumps, handle_t=0.1):
-    """Attach two handles to the genus-1 base, steering each winding jump."""
-    curve = build_curve([0.5])
-    for want in target_jumps:
-        for psi in np.linspace(-np.pi, np.pi, 181):
-            if min(abs(np.angle(np.exp(1j * (psi - a)))) for a in curve.cut_angles) < 0.12:
-                continue
-            try:
-                chk = handle_invariant_check(curve, complex(np.exp(1j * psi)), handle_t)
-            except (InvariantError, ValidationError):
-                continue
-            if chk.winding_after - chk.winding_before == want:
-                basis = solve_Ba(curve)
-                curve = attach_handle(curve, basis.b1,
-                                      complex(np.exp(1j * psi)), chk.t).curve
-                break
-        else:
-            raise AssertionError("no handle angle produced jump %+d" % want)
-    return classify(curve)
-
-
 def test_c06_strata_are_reachable(suite):
     t0 = time.perf_counter()
     seen_g2 = {rep.stratum for _c, _b, rep in suite.rows[2]}
     assert {"V_-1", "V_1"} <= seen_g2
     for jumps, stratum in (((-1, -1), "V_-2"), ((-1, 1), "V_0"), ((1, 1), "V_2")):
-        rep = grow_to_genus3(jumps)
+        rep = classify(grow_to_genus3(jumps))
         assert rep.genus == 3
         assert rep.stratum == stratum
     assert time.perf_counter() - t0 < 600.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spectralcurves.curve import build_curve, rotate_curve
-from spectralcurves.errors import InvariantError, ResolutionError
+from spectralcurves.errors import InvariantError, ResolutionError, ValidationError
 from spectralcurves.invariants import (
     circle_map,
     classify,
@@ -140,6 +140,59 @@ def test_gcd_two_circle_roots():
     assert gcd.formal_degree == 2
     got = roots(gcd)
     assert np.max(np.abs(np.abs(got) - 1.0)) < 1e-9
+
+
+# ------------------------------------------------------------ gcd memo
+
+
+def _counting_approx_gcd(monkeypatch):
+    import spectralcurves.invariants as inv
+
+    real = inv.approx_gcd
+
+    def counted(p, q, tol=1e-9):
+        counted.calls += 1
+        return real(p, q, tol=tol)
+
+    counted.calls = 0
+    monkeypatch.setattr(inv, "approx_gcd", counted)
+    return counted
+
+
+def test_gcd_memo_is_bitwise_equal_cold_warm_and_cleared():
+    coprime = solve_Ba(random_curve(2, 21))
+    u = CPoly.from_roots([np.exp(1.2j), np.exp(-1.4j), 0.3])
+    shared = (symmetrize_reality(u), symmetrize_reality(u * (-1j)))
+    pencils = [(coprime.b1, coprime.b2), shared]
+
+    def run(order):
+        return {i: pencil_gcd(*pencils[i]).coeffs.tobytes() for i in order}
+
+    pencil_gcd.cache_clear()
+    cold = run((0, 1))
+    assert run((0, 1)) == cold                      # warm
+    pencil_gcd.cache_clear()
+    assert run((1, 0)) == cold                      # cleared, other order
+    pencil_gcd.cache_clear()
+    assert run((0, 1)) == cold
+
+
+def test_gcd_memo_does_not_cache_errors(monkeypatch):
+    counted = _counting_approx_gcd(monkeypatch)
+    zero = CPoly([0.0, 0.0, 0.0])
+    for calls in (1, 2):
+        with pytest.raises(ValidationError, match="zero polynomials"):
+            pencil_gcd(zero, zero)
+        assert counted.calls == calls
+
+
+def test_classify_computes_one_gcd_per_basis(monkeypatch):
+    basis = solve_Ba(random_curve(2, 22))
+    pencil_gcd.cache_clear()
+    counted = _counting_approx_gcd(monkeypatch)
+    rep = classify(basis.curve, basis)
+    assert rep.gcd_degree == 0
+    assert counted.calls == 1
 
 
 # ------------------------------------------------------------ circle map

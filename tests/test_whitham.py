@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from spectralcurves import whitham
 from spectralcurves.curve import build_curve
-from spectralcurves.errors import ValidationError
-from spectralcurves.invariants import classify
+from spectralcurves.errors import InvariantError, ValidationError
+from spectralcurves.invariants import _deflated_pair, classify
 from spectralcurves.periods import b_periods, solve_Ba
 from spectralcurves.polyring import CPoly, reality_check
 from spectralcurves.whitham import (
     FlowAbort,
     _angular_logslope,
-    _slope_zeros,
+    _critical_angles,
     attach_handle,
     bezout_solve,
     constant_Q_selector,
@@ -23,7 +22,7 @@ from spectralcurves.whitham import (
     whitham_tangent,
 )
 
-from conftest import random_curve
+from conftest import grow_to_genus3, random_curve
 
 # reflection-real quadratic Q used by the generic-direction tests
 Q_GENERIC = CPoly([0.4 + 0.25j, -0.3, 0.4 - 0.25j])
@@ -153,6 +152,9 @@ def test_attach_handle_structure():
     want = -alpha * h.sqrt_alpha_bar * complex(basis.b1(0.0))
     assert complex(h.b_t(0.0)) == pytest.approx(want, abs=1e-9)
     assert reality_check(h.b_t)[0]
+    # the handle curve's solved basis travels with it, bit for bit
+    solved = solve_Ba(h.curve)
+    assert (h.basis.b1, h.basis.b2) == (solved.b1, solved.b2)
 
 
 def test_attach_handle_rejects_degenerate_parameters():
@@ -164,12 +166,12 @@ def test_attach_handle_rejects_degenerate_parameters():
         attach_handle(curve, b, 0.9 * np.exp(0.9j), 1e-2)
 
 
-# --------------------------------------------- critical-point bisection
+# ------------------------------------------- circle-map critical points
 
 
 def _reference_slope_zeros(slope, grid):
-    """The scalar bisection _slope_zeros replaced: 80 halvings of each
-    sign-change interval in turn, one point per slope call."""
+    """Independent oracle for the critical points: scalar bisection, 80
+    halvings of each sign-change interval of ``grid`` in turn."""
     def bisect(f, lo, hi, iters=80):
         flo = f(lo)
         for _ in range(iters):
@@ -186,58 +188,97 @@ def _reference_slope_zeros(slope, grid):
             for i in np.nonzero(np.signbit(v[:-1]) != np.signbit(v[1:]))[0]]
 
 
-def _counted(slope):
-    def f(theta):
-        f.calls += 1
-        return slope(theta)
-    f.calls = 0
-    return f
+def _slope(pair):
+    return lambda theta: _angular_logslope(*pair, theta)[0]
 
 
-def _assert_matches_reference(slope, grid):
-    f = _counted(slope)
-    got = _slope_zeros(f, grid)
-    assert f.calls <= 81
-    assert got == _reference_slope_zeros(slope, grid)
-    return got
+def _angle_mismatch(got, want):
+    """Largest circular distance from an angle of either list to the
+    nearest angle of the other; the lists must be equally long."""
+    assert len(got) == len(want)
+    if not len(got):
+        return 0.0
+    d = np.abs(np.angle(np.exp(1j * np.subtract.outer(got, want))))
+    return max(d.min(axis=0).max(), d.min(axis=1).max())
 
 
-def test_slope_zeros_equal_scalar_bisection_on_random_bases():
-    full = np.linspace(-np.pi, np.pi, 4001)
+def test_critical_angles_match_grid_bisection_on_random_bases():
+    grid = np.linspace(-np.pi, np.pi, 16001)
     for genus in (1, 2, 3):
-        for seed in range(3):
-            slope = _angular_logslope(solve_Ba(random_curve(genus, 700 + seed)))
-            zeros = _assert_matches_reference(slope, full)
-            assert zeros
-            # the only sign change of this grid is in its last interval
-            z = zeros[0]
-            last = np.append(np.linspace(z - 1e-2, z - 1e-3, 100), z + 1e-3)
-            assert len(_assert_matches_reference(slope, last)) == 1
-            # no sign change: a short window where |slope| peaks
-            top = full[np.argmax(np.abs(slope(full)))]
-            quiet = np.linspace(top - 1e-3, top + 1e-3, 101)
-            assert _assert_matches_reference(slope, quiet) == []
+        for seed in range(4):
+            pair = _deflated_pair(solve_Ba(random_curve(genus, 700 + seed)))
+            got = _critical_angles(*pair)
+            want = _reference_slope_zeros(_slope(pair), grid)
+            assert len(got) == len(want) >= 2
+            assert _angle_mismatch(got, want) <= 1e-12
 
 
-def test_slope_zeros_bisect_all_brackets_in_81_calls():
-    grid = np.linspace(-np.pi, np.pi, 3001)
-    zeros = _assert_matches_reference(lambda th: np.sin(40.0 * th + 0.1), grid)
-    assert len(zeros) == 80
+def _clear_angle(curve):
+    """The angle of S^1 farthest from every cut and every critical point
+    of the curve's circle map."""
+    marks = np.concatenate([_critical_angles(*_deflated_pair(solve_Ba(curve))),
+                            curve.cut_angles])
+    psi = np.linspace(-np.pi, np.pi, 721)
+    dist = np.abs(np.angle(np.exp(1j * np.subtract.outer(psi, marks)))).min(axis=1)
+    return float(psi[np.argmax(dist)])
 
 
-def test_slope_zeros_equal_scalar_bisection_in_handle_check(monkeypatch):
-    seen = []
+@pytest.mark.parametrize("make_curve", [
+    lambda: build_curve([0.41 + 0.2j, -0.33 - 0.41j]),
+    lambda: grow_to_genus3((-1, 1)),
+], ids=["readme-genus2", "genus3"])
+def test_handle_check_splits_near_double_pair_at_small_t(make_curve):
+    # at t = 1e-3 the new critical pair is about sqrt(2) t apart, a
+    # near-double root of W
+    curve, t = make_curve(), 1e-3
+    psi = _clear_angle(curve)
+    alpha = complex(np.exp(1j * psi))
+    chk = handle_invariant_check(curve, alpha, t)
+    assert chk.t == t
+    assert chk.deg_f_after == chk.deg_f_before + 1
+    assert chk.winding_after - chk.winding_before == -chk.sign_slope
+    got = np.angle(np.asarray(chk.new_circle_critical_points))
+    assert t < abs(np.angle(np.exp(1j * (got[1] - got[0])))) < 2.0 * t
+    deformed = attach_handle(curve, None, alpha, t)
+    want = [z for z in _reference_slope_zeros(
+                _slope(_deflated_pair(deformed.basis)),
+                psi + np.linspace(-0.05, 0.05, 20001))
+            if abs(z - psi) < 10.0 * t]
+    assert _angle_mismatch(got, want) <= 1e-11
 
-    def recording(slope, grid):
-        seen.append((slope, grid))
-        return _slope_zeros(slope, grid)
 
-    monkeypatch.setattr(whitham, "_slope_zeros", recording)
-    chk = handle_invariant_check(random_curve(2, 52), complex(np.exp(0.9j)), 1e-2)
-    assert len(chk.new_circle_critical_points) == 2
-    assert len(seen) >= 2 and all(len(grid) > 8001 for _, grid in seen)
-    for slope, grid in seen:
-        _assert_matches_reference(slope, grid)
+def _poisson_pair(a):
+    """(num, den) of the circle map whose angular slope is
+    P_a - P_b - P_c - P_conj(c), P_z the Poisson kernel of the disc at z:
+    num has the root a in the disc and the reflections of b, c, conj(c)."""
+    b, c = 0.6, 0.5 * np.exp(1.2j)
+    num = CPoly.from_roots([a, 1.0 / b, 1.0 / np.conj(c), 1.0 / c])
+    return num, CPoly(np.conj(num.coeffs[::-1]))
+
+
+def test_unresolvable_near_circle_pair_raises():
+    # the slope is even in theta and largest at 0, where it vanishes when
+    # P_a(0) = P_b(0) + 2 P_c(0): a double critical point at theta = 0
+    def poisson0(z):
+        return (1.0 - abs(z) ** 2) / abs(1.0 - z) ** 2
+
+    x = poisson0(0.6) + 2.0 * poisson0(0.5 * np.exp(1.2j))
+    a0 = (x - 1.0) / (x + 1.0)
+    # within a few dozen ulps of a0 the pair is within rounding of a double
+    # root, also at 20 ulps, where the computed slope does change sign twice
+    for ulps in (-40, -1, 0, 1, 20):
+        with pytest.raises(InvariantError, match="not resolved"):
+            _critical_angles(*_poisson_pair(a0 + ulps * np.spacing(a0)))
+    # a little larger, the pair splits along the circle and is returned
+    pair = _poisson_pair(a0 + 1e-8)
+    got = _critical_angles(*pair)
+    want = _reference_slope_zeros(_slope(pair), np.linspace(-1e-3, 1e-3, 2001))
+    assert len(want) == 2
+    assert _angle_mismatch(got, want) <= 1e-11
+    # a little smaller, it leaves the circle: no critical point at all
+    pair = _poisson_pair(a0 - 1e-8)
+    assert len(_critical_angles(*pair)) == 0
+    assert _reference_slope_zeros(_slope(pair), np.linspace(-np.pi, np.pi, 16001)) == []
 
 
 def test_handle_check_laws_on_one_triple():
