@@ -27,9 +27,9 @@ A-period basis into graph coordinates; its immersion rank is measured
 by finite differences over the 2g real root coordinates.
 """
 
+import functools
 import json
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,79 +162,6 @@ def gr_classify(plane, tol=GCD_TOL):
     return {"gcd_degree": deg, "in_R": deg > 0, "S1_roots": s1}
 
 
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
-
-
-def _bounded_min(f, a, b, xatol):
-    """Row-wise bounded Brent minimisation on the intervals [a, b].
-
-    A masked-array port of the bounded Brent loop (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973) as scipy's ``fminbound``
-    runs it: every row takes its own golden-section or parabolic step,
-    with the same tolerances and bookkeeping as that scalar loop, and
-    drops out of the active set once it meets the loop's stopping test
-    (or the loop's default cap of 500 evaluations).  ``f(rows, x)``
-    evaluates the objectives of the given rows at one abscissa each.
-    Returns the smallest value found for every row.
-    """
-    rows = np.arange(len(a))
-    xf = nfc = fulc = a + _GOLDEN * (b - a)
-    rat = e = np.zeros(len(a))
-    fx = fnfc = ffulc = f(rows, xf)
-    out = fx.copy()
-    num = 1
-    while True:
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        go = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
-        out[rows] = fx
-        if num >= 500 or not go.any():
-            return out
-        if not go.all():
-            rows, a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, xm, tol1, tol2 = (
-                v[go] for v in (rows, a, b, xf, fx, nfc, fnfc, fulc, ffulc,
-                                rat, e, xm, tol1, tol2))
-        # parabolic step through (xf, nfc, fulc), where it is acceptable
-        r = (xf - nfc) * (fx - ffulc)
-        q = (xf - fulc) * (fx - fnfc)
-        p = (xf - fulc) * q - (xf - nfc) * r
-        q = 2.0 * (q - r)
-        p = np.where(q > 0.0, -p, p)
-        q = np.abs(q)
-        parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
-                     & (p > q * (a - xf)) & (p < q * (b - xf)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = (p + 0.0) / q
-        x = xf + step
-        si = np.sign(xm - xf) + ((xm - xf) == 0)
-        step = np.where(((x - a) < tol2) | ((b - x) < tol2), tol1 * si, step)
-        # golden-section step into the larger part everywhere else
-        e_golden = np.where(xf >= xm, a - xf, b - xf)
-        e = np.where(parabolic, rat, e_golden)
-        rat = np.where(parabolic, step, _GOLDEN * e_golden)
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = f(rows, x)
-        num += 1
-
-        better = fu <= fx
-        right = x >= xf
-        a = np.where(better, np.where(right, xf, a), np.where(right, a, x))
-        b = np.where(better, np.where(right, b, xf), np.where(right, x, b))
-        second = ~better & ((fu <= fnfc) | (nfc == xf))
-        third = (~better & ~second
-                 & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc)))
-        shift = better | second
-        fulc = np.where(shift, nfc, np.where(third, x, fulc))
-        ffulc = np.where(shift, fnfc, np.where(third, fu, ffulc))
-        nfc = np.where(better, xf, np.where(second, x, nfc))
-        fnfc = np.where(better, fx, np.where(second, fu, fnfc))
-        xf = np.where(better, x, xf)
-        fx = np.where(better, fu, fx)
-
-
 def _circle_values(c1, c2, theta):
     """|b1|^2 + |b2|^2 at exp(i theta), by Horner on coefficient rows c1,
     c2 of shape (n, d+1); theta broadcasts against (n, k)."""
@@ -246,22 +173,52 @@ def _circle_values(c1, c2, theta):
     return np.abs(v1) ** 2 + np.abs(v2) ** 2
 
 
-def _windowed_circle_min(c1, c2, psi0, width, coarse=96):
-    """Row-wise min over the circle arc |theta - psi0| <= width of
-    |b1|^2 + |b2|^2, for coefficient rows c1, c2 of shape (n, d+1).
+@functools.lru_cache(maxsize=None)
+def _half_angle_weights(g):
+    """Rows k = 1..g: the coefficients, highest power first, of
+    (1 + i s)^(g+k) (1 - i s)^(g-k), which is (1 + s^2)^g e^{ik phi} at
+    s = tan(phi / 2)."""
+    w = np.array([(-1) ** k * np.poly([1j] * (g + k) + [-1j] * (g - k))
+                  for k in range(1, g + 1)])
+    w.setflags(write=False)
+    return w
 
-    A coarse grid locates each row's minimum, and a bounded Brent search
-    refines it between the grid neighbours of the best grid point.
+
+def _windowed_circle_min(c1, c2, psi0, width):
+    """Row-wise min over the circle arc |theta - psi0| <= width of
+    f = |b1|^2 + |b2|^2, for coefficient rows c1, c2 of shape (n, g+2).
+
+    On the circle f = sum_k t_k e^{ik theta} with t_k = sum_j c_{j+k}
+    conj(c_j) over both rows, and graph form cancels t_{g+1}.  With
+    s = tan((theta - psi0) / 2), (1 + s^2)^g f' is the real polynomial
+    2 Re sum_k i k t_k e^{ik psi0} w_k(s) of degree 2g, so every interior
+    minimiser is a real root of it: an eigenvalue of one stacked companion
+    matrix (Edelman & Murakami, Math. Comp. 1995).  f is evaluated at each
+    root's angle, clipped into the window, and at the arc ends, so a
+    spurious candidate cannot undercut the true minimum.  A top
+    coefficient of rounding size (a root at psi0 + pi) is raised to that
+    size to keep the companion matrix finite.  Per-row arithmetic is
+    real, so a row's value does not depend on the rest of the stack.
     """
-    grid = psi0 + np.linspace(-width, width, coarse)
-    vals = _circle_values(c1, c2, grid)
-    k = np.argmin(vals, axis=1)
-    lo = grid[np.maximum(k - 1, 0)]
-    hi = grid[np.minimum(k + 1, coarse - 1)]
-    fun = _bounded_min(
-        lambda rows, t: _circle_values(c1[rows], c2[rows], t[:, None])[:, 0],
-        lo, hi, xatol=1e-14)
-    return np.minimum(fun, vals[np.arange(len(k)), k])
+    n, g = len(c1), c1.shape[1] - 2
+    k = np.arange(1, g + 1)
+    w = (1j * k * np.exp(1j * k * psi0))[:, None] * _half_angle_weights(g)
+    c = np.stack([c1, c2], axis=1)
+    poly = np.zeros((n, 2 * g + 1))
+    for h, wh in zip(k, w):
+        lo, hi = c[..., :-h], c[..., h:]
+        tr = np.sum(hi.real * lo.real + hi.imag * lo.imag, axis=(1, 2))
+        ti = np.sum(hi.imag * lo.real - hi.real * lo.imag, axis=(1, 2))
+        poly += 2.0 * (tr[:, None] * wh.real - ti[:, None] * wh.imag)
+    tiny = np.finfo(float).eps * np.abs(poly).max(axis=1) + np.finfo(float).tiny
+    top = poly[:, 0]
+    poly[:, 0] = np.where(np.abs(top) > tiny, top, np.copysign(tiny, top))
+    comp = np.zeros((n, 2 * g, 2 * g))
+    comp[:, 0] = -poly[:, 1:] / poly[:, :1]
+    comp[:, 1:, :-1] = np.eye(2 * g - 1)
+    phi = np.concatenate([2.0 * np.arctan(np.linalg.eigvals(comp).real),
+                          np.broadcast_to([-width, width], (n, 2))], axis=1)
+    return _circle_values(c1, c2, psi0 + np.clip(phi, -width, width)).min(axis=1)
 
 
 def _membership_residuals(plane, tol):
@@ -419,15 +376,6 @@ def _quadratic_normals(rho, rho0, mat0, dirs, radius, rel_cut=0.05):
     return rank, vecs[:, :rank].T, w
 
 
-def _rank(mat, rel_cut=0.05):
-    if mat.size == 0:
-        return 0, np.zeros(0)
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s[0] == 0.0:
-        return 0, s
-    return int(np.sum(s > rel_cut * s[0])), s
-
-
 def stratum_dimension_probe(plane, radius=1e-3, samples=None, tol=GCD_TOL,
                             seed=11):
     """Estimate the local dimension of the common-root stratum at a plane.
@@ -442,12 +390,16 @@ def stratum_dimension_probe(plane, radius=1e-3, samples=None, tol=GCD_TOL,
     radius, so the r -> r/10 ratio has to clear 200, well above the 100
     a first-order leak would give).  A plane off the stratum is a
     precondition error; reports carry the estimated dimension, detected
-    sheet structure, and the persistence diagnostics.
+    sheet structure, and the smallest persistence ratio.  That ratio is
+    inf when every tangent move stays at or below 1e-13: the moves are at
+    the rounding floor, and the persistence test was not applied.
     """
     g = plane.genus
     dim = 2 * g
     if dim == 0:
         raise ValidationError("genus-0 planes have no parameters to probe")
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ValidationError("radius %r must be finite and positive" % radius)
     rep = gr_classify(plane, tol)
     if rep["gcd_degree"] == 0:
         raise ValidationError(
@@ -484,12 +436,10 @@ def stratum_dimension_probe(plane, radius=1e-3, samples=None, tol=GCD_TOL,
                     "(alignment %.3f)" % (label, float(align.min())))
         sheet_normals.append(n_c)
 
-    stacked = np.vstack([n for n in sheet_normals if n.size])
-    normal_rank, sv = _rank(stacked)
-    sheet_ranks = [len(n) for n in sheet_normals]
+    _, sv, vt = np.linalg.svd(np.vstack([n for n in sheet_normals if n.size]))
+    normal_rank = int(np.sum(sv > 0.05 * sv[0]))
 
     # second-order persistence along the estimated tangent space
-    _, _, vt = np.linalg.svd(stacked)
     tangent = vt[normal_rank:normal_rank + 3]
     steps = np.concatenate([radius * tangent, 0.1 * radius * tangent])
     stack = mat0 + steps.reshape(-1, *mat0.shape)
@@ -506,7 +456,7 @@ def stratum_dimension_probe(plane, radius=1e-3, samples=None, tol=GCD_TOL,
 
     if case == "S1_double":
         sheets = 2
-        sheet_dims = tuple(dim - r for r in sheet_ranks)
+        sheet_dims = tuple(dim - len(n) for n in sheet_normals)
         singular = normal_rank == 2
         dimension = max(sheet_dims)
     else:

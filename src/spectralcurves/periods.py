@@ -501,57 +501,3 @@ def rational_plane_distance(matrix, max_denominator=12, shortlist=256):
     sines = np.linalg.svd(outside, compute_uv=False)[:, 0]
     worst = np.arcsin(np.minimum(sines, 1.0))
     return float(np.min(worst, initial=np.pi / 2))
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: composite-Simpson loop integration
-# ---------------------------------------------------------------------------
-
-def simpson_loop_integral(curve, b, loop, seed_sign=1, target=1e-9, max_doublings=10):
-    """Integrate Theta_b over a polyline loop by composite Simpson rule with
-    uniform subdivision per segment, doubling until two estimates agree.
-
-    Deliberately shares nothing with the Gauss moment engine (different
-    nodes, weights, and path) so it can serve as an independent cross-check.
-    """
-    from .curve import y_along  # local import to keep module deps one-way
-
-    b = _as_poly(b)
-    vertices = np.asarray(loop, dtype=complex)
-    segs = list(zip(vertices[:-1], vertices[1:]))
-
-    def estimate(sub):
-        total = 0.0 + 0.0j
-        pts = []
-        for p, qq in segs:
-            ts = np.linspace(0.0, 1.0, sub + 1)
-            pts.append(p + (qq - p) * ts[:-1])
-        pts.append(vertices[-1:])
-        pts = np.concatenate(pts)
-        sp = y_along(curve, pts, seed_sign=seed_sign)
-        if len(sp.points) != len(pts):
-            return None  # tracker refined: resolution too coarse, double it
-        f = b(sp.points) / (sp.points * sp.y_values)
-        w = np.ones(sub + 1)
-        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-        for idx, (p, qq) in enumerate(segs):
-            h = (qq - p) / sub
-            total += (h / 3.0) * np.dot(w, f[idx * sub: idx * sub + sub + 1])
-        return total
-
-    sub = 4
-    prev = None
-    for _ in range(max_doublings + 1):
-        cur = estimate(sub)
-        if cur is not None and prev is not None:
-            if abs(cur - prev) < target * max(1.0, abs(cur)):
-                return cur
-        prev = cur
-        sub *= 2
-    raise ResolutionError("Simpson loop integral did not converge to %g" % target)
-
-
-def oracle_a_period(curve, b, j, target=1e-9):
-    """A-period via the racetrack loop and Simpson: test oracle only."""
-    loop = homology_cycles(curve).a_loop(j)
-    return simpson_loop_integral(curve, b, loop, target=target)

@@ -1,5 +1,7 @@
 """Graph-coordinate planes, the period correspondence, stratum probes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,13 @@ def test_probe_detects_two_sheet_crossing():
     assert rep.dimension == 3
 
 
+@pytest.mark.parametrize("radius", [0.0, np.inf, np.nan, -1e-3])
+def test_probe_rejects_radius_that_is_not_finite_and_positive(radius):
+    with pytest.raises(ValidationError, match="finite and positive"):
+        stratum_dimension_probe(GrPlane(genus=1, M=np.array([[-2.0, 0.0]])),
+                                radius=radius)
+
+
 def test_probe_is_deterministic():
     plane = shared_plane([np.exp(0.4j)], [], [0.35])
     a = stratum_dimension_probe(plane, seed=7)
@@ -223,6 +232,70 @@ def test_windowed_minimum_matches_scipy_brent(spec):
                                             psi0, 0.3) for m in stack]
         assert got.shape == (len(stack),)
         assert np.allclose(got, want, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("scale", [3e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("spec", ARC_PLANES)
+def test_windowed_minimum_is_below_a_fine_grid(spec, scale):
+    # the window's minimum over 200,001 angles, from CPoly evaluation
+    plane = shared_plane(*spec)
+    g = plane.genus
+    stack = _perturbations(plane, 8, scale, seed=g)
+    c1, c2 = _basis_coeffs(g, stack)
+    for z in spec[0]:
+        psi0 = float(np.angle(z))
+        lam = np.exp(1j * (psi0 + np.linspace(-0.3, 0.3, 200_001)))
+        got = _windowed_circle_min(c1, c2, psi0, 0.3)
+        for m, value in zip(stack, got):
+            b1, b2 = plane_basis(GrPlane(g, m))
+            grid = np.min(np.abs(b1(lam)) ** 2 + np.abs(b2(lam)) ** 2)
+            assert value <= grid + 1e-15
+
+
+def test_windowed_minimum_at_an_arc_end_no_critical_angle_reaches():
+    # Off the stratum, with a window around psi0 = pi that holds the
+    # maximum: f falls from the maximum for more than pi to the left, so
+    # the critical angle beyond the low end a is clipped to the other
+    # end, and only the arc-end candidate finds the minimum at a.
+    plane = GrPlane(2, np.array([[-1.22, 0.06], [-0.03, -1.48]]))
+    c1, c2 = _basis_coeffs(2, plane.M[None])
+    b1, b2 = plane_basis(plane)
+    for psi0 in (np.pi, 3.0, -3.0, 0.5):
+        lam = np.exp(1j * (psi0 + np.linspace(-0.3, 0.3, 200_001)))
+        grid = np.min(np.abs(b1(lam)) ** 2 + np.abs(b2(lam)) ** 2)
+        got = _windowed_circle_min(c1, c2, psi0, 0.3)[0]
+        assert grid * (1.0 - 1e-9) <= got <= grid * (1.0 + 1e-13)
+
+
+# Real-symmetric planes (b1 real, b2 imaginary coefficients), so f is
+# even about psi0 and about psi0 + pi, and the top coefficient of the
+# derivative polynomial in tan((theta - psi0) / 2), which is
+# f'(psi0 + pi), vanishes: exactly at psi0 = 0, to rounding at psi0 = pi.
+# At M = 0 of genus 1, f = |1 + l^2|^2 + |1 - l^2|^2 = 4 on the circle and
+# every coefficient vanishes.  The mask marks the chart entries that keep
+# the plane real-symmetric.
+SYMMETRIC_PLANES = [
+    (GrPlane(1, np.array([[-2.0, 0.0]])), 0.0, [[1, 0]]),
+    (shared_plane([-1.0], [], [0.35, -0.4]), np.pi, [[1, 0], [0, 1]]),
+    (GrPlane(1, np.zeros((1, 2))), 0.7, [[0, 0]]),
+]
+
+
+@pytest.mark.parametrize("plane, psi0, mask", SYMMETRIC_PLANES)
+def test_windowed_minimum_with_vanishing_top_coefficient(plane, psi0, mask):
+    g = plane.genus
+    rng = np.random.default_rng(3)
+    stack = plane.M[None] + 1e-3 * rng.standard_normal((9, g, 2)) * mask
+    stack[0] = plane.M
+    c1, c2 = _basis_coeffs(g, stack)
+    assert not c1.imag.any() and not c2.real.any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _windowed_circle_min(c1, c2, psi0, 0.3)
+    want = [_scalar_windowed_circle_min(*plane_basis(GrPlane(g, m)), psi0, 0.3)
+            for m in stack]
+    assert np.all(np.isfinite(got))
+    assert np.allclose(got, want, rtol=1e-6, atol=1e-15)
 
 
 @pytest.mark.parametrize("spec", ARC_PLANES + PAIR_PLANES)

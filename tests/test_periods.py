@@ -5,18 +5,17 @@ import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
 from spectralcurves import periods
-from spectralcurves.curve import build_curve, homology_cycles
+from spectralcurves.curve import build_curve, homology_cycles, y_along
 from spectralcurves.errors import ResolutionError, ValidationError
 from spectralcurves.periods import (
     QuadConfig,
+    _as_poly,
     _gauss_rule,
     a_periods,
     b_periods,
     derived_pencil,
-    oracle_a_period,
     phi_map,
     rational_plane_distance,
-    simpson_loop_integral,
     solve_Ba,
     sym_integral,
 )
@@ -40,6 +39,57 @@ def probe(curve, coeffs):
     b = symmetrize_reality(CPoly(coeffs, degree=curve.genus + 1))
     assert reality_check(b)[0]
     return b
+
+
+# ------------------------------------------ independent oracle: Simpson
+
+
+def simpson_loop_integral(curve, b, loop, seed_sign=1, target=1e-9, max_doublings=10):
+    """Integrate Theta_b over a polyline loop by composite Simpson rule with
+    uniform subdivision per segment, doubling until two estimates agree.
+
+    Deliberately shares nothing with the Gauss moment engine (different
+    nodes, weights, and path) so it can serve as an independent cross-check.
+    """
+    b = _as_poly(b)
+    vertices = np.asarray(loop, dtype=complex)
+    segs = list(zip(vertices[:-1], vertices[1:]))
+
+    def estimate(sub):
+        total = 0.0 + 0.0j
+        pts = []
+        for p, qq in segs:
+            ts = np.linspace(0.0, 1.0, sub + 1)
+            pts.append(p + (qq - p) * ts[:-1])
+        pts.append(vertices[-1:])
+        pts = np.concatenate(pts)
+        sp = y_along(curve, pts, seed_sign=seed_sign)
+        if len(sp.points) != len(pts):
+            return None  # tracker refined: resolution too coarse, double it
+        f = b(sp.points) / (sp.points * sp.y_values)
+        w = np.ones(sub + 1)
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        for idx, (p, qq) in enumerate(segs):
+            h = (qq - p) / sub
+            total += (h / 3.0) * np.dot(w, f[idx * sub: idx * sub + sub + 1])
+        return total
+
+    sub = 4
+    prev = None
+    for _ in range(max_doublings + 1):
+        cur = estimate(sub)
+        if cur is not None and prev is not None:
+            if abs(cur - prev) < target * max(1.0, abs(cur)):
+                return cur
+        prev = cur
+        sub *= 2
+    raise ResolutionError("Simpson loop integral did not converge to %g" % target)
+
+
+def oracle_a_period(curve, b, j, target=1e-9):
+    """A-period via the racetrack loop and Simpson: test oracle only."""
+    loop = homology_cycles(curve).a_loop(j)
+    return simpson_loop_integral(curve, b, loop, target=target)
 
 
 # ------------------------------------------------------------- solve_Ba
