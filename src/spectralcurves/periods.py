@@ -33,7 +33,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .curve import SpectralCurve, continue_sqrt, homology_cycles
 from .errors import ResolutionError, ValidationError
-from .polyring import CPoly, real_place, reality_check
+from .polyring import CPoly, real_place, real_place_coeffs, reality_check
 
 log = logging.getLogger(__name__)
 
@@ -355,14 +355,12 @@ def solve_Ba(curve, quad=None, tol=None):
     tol = tol if tol is not None else curve.tol
     g = curve.genus
     dim = g + 2  # real dimension of reversal-real polynomials of degree g+1
-    chart = [real_place(g + 1, e) for e in np.eye(dim)]
+    chart = real_place_coeffs(g + 1, np.eye(dim))
     eng = get_engine(curve, quad)
-    amoms = [eng.a_moments(j) for j in range(g)]
 
     rows = np.zeros((g, dim))
     for i in range(g):
-        vals = np.array([eng.period(amoms[i], p) for p in chart])
-        rows[i] = _require_real(vals, curve.tol, "A-period map row %d" % i)
+        rows[i] = _require_real(chart @ eng.a_moments(i), curve.tol, "A-period map row %d" % i)
 
     if g == 0:
         kernel = np.eye(dim)

@@ -38,9 +38,9 @@ from numpy.polynomial import polynomial as npoly
 
 from .curve import build_curve
 from .errors import InvariantError, ResolutionError, ValidationError
-from .invariants import GCD_TOL, _deflate, _deflated_pair, classify, pencil_gcd
+from .invariants import GCD_TOL, _deflated_pair, classify, pencil_gcd
 from .periods import PencilBasis, b_periods, solve_Ba
-from .polyring import CPoly, real_place, reality_check
+from .polyring import CPoly, real_place, real_place_coeffs, reality_check
 from .polyring import roots as poly_roots
 
 log = logging.getLogger(__name__)
@@ -64,6 +64,16 @@ def _rows(p, length):
     c = np.zeros(length, dtype=np.complex128)
     c[: len(p.coeffs)] = p.coeffs
     return np.concatenate([c.real, c.imag])
+
+
+def _times(p, degree, length):
+    """Real matrix of x -> _rows(real_place(degree, x) * p, length): one
+    column per chart unit, each the convolution ``CPoly.__mul__`` makes."""
+    units = real_place_coeffs(degree, np.eye(degree + 1))
+    prods = np.array([np.convolve(unit, p.coeffs) for unit in units])
+    c = np.zeros((degree + 1, length), dtype=np.complex128)
+    c[:, : prods.shape[1]] = prods
+    return np.concatenate([c.real, c.imag], axis=1).T
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +154,10 @@ def _coerce_Q(Q):
     return q
 
 
-def bezout_solve(a, b1, b2, Q, tol=1e-9, freedom=None):
+def bezout_solve(a, b1, b2, Q, tol=1e-9):
     """Solve c1 b2 - c2 b1 = Q a for reversal-real (c1, c2) of degree g+1.
 
     Returns the minimum-norm solution of the real coefficient system.
-    ``freedom=(A, B)`` shifts it along the solution family: A adds
-    A*(b1, b2); when the pencil gcd has degree one with root lambda0, B
-    adds i*B*(lambda + lambda0)*(b1, b2)/(lambda - lambda0), which is
-    again reversal-real.
 
     Raises when the pencil gcd does not divide Q (no such direction).
     """
@@ -168,18 +174,7 @@ def bezout_solve(a, b1, b2, Q, tol=1e-9, freedom=None):
 
     dim_c = deg_b + 1                 # real chart dimension of one c
     nrow = 2 * deg_b + 3              # formal degree of c*b products, plus one
-    cols = []
-    for idx in range(2 * dim_c):
-        x1 = np.zeros(dim_c)
-        x2 = np.zeros(dim_c)
-        if idx < dim_c:
-            x1[idx] = 1.0
-        else:
-            x2[idx - dim_c] = 1.0
-        p1 = real_place(deg_b, x1)
-        p2 = real_place(deg_b, x2)
-        cols.append(_rows(p1 * b2 - p2 * b1, nrow))
-    mat = np.stack(cols, axis=1)
+    mat = np.hstack([_times(b2, deg_b, nrow), -_times(b1, deg_b, nrow)])
     rhs = _rows(Q * a, nrow)
     sol = np.linalg.lstsq(mat, rhs, rcond=None)[0]
     c1 = real_place(deg_b, sol[:dim_c])
@@ -194,24 +189,10 @@ def bezout_solve(a, b1, b2, Q, tol=1e-9, freedom=None):
             "(is Q compatible with this pencil?)" % residual
         )
 
-    if freedom is not None:
-        A, B = freedom
-        if A:
-            c1 = c1 + b1 * float(A)
-            c2 = c2 + b2 * float(A)
-        if B:
-            if gcd.formal_degree != 1:
-                raise ValidationError(
-                    "freedom parameter B needs a pencil gcd of degree exactly 1"
-                )
-            lam0 = complex(-gcd.coeffs[0] / gcd.coeffs[1])
-            lin = CPoly([lam0, 1.0])
-            c1 = c1 + (lin * _deflate(b1, gcd)) * (1j * float(B))
-            c2 = c2 + (lin * _deflate(b2, gcd)) * (1j * float(B))
     return c1, c2
 
 
-def whitham_tangent(curve, basis, Q, tol=None, freedom=None):
+def whitham_tangent(curve, basis, Q, tol=None):
     """Solve the tangent system at (curve; b1, b2) for the given Q.
 
     The linear system for (a_dot, b1_dot, b2_dot) over real coefficient
@@ -231,29 +212,15 @@ def whitham_tangent(curve, basis, Q, tol=None, freedom=None):
                 raise ValidationError(
                     "nonunique tangent: a, b1, b2 share the root %s" % r)
 
-    c1, c2 = bezout_solve(a, b1, b2, Q, tol=max(tol, 1e-9), freedom=freedom)
+    c1, c2 = bezout_solve(a, b1, b2, Q, tol=max(tol, 1e-9))
 
     dim_a = 2 * g + 1                 # chart of reversal-real degree 2g
     dim_b = b1.formal_degree + 1      # chart of reversal-real degree g+1
     nrow = 3 * g + 3                  # covers formal degree 3g+1 (+ g=0 quirk)
-    cols = []
-    for idx in range(dim_a + 2 * dim_b):
-        xa = np.zeros(dim_a)
-        xb1 = np.zeros(dim_b)
-        xb2 = np.zeros(dim_b)
-        if idx < dim_a:
-            xa[idx] = 1.0
-        elif idx < dim_a + dim_b:
-            xb1[idx - dim_a] = 1.0
-        else:
-            xb2[idx - dim_a - dim_b] = 1.0
-        va = real_place(2 * g, xa)
-        vb1 = real_place(b1.formal_degree, xb1)
-        vb2 = real_place(b2.formal_degree, xb2)
-        e1 = a * vb1 * 2.0 - va * b1
-        e2 = a * vb2 * 2.0 - va * b2
-        cols.append(np.concatenate([_rows(e1, nrow), _rows(e2, nrow)]))
-    mat = np.stack(cols, axis=1)
+    ta = 2.0 * _times(a, b1.formal_degree, nrow)
+    zero = np.zeros_like(ta)
+    mat = np.block([[-_times(b1, 2 * g, nrow), ta, zero],
+                    [-_times(b2, 2 * g, nrow), zero, ta]])
     rhs = np.concatenate([_rows(_driver(a, c1), nrow), _rows(_driver(a, c2), nrow)])
 
     # gauge: lead a_dot equals the conjugate of the constant coefficient,
@@ -309,11 +276,11 @@ def rotation_tangent(curve, basis):
 rotation_selector = rotation_tangent
 
 
-def constant_Q_selector(Q, freedom=None):
+def constant_Q_selector(Q):
     """Flow selector re-solving the tangent system with a fixed Q."""
 
     def select(curve, basis):
-        return whitham_tangent(curve, basis, Q, freedom=freedom)
+        return whitham_tangent(curve, basis, Q)
 
     return select
 
@@ -370,8 +337,12 @@ def flow(curve, selector, dt, steps, quad=None, tol=None):
     previous record before the drift comparison, and the aligned values
     are what the records store.
 
-    Returns the list of FlowRecord, including the initial state.
+    Returns the list of FlowRecord, including the initial state.  dt must
+    be finite and positive and steps at least one.
     """
+    if not 0.0 < dt < math.inf or steps < 1:
+        raise ValidationError("flow needs a finite dt > 0 and steps >= 1, "
+                              "got dt=%r, steps=%r" % (dt, steps))
     tol = tol if tol is not None else curve.tol
     basis0 = solve_Ba(curve, quad=quad)
     eta = np.asarray(curve.eta, dtype=complex)
@@ -467,6 +438,16 @@ class HandleDeformation:
     base: object
 
 
+def _handle_parameter(t):
+    """The handle parameter as a float, which must be finite and nonzero."""
+    t = float(t)
+    if t == 0.0 or not math.isfinite(t):
+        raise ValidationError(
+            "handle parameter must be finite and nonzero, got t = %r (t = 0 "
+            "is the nodal curve: a double point over alpha on S^1)" % t)
+    return t
+
+
 def attach_handle(curve, b, alpha, t, sqrt_choice=1, tol=None, quad=None):
     """Open a handle: adjoin the branch-point pair alpha e^{-|t|}, alpha e^{|t|}.
 
@@ -486,11 +467,7 @@ def attach_handle(curve, b, alpha, t, sqrt_choice=1, tol=None, quad=None):
             % abs(alpha))
     if sqrt_choice not in (1, -1):
         raise ValidationError("sqrt_choice must be +1 or -1")
-    t = float(t)
-    if t == 0.0:
-        raise ValidationError(
-            "nodal curve: t = 0 pinches the handle into a double point over "
-            "alpha on the unit circle")
+    t = _handle_parameter(t)
     if b is None:
         b = solve_Ba(curve, quad=quad).b1
 
@@ -611,6 +588,7 @@ def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
     raised, with both sides of the offending equality reported.
     """
     alpha = complex(alpha)
+    t_used = _handle_parameter(t)
     basis = solve_Ba(curve, quad=quad)
     report0 = classify(curve, basis, tol=tol)
     if report0.gcd_degree != 0:
@@ -627,7 +605,6 @@ def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
     sign = 1 if s_alpha > 0 else -1
     crit0 = _critical_angles(*pair0)
 
-    t_used = float(t)
     last_exc = None
     for _ in range(12):
         try:

@@ -19,7 +19,6 @@ from spectralcurves.invariants import circle_map, classify, winding_roots
 from spectralcurves.periods import b_periods, solve_Ba
 from spectralcurves.polyring import CPoly
 from spectralcurves.whitham import (
-    constant_Q_selector,
     flow,
     handle_invariant_check,
     rotation_selector,

@@ -158,6 +158,13 @@ def test_flow_abort_exit_code_with_partial_trajectory(g2_spec, tmp_path, capsys)
     assert len(rows) > 1  # partial trajectory still written
 
 
+@pytest.mark.parametrize("arg", ["--dt=-1e-2", "--dt=0", "--dt=nan", "--dt=inf",
+                                 "--steps=0", "--steps=-3"])
+def test_flow_rejects_invalid_step_and_count(g1_spec, arg, capsys):
+    assert main(["flow", "--spec", g1_spec, arg]) == 2
+    assert "ValidationError" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------- figures
 
 
@@ -225,6 +232,13 @@ def test_deform_report(g1_spec, tmp_path):
     assert len(pts) == 2
     for re, im in pts:
         assert np.hypot(re, im) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("t", ["0", "nan", "inf"])
+def test_deform_rejects_invalid_handle_parameter(g1_spec, t, capsys):
+    assert main(["deform", "--spec", g1_spec, "--alpha-angle", "0.9",
+                 "--t", t]) == 2
+    assert "ValidationError" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- gr

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectralcurves.curve import (
-    SpectralCurve,
     build_curve,
     continue_sqrt,
     curve_from_dict,

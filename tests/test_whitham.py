@@ -6,12 +6,14 @@ import pytest
 from spectralcurves.curve import build_curve
 from spectralcurves.errors import InvariantError, ValidationError
 from spectralcurves.invariants import _deflated_pair, classify
-from spectralcurves.periods import b_periods, solve_Ba
-from spectralcurves.polyring import CPoly, reality_check
+from spectralcurves.periods import solve_Ba
+from spectralcurves.polyring import CPoly, real_place, reality_check
 from spectralcurves.whitham import (
     FlowAbort,
     _angular_logslope,
     _critical_angles,
+    _rows,
+    _times,
     attach_handle,
     bezout_solve,
     constant_Q_selector,
@@ -60,7 +62,7 @@ def test_rotation_tangent_formulas():
 
 
 def test_generic_tangent_passes_all_residuals():
-    for genus, seed in ((1, 54), (2, 55)):
+    for genus, seed in ((0, 59), (1, 54), (2, 55), (3, 60)):
         curve = random_curve(genus, seed)
         basis = solve_Ba(curve)
         tan = whitham_tangent(curve, basis, Q_GENERIC)
@@ -75,6 +77,27 @@ def test_tangent_gauge_fixes_rescaling():
     lead_a = complex(curve.a.coeffs[-1])
     lead_dot = complex(tan.a_dot.coeffs[-1])
     assert abs((np.conj(lead_a) * lead_dot).real) < 1e-9
+
+
+def _column_loop(p, degree, length):
+    """Reference for _times: one unit CPoly per chart coordinate,
+    multiplied through."""
+    cols = [_rows(real_place(degree, e) * p, length) for e in np.eye(degree + 1)]
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2, 3, 4])
+def test_times_matches_the_column_loop_bit_for_bit(genus):
+    for seed in range(3):
+        curve = random_curve(genus, 80 + seed)
+        basis = solve_Ba(curve)
+        for p in (curve.a, basis.b1, basis.b2):
+            for degree in (genus + 1, 2 * genus):
+                # the product's length, plus one zero-padded row
+                length = len(p.coeffs) + degree + 1
+                got = _times(p, degree, length)
+                assert got.shape == (2 * length, degree + 1)
+                assert np.array_equal(got, _column_loop(p, degree, length))
 
 
 def test_bezout_identity():
@@ -122,6 +145,14 @@ def test_generic_flow_moves_moduli_isoperiodically():
     assert rep.genus == curve.genus
 
 
+@pytest.mark.parametrize("dt, steps", [
+    (-1e-2, 5), (0.0, 5), (np.nan, 5), (np.inf, 5), (1e-2, 0), (1e-2, -3),
+])
+def test_flow_rejects_invalid_step_and_count(dt, steps):
+    with pytest.raises(ValidationError, match="finite dt > 0 and steps >= 1"):
+        flow(build_curve([0.5]), rotation_selector, dt=dt, steps=steps)
+
+
 def test_flow_abort_carries_trajectory():
     # drive a root toward the unit circle until validation gives out
     curve = build_curve([0.41 + 0.2j, -0.33 - 0.41j])
@@ -162,6 +193,9 @@ def test_attach_handle_rejects_degenerate_parameters():
     b = solve_Ba(curve).b1
     with pytest.raises(ValidationError, match="nodal"):
         attach_handle(curve, b, complex(np.exp(0.9j)), 0.0)
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite and nonzero"):
+            attach_handle(curve, b, complex(np.exp(0.9j)), t)
     with pytest.raises(ValidationError, match="unit circle"):
         attach_handle(curve, b, 0.9 * np.exp(0.9j), 1e-2)
 
