@@ -22,8 +22,8 @@ import os
 import struct
 import sys
 import zlib
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,31 +44,8 @@ MAX_SCAN_GENUS = 4
 ANNULUS = (0.05, 0.95)
 MIN_SEPARATION = 0.05
 
-__all__ = ["RunConfig", "main", "cmd_classify", "cmd_scan", "cmd_flow",
-           "cmd_deform", "cmd_gr"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand needs; built once from the parsed flags."""
-
-    command: str
-    spec: str = None
-    out: str = "-"
-    fmt: str = None
-    tol: float = None
-    quad: QuadConfig = None
-    seed: int = 0
-    genus: int = None
-    samples: int = 100
-    workers: int = 1
-    max_genus: int = MAX_SCAN_GENUS
-    alpha_angle: float = 0.0
-    t: float = 1e-2
-    q: str = None
-    dt: float = 1e-3
-    steps: int = 100
-    maxden: int = None
+__all__ = ["main", "cmd_classify", "cmd_scan", "cmd_flow", "cmd_deform",
+           "cmd_gr"]
 
 
 # ---------------------------------------------------------------------------
@@ -124,17 +101,39 @@ def _pairs(values):
     return [[z.real, z.imag] for z in np.atleast_1d(np.asarray(values))]
 
 
+def _eta_columns(genus):
+    return [c for j in range(genus) for c in ("eta%d_re" % j, "eta%d_im" % j)]
+
+
+def _eta_cells(eta):
+    cells = {}
+    for j, z in enumerate(eta):
+        cells["eta%d_re" % j] = _fmt(z.real)
+        cells["eta%d_im" % j] = _fmt(z.imag)
+    return cells
+
+
+def _table(kind, genus, seed, cols, rows):
+    """The versioned CSV table: two comment lines, the header, one line per
+    row."""
+    lines = ["# spectral-%s v%d genus=%d seed=%d samples=%d"
+             % (kind, SCHEMA_VERSION, genus, seed, len(rows)),
+             "# columns: " + ",".join(cols), ",".join(cols)]
+    lines += [",".join(row[c] for c in cols) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _report_dict(rep):
     return {
         "genus": rep.genus,
         "deg_f": rep.deg_f,
         "gcd_degree": rep.gcd_degree,
-        "gcd_roots": _pairs(rep.gcd_roots) if len(rep.gcd_roots) else [],
+        "gcd_roots": _pairs(rep.gcd_roots),
         "winding_arg": rep.winding_arg,
         "winding_roots": rep.winding_roots,
         "stratum": rep.stratum,
         "v_index": rep.v_index,
-        "lambda0": _pairs(rep.lambda0) if len(rep.lambda0) else [],
+        "lambda0": _pairs(rep.lambda0),
         "genus0_flags": list(rep.genus0_flags),
     }
 
@@ -270,10 +269,8 @@ def cmd_classify(cfg):
         data["maxden"] = cfg.maxden
     if cfg.fmt == "csv":
         row = _scan_row_from_report(0, curve, rep, float(basis.kernel_gap))
-        cols = _scan_columns(curve.genus)
-        text = (_scan_header(curve.genus, "classify", cfg.seed, 1, cols)
-                + ",".join(row[c] for c in cols) + "\n")
-        _write_text(cfg.out, text)
+        _write_text(cfg.out, _table("classify", curve.genus, cfg.seed,
+                                    _scan_columns(curve.genus), [row]))
     else:
         _write_json(cfg.out, data)
     return 0
@@ -284,19 +281,9 @@ def cmd_classify(cfg):
 # ---------------------------------------------------------------------------
 
 def _scan_columns(genus):
-    cols = ["index", "genus"]
-    for j in range(genus):
-        cols += ["eta%d_re" % j, "eta%d_im" % j]
-    cols += ["status", "deg_f", "winding_arg", "winding_roots",
-             "gcd_degree", "stratum", "v_index", "kernel_gap"]
-    return cols
-
-
-def _scan_header(genus, kind, seed, samples, cols):
-    return ("# spectral-%s v%d genus=%d seed=%d samples=%d\n"
-            "# columns: %s\n" % (kind, SCHEMA_VERSION, genus, seed, samples,
-                                 ",".join(cols))
-            + ",".join(cols) + "\n")
+    return (["index", "genus"] + _eta_columns(genus)
+            + ["status", "deg_f", "winding_arg", "winding_roots",
+               "gcd_degree", "stratum", "v_index", "kernel_gap"])
 
 
 def _sample_eta(genus, rng):
@@ -322,36 +309,26 @@ def _scan_row_from_report(index, curve, rep, kernel_gap):
            "gcd_degree": str(rep.gcd_degree), "stratum": rep.stratum,
            "v_index": "" if rep.v_index is None else str(rep.v_index),
            "kernel_gap": _fmt(kernel_gap)}
-    for j, z in enumerate(curve.eta):
-        row["eta%d_re" % j] = _fmt(z.real)
-        row["eta%d_im" % j] = _fmt(z.imag)
+    row.update(_eta_cells(curve.eta))
     return row
 
 
 def _scan_one(args):
-    genus, seed, index, tol, nodes, qtol = args
+    genus, seed, index, tol, quad = args
     rng = np.random.default_rng(np.random.SeedSequence(seed,
                                                        spawn_key=(index,)))
     eta = _sample_eta(genus, rng)
-    quad = QuadConfig(nodes=nodes, tol=qtol) if nodes else None
-    row = {"index": str(index), "genus": str(genus)}
-    for j, z in enumerate(eta):
-        row["eta%d_re" % j] = _fmt(z.real)
-        row["eta%d_im" % j] = _fmt(z.imag)
     try:
         curve = build_curve(eta, tol=tol) if tol else build_curve(eta)
         basis = solve_Ba(curve, quad=quad)
         rep = classify(curve, basis=basis, quad=quad)
     except SpectralError as exc:
-        row.update({"status": "%s: %s" % (type(exc).__name__,
-                                          str(exc).replace(",", ";")),
-                    "deg_f": "", "winding_arg": "", "winding_roots": "",
-                    "gcd_degree": "", "stratum": "", "v_index": "",
-                    "kernel_gap": ""})
+        row = dict.fromkeys(_scan_columns(genus), "")
+        row.update(_eta_cells(eta), index=str(index), genus=str(genus),
+                   status="%s: %s" % (type(exc).__name__,
+                                      str(exc).replace(",", ";")))
         return row
-    full = _scan_row_from_report(index, curve, rep, float(basis.kernel_gap))
-    full.update({k: row[k] for k in row if k.startswith("eta")})
-    return full
+    return _scan_row_from_report(index, curve, rep, float(basis.kernel_gap))
 
 
 def _render_scan_figure(path, genus, rows):
@@ -377,33 +354,27 @@ def _render_scan_figure(path, genus, rows):
 
 
 def cmd_scan(cfg):
-    if cfg.genus is None:
-        raise ValidationError("missing --genus for scan")
-    if not 0 <= cfg.genus <= cfg.max_genus:
+    if not 0 <= cfg.genus <= MAX_SCAN_GENUS:
         raise ValidationError("scan genus %d outside 0..%d"
-                              % (cfg.genus, cfg.max_genus))
-    nodes = cfg.quad.nodes if cfg.quad else 0
-    qtol = cfg.quad.tol if cfg.quad else 0.0
-    jobs = [(cfg.genus, cfg.seed, i, cfg.tol, nodes, qtol)
+                              % (cfg.genus, MAX_SCAN_GENUS))
+    if cfg.samples < 1 or cfg.workers < 1:
+        raise ValidationError("scan needs --samples >= 1 and --workers >= 1, "
+                              "got samples=%d, workers=%d"
+                              % (cfg.samples, cfg.workers))
+    jobs = [(cfg.genus, cfg.seed, i, cfg.tol, cfg.quad)
             for i in range(cfg.samples)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # a fork pool starts all its workers at once: no more than needed
+    workers = min(cfg.workers, cfg.samples, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_one, jobs, chunksize=8))
     else:
         rows = [_scan_one(j) for j in jobs]
 
-    cols = _scan_columns(cfg.genus)
-    lines = [_scan_header(cfg.genus, "scan", cfg.seed, cfg.samples, cols)]
-    occupancy = {}
-    flagged = 0
-    for row in rows:
-        lines.append(",".join(row.get(c, "") for c in cols) + "\n")
-        if row["status"] == "ok":
-            occupancy[row["stratum"]] = occupancy.get(row["stratum"], 0) + 1
-        else:
-            flagged += 1
+    occupancy = Counter(row["stratum"] for row in rows
+                        if row["status"] == "ok")
+    flagged = len(rows) - sum(occupancy.values())
     summary = " ".join("%s=%d" % (k, occupancy[k]) for k in sorted(occupancy))
-    lines.append("# summary %s flagged=%d\n" % (summary, flagged))
 
     if cfg.fmt == "json":
         _write_json(cfg.out, {"schema_version": SCHEMA_VERSION,
@@ -411,7 +382,9 @@ def cmd_scan(cfg):
                               "rows": rows,
                               "occupancy": occupancy, "flagged": flagged})
     else:
-        _write_text(cfg.out, "".join(lines))
+        _write_text(cfg.out, _table("scan", cfg.genus, cfg.seed,
+                                    _scan_columns(cfg.genus), rows)
+                    + "# summary %s flagged=%d\n" % (summary, flagged))
         fig = _figure_path(cfg.out)
         if fig:
             _render_scan_figure(fig, cfg.genus, rows)
@@ -439,9 +412,7 @@ def _parse_Q(text):
 
 
 def _flow_columns(genus):
-    cols = ["step", "t"]
-    for j in range(genus):
-        cols += ["eta%d_re" % j, "eta%d_im" % j]
+    cols = ["step", "t"] + _eta_columns(genus)
     for j in range(genus):
         cols += ["B1_%d_im" % j, "B2_%d_im" % j]
     for j in range(genus):
@@ -455,9 +426,7 @@ def _flow_rows(records):
     rows = []
     for k, rec in enumerate(records):
         row = {"step": str(k), "t": _fmt(rec.t), "drift": _fmt(rec.drift)}
-        for j, z in enumerate(rec.curve.eta):
-            row["eta%d_re" % j] = _fmt(z.real)
-            row["eta%d_im" % j] = _fmt(z.imag)
+        row.update(_eta_cells(rec.curve.eta))
         for j in range(rec.curve.genus):
             row["B1_%d_im" % j] = _fmt(rec.periods_b1[j].imag)
             row["B2_%d_im" % j] = _fmt(rec.periods_b2[j].imag)
@@ -523,11 +492,8 @@ def cmd_flow(cfg):
     if not records:
         return code or 3
     rows = _flow_rows(records)
-    cols = _flow_columns(curve.genus)
-    text = _scan_header(curve.genus, "flow", cfg.seed, len(rows), cols)
-    for row in rows:
-        text += ",".join(row.get(c, "") for c in cols) + "\n"
-    _write_text(cfg.out, text)
+    _write_text(cfg.out, _table("flow", curve.genus, cfg.seed,
+                                _flow_columns(curve.genus), rows))
     fig = _figure_path(cfg.out)
     if fig:
         _render_flow_figure(fig, curve.genus, rows)
@@ -579,8 +545,7 @@ def cmd_gr(cfg):
            "plane": plane_to_dict(plane),
            "classify": {"gcd_degree": rep["gcd_degree"],
                         "in_R": rep["in_R"],
-                        "S1_roots": _pairs(rep["S1_roots"])
-                        if rep["S1_roots"] else []}}
+                        "S1_roots": _pairs(rep["S1_roots"])}}
     if rep["gcd_degree"] > 0 and plane.genus > 0:
         probe = stratum_dimension_probe(plane, tol=cfg.tol or GCD_TOL,
                                         seed=cfg.seed or 11)
@@ -656,17 +621,6 @@ def _build_parser():
     return ap
 
 
-def _config_from_args(args):
-    quad = None
-    if args.quad_nodes is not None or args.quad_tol is not None:
-        quad = QuadConfig(nodes=args.quad_nodes or QuadConfig.nodes,
-                          tol=args.quad_tol or QuadConfig.tol)
-    fields = {k: v for k, v in vars(args).items()
-              if k in RunConfig.__dataclass_fields__}
-    fields["quad"] = quad
-    return RunConfig(**fields)
-
-
 _COMMANDS = {"classify": cmd_classify, "scan": cmd_scan, "flow": cmd_flow,
              "deform": cmd_deform, "gr": cmd_gr}
 
@@ -675,8 +629,11 @@ def main(argv=None):
     logging.basicConfig(
         level=os.environ.get("SPECTRAL_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s")
-    args = _build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
+    cfg = _build_parser().parse_args(argv)
+    cfg.quad = None
+    if cfg.quad_nodes is not None or cfg.quad_tol is not None:
+        cfg.quad = QuadConfig(nodes=cfg.quad_nodes or QuadConfig.nodes,
+                              tol=cfg.quad_tol or QuadConfig.tol)
     try:
         return _COMMANDS[cfg.command](cfg)
     except SpectralError as exc:

@@ -58,7 +58,7 @@ DEFAULT_QUAD = QuadConfig()
 class PencilBasis:
     """Basis (b1, b2) of the A-period kernel, normalized at lambda = 0.
 
-    b1(0) = 1 and b2(0) = i exactly; kernel_gap certifies that the kernel
+    b1(0) = 1 and b2(0) = i to rounding; kernel_gap certifies that the kernel
     of the A-period map had real dimension exactly two.
     """
 

@@ -425,7 +425,7 @@ class HandleDeformation:
     times the base numerator is negative on the unit circle after dividing
     by lambda^{g+1}; the stored a_t is the sign-corrected canonical
     representative whose root multiset is the base roots together with the
-    in-disc member alpha e^{-|t|} of the new reflection pair.
+    in-disc member alpha e^{-t} of the new reflection pair.
     """
 
     alpha: complex
@@ -439,17 +439,17 @@ class HandleDeformation:
 
 
 def _handle_parameter(t):
-    """The handle parameter as a float, which must be finite and nonzero."""
+    """The handle parameter as a float, which must be finite and positive."""
     t = float(t)
-    if t == 0.0 or not math.isfinite(t):
+    if not (t > 0.0 and math.isfinite(t)):
         raise ValidationError(
-            "handle parameter must be finite and nonzero, got t = %r (t = 0 "
+            "handle parameter must be finite and positive, got t = %r (t = 0 "
             "is the nodal curve: a double point over alpha on S^1)" % t)
     return t
 
 
 def attach_handle(curve, b, alpha, t, sqrt_choice=1, tol=None, quad=None):
-    """Open a handle: adjoin the branch-point pair alpha e^{-|t|}, alpha e^{|t|}.
+    """Open a handle: adjoin the branch-point pair alpha e^{-t}, alpha e^{t}.
 
     ``b`` is an element of the vanishing-A-period pencil of the base curve
     (pass None to use the first solved basis element).  The deformed b_t
@@ -471,7 +471,7 @@ def attach_handle(curve, b, alpha, t, sqrt_choice=1, tol=None, quad=None):
     if b is None:
         b = solve_Ba(curve, quad=quad).b1
 
-    new_eta = alpha * math.exp(-abs(t))
+    new_eta = alpha * math.exp(-t)
     curve_t = build_curve(list(curve.eta) + [new_eta], tol=tol)
     basis_t = solve_Ba(curve_t, quad=quad)
     sab = sqrt_choice * complex(np.sqrt(np.conj(alpha)))

@@ -1,17 +1,20 @@
 """End-to-end checks of the batch driver: exit codes, formats, determinism."""
 
+import contextlib
 import json
 import os
 import struct
 import subprocess
 import sys
+import types
 import zlib
 
 import numpy as np
 import pytest
 
 import spectralcurves
-from spectralcurves.cli import main
+from spectralcurves import cli
+from spectralcurves.cli import _scan_columns, main
 from spectralcurves.curve import build_curve, curve_to_json
 
 
@@ -109,10 +112,72 @@ def test_scan_runs_are_byte_identical(tmp_path):
 
 
 def test_scan_workers_preserve_order_and_bytes(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert scan_to(a) == 0
-    assert scan_to(b, "--workers", "2") == 0
-    assert a.read_bytes() == b.read_bytes()
+    # the quadrature settings cross the process boundary as a QuadConfig
+    for k, extra in enumerate([(), ("--quad-nodes", "32", "--quad-tol", "1e-9")]):
+        a, b = tmp_path / ("a%d.csv" % k), tmp_path / ("b%d.csv" % k)
+        assert scan_to(a, *extra) == 0
+        assert scan_to(b, "--workers", "2", *extra) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+def test_scan_pool_is_capped_by_samples_and_cores(tmp_path, monkeypatch):
+    # the stand-in pool records the size it is asked for and maps in this
+    # process, so no worker is ever started
+    sizes = []
+
+    @contextlib.contextmanager
+    def serial_pool(max_workers):
+        sizes.append(max_workers)
+        yield types.SimpleNamespace(map=lambda fn, jobs, chunksize: map(fn, jobs))
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool)
+    argv = ["scan", "--genus", "1", "--samples", "3", "--workers", "100000",
+            "--out", str(tmp_path / "scan.csv")]
+    for cores in (64, 2):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        assert main(argv) == 0
+    assert sizes == [3, 2]
+
+
+@pytest.mark.parametrize("arg", ["--samples=0", "--samples=-3", "--workers=0"])
+def test_scan_rejects_invalid_sample_and_worker_counts(arg, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--genus", "2", arg, "--out", str(out)]) == 2
+    assert "ValidationError" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def collinear_draw(monkeypatch):
+    # two roots on one ray: homology_cycles cannot route the cuts
+    monkeypatch.setattr(cli, "_sample_eta", lambda genus, rng: [0.3, 0.6])
+    return ["scan", "--genus", "2", "--samples", "2", "--workers", "1"]
+
+
+def test_scan_failure_rows_csv(monkeypatch, tmp_path):
+    out = tmp_path / "scan.csv"
+    assert main(collinear_draw(monkeypatch) + ["--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    cols = lines[2].split(",")
+    assert cols == _scan_columns(2)
+    cells = [l.split(",") for l in lines[3:-1]]
+    assert [len(c) for c in cells] == [len(cols)] * 2  # no comma in the error
+    for row in (dict(zip(cols, c)) for c in cells):
+        assert row["status"].startswith("ResolutionError: ")
+        for c in ("deg_f", "winding_arg", "winding_roots", "gcd_degree",
+                  "stratum", "v_index", "kernel_gap"):
+            assert row[c] == ""
+        assert [row[c] for c in cols[2:6]] == ["%.17g" % x for x in (0.3, 0, 0.6, 0)]
+    assert lines[-1].endswith(" flagged=2")
+
+
+def test_scan_failure_rows_json(monkeypatch, tmp_path):
+    out = tmp_path / "scan.json"
+    assert main(collinear_draw(monkeypatch) + ["--format", "json",
+                                               "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert [list(row) for row in data["rows"]] == [_scan_columns(2)] * 2
+    assert data["flagged"] == 2
+    assert data["occupancy"] == {}
 
 
 def test_scan_genus_out_of_range(capsys):
@@ -234,10 +299,10 @@ def test_deform_report(g1_spec, tmp_path):
         assert np.hypot(re, im) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("t", ["0", "nan", "inf"])
+@pytest.mark.parametrize("t", ["0", "nan", "inf", "-1e-2"])
 def test_deform_rejects_invalid_handle_parameter(g1_spec, t, capsys):
     assert main(["deform", "--spec", g1_spec, "--alpha-angle", "0.9",
-                 "--t", t]) == 2
+                 "--t=" + t]) == 2
     assert "ValidationError" in capsys.readouterr().err
 
 

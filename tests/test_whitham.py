@@ -193,8 +193,8 @@ def test_attach_handle_rejects_degenerate_parameters():
     b = solve_Ba(curve).b1
     with pytest.raises(ValidationError, match="nodal"):
         attach_handle(curve, b, complex(np.exp(0.9j)), 0.0)
-    for t in (np.nan, np.inf):
-        with pytest.raises(ValidationError, match="finite and nonzero"):
+    for t in (np.nan, np.inf, -1e-2):
+        with pytest.raises(ValidationError, match="finite and positive"):
             attach_handle(curve, b, complex(np.exp(0.9j)), t)
     with pytest.raises(ValidationError, match="unit circle"):
         attach_handle(curve, b, 0.9 * np.exp(0.9j), 1e-2)
