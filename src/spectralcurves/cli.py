@@ -240,6 +240,11 @@ def _write_png(path, img, text):
 # ---------------------------------------------------------------------------
 
 def cmd_classify(cfg):
+    if cfg.maxden and cfg.fmt == "csv":
+        raise ValidationError("--maxden needs --format json: the CSV row has "
+                              "no proximity columns")
+    if cfg.alpha_angle is not None and not cfg.maxden:
+        raise ValidationError("--alpha-angle marks the proximity report and needs --maxden")
     curve = _load_curve(cfg)
     quad = cfg.quad
     basis = solve_Ba(curve, quad=quad)

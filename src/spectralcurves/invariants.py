@@ -137,14 +137,24 @@ def _deflated_pair(basis, tol=GCD_TOL):
 def circle_map(basis, tol=GCD_TOL):
     """Callable f~ = -b0/binf with the pencil gcd deflated from both."""
     num, den = _deflated_pair(basis, tol)
-
-    def f(z):
-        return -num(z) / den(z)
-
-    return f
+    return lambda z: -num(z) / den(z)
 
 
 _MAX_WINDING_PASSES = 40
+
+
+def _direction_roots(basis, tol):
+    """Roots of the deflated b1 + i b2 and b1 - i b2 (numerator and
+    denominator of f~ up to scale); a typed root failure replaces a set."""
+    gcd = pencil_gcd(basis.b1, basis.b2, tol)
+    out = []
+    for s in (1j, -1j):
+        p = _deflate(basis.b1 + basis.b2 * s, gcd)
+        try:
+            out.append(roots(p, tol=basis.curve.tol) if p.effective_degree() else np.zeros(0))
+        except (ResolutionError, ValidationError) as exc:
+            out.append(exc)
+    return out
 
 
 def winding_arg(basis, samples=512, tol=GCD_TOL):
@@ -159,18 +169,20 @@ def winding_arg(basis, samples=512, tol=GCD_TOL):
     principal-value increments alone cannot see.  The accumulated argument
     divided by 2 pi must land within 0.25 of an integer.
     """
+    return _winding_arg(basis, _direction_roots(basis, tol), samples, tol)
+
+
+def _winding_arg(basis, seeds, samples=512, tol=GCD_TOL):
     num, den = _deflated_pair(basis, tol)
     dnum, dden = num.derivative(), den.derivative()
     theta = np.linspace(0.0, 2.0 * np.pi, max(16, samples), endpoint=True)
     # seed dense windows where a zero or pole hugs the circle: the full-turn
     # phase swing of a Blaschke-like pair is narrower than any uniform grid
     windows = []
-    for p in (num, den):
-        try:
-            rts = roots(p, tol=1e-6) if p.effective_degree() > 0 else []
-        except (ResolutionError, ValidationError) as exc:
-            log.debug("winding window seeding skipped: %s", exc)
-            rts = []
+    for rts in seeds:
+        if isinstance(rts, Exception):
+            log.debug("winding window seeding skipped: %s", rts)
+            continue
         for r in rts:
             d = abs(abs(r) - 1.0)
             if 1e-12 < d < 0.1:
@@ -215,15 +227,14 @@ def winding_roots(basis, tol=GCD_TOL, boundary_tol=1e-9):
     but below the ~t^2 circle clearance a handle smoothed with t = 1e-3
     leaves behind, so near-boundary curves still count cleanly.
     """
-    gcd = pencil_gcd(basis.b1, basis.b2, tol)
+    return _root_count(_direction_roots(basis, tol), boundary_tol)
+
+
+def _root_count(root_sets, boundary_tol=1e-9):
     counts = []
-    for s in (1j, -1j):
-        p = basis.b1 + basis.b2 * s
-        p = _deflate(p, gcd)
-        if p.effective_degree() == 0:
-            counts.append(0)
-            continue
-        rts = roots(p, tol=basis.curve.tol)
+    for rts in root_sets:
+        if isinstance(rts, Exception):
+            raise rts
         dist = np.abs(np.abs(rts) - 1.0)
         if np.any(dist <= boundary_tol):
             raise InvariantError("boundary root: stratum boundary case")
@@ -246,8 +257,9 @@ def classify(curve, basis=None, tol=GCD_TOL, quad=None):
     groots = tuple(roots(gcd, tol=curve.tol)) if gdeg > 0 else ()
     df = g + 1 - gdeg
 
-    w_arg = winding_arg(basis, tol=tol)
-    w_roots = winding_roots(basis, tol=tol)
+    root_sets = _direction_roots(basis, tol)   # shared by both winding counts
+    w_arg = _winding_arg(basis, root_sets, tol=tol)
+    w_roots = _root_count(root_sets)
     if w_arg != w_roots:
         raise InvariantError(
             "winding algorithms disagree: argument accumulation %d vs root count %d"

@@ -33,7 +33,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .curve import SpectralCurve, continue_sqrt, homology_cycles
 from .errors import ResolutionError, ValidationError
-from .polyring import CPoly, real_place, real_place_coeffs, reality_check
+from .polyring import CPoly, _as_poly, real_place, real_place_coeffs, reality_check
 
 log = logging.getLogger(__name__)
 
@@ -98,13 +98,15 @@ def _gauss_rule(kind, n):
 
 
 class PeriodEngine:
-    """Caches per-cycle moment vectors for one curve and quadrature config."""
+    """Caches per-cycle moment vectors and solved bases for one curve and
+    quadrature config."""
 
     def __init__(self, curve, quad=DEFAULT_QUAD):
         self.curve = curve
         self.quad = quad
         self.homology = homology_cycles(curve)
         self._moments = {}
+        self.bases = {}
 
     # -- public moment accessors -------------------------------------------
 
@@ -284,12 +286,6 @@ def get_engine(curve, quad=None):
 # period operations
 # ---------------------------------------------------------------------------
 
-def _as_poly(b):
-    if isinstance(b, CPoly):
-        return b
-    return CPoly(b)
-
-
 def _require_real(values, tol, what):
     """Reality self-check shared by A-periods and the phi matrix."""
     values = np.atleast_1d(np.asarray(values, dtype=complex))
@@ -350,13 +346,16 @@ def solve_Ba(curve, quad=None, tol=None):
     The A-period map is assembled over the real coordinates of
     reversal-real polynomials (dimension g+2) and its kernel is extracted
     by SVD.  kernel_gap = (smallest kept singular value) / (largest
-    A-period residual of the kernel vectors) must exceed 1e6.
+    A-period residual of the kernel vectors) must exceed 1e6.  A solved
+    basis is kept per tol on the shared engine of (curve, quad).
     """
     tol = tol if tol is not None else curve.tol
+    eng = get_engine(curve, quad)
+    if tol in eng.bases:
+        return eng.bases[tol]
     g = curve.genus
     dim = g + 2  # real dimension of reversal-real polynomials of degree g+1
     chart = real_place_coeffs(g + 1, np.eye(dim))
-    eng = get_engine(curve, quad)
 
     rows = np.zeros((g, dim))
     for i in range(g):
@@ -393,6 +392,7 @@ def solve_Ba(curve, quad=None, tol=None):
             raise ValidationError("degenerate period map: basis A-period residual %.3e" % resid)
         if resid > 10 * tol:
             log.warning("solved basis A-period residual %.3e", resid)
+    eng.bases[tol] = basis
     return basis
 
 

@@ -150,8 +150,7 @@ class CPoly:
 
     @staticmethod
     def from_roots(root_list, lead=1.0, degree=None):
-        c = lead * np.polynomial.polynomial.polyfromroots(root_list)
-        return CPoly(c, degree=degree)
+        return CPoly(lead * _fromroots(root_list), degree=degree)
 
     def __repr__(self):
         return f"CPoly(deg={self.formal_degree}, {np.array2string(self.coeffs, precision=6)})"
@@ -171,6 +170,20 @@ def _as_poly(x):
     if isinstance(x, CPoly):
         return x
     return CPoly([x])
+
+
+def _fromroots(r):
+    """Coefficients of prod (lam - r_k), bit-identical to numpy's polyfromroots
+    (same sort and pairwise products) without its per-product series checks."""
+    r = np.array(r, ndmin=1)
+    p = [np.array([-x, 1]) for x in np.sort(r.astype(np.common_type(r)))] or [np.ones(1)]
+    while len(p) > 1:
+        m = len(p) // 2
+        tmp = [np.convolve(p[i], p[i + m]) for i in range(m)]
+        if len(p) % 2:
+            tmp[0] = np.convolve(tmp[0], p[-1])
+        p = tmp
+    return p[0]
 
 
 # ---------------------------------------------------------------------
@@ -225,7 +238,7 @@ def roots(p: CPoly, tol=1e-9):
     c = p.coeffs[: d + 1]
     r = np.roots(c[::-1])
     # reconstruction residual guards against ill-conditioning
-    rec = c[-1] * np.polynomial.polynomial.polyfromroots(r)
+    rec = c[-1] * _fromroots(r)
     rel = np.abs(rec - c).max() / max(np.abs(c).max(), 1e-300)
     if rel > 1e3 * tol:
         raise ResolutionError(

@@ -80,6 +80,20 @@ def test_classify_rational_proximity(g1_spec, tmp_path):
     assert data["rational_plane_angle"] >= 0.0
 
 
+@pytest.mark.parametrize("extra, flag", [
+    (["--maxden", "12", "--format", "csv"], "--maxden"),
+    (["--alpha-angle", "0.9"], "--alpha-angle"),
+    (["--alpha-angle", "0.9", "--format", "csv"], "--alpha-angle"),
+])
+def test_classify_refuses_proximity_flags_it_would_ignore(extra, flag, g1_spec,
+                                                          tmp_path, capsys):
+    out = tmp_path / "rep.out"
+    assert main(["classify", "--spec", g1_spec, "--out", str(out)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError: ") and flag in err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- scan
 
 

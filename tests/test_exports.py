@@ -1,7 +1,10 @@
 """Every name a module exports resolves, so a deleted export cannot linger
-in an ``__all__`` list."""
+in an ``__all__`` list; and the package keeps one implementation of each
+shared primitive."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import spectralcurves
@@ -14,3 +17,18 @@ def test_every_exported_name_resolves():
     for mod in modules:
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), "%s.%s" % (mod.__name__, name)
+
+
+def test_products_from_roots_have_one_implementation():
+    # polyring._fromroots reproduces numpy's polyfromroots bit for bit at a
+    # fraction of its cost; a second caller of numpy's would split the two
+    src = pathlib.Path(spectralcurves.__file__).parent
+    calls = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            if name == "polyfromroots":
+                calls.append("%s:%d" % (path.name, node.lineno))
+    assert calls == []

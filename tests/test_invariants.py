@@ -234,3 +234,42 @@ def test_winding_window_seeding_skips_only_typed_root_failures(monkeypatch):
     monkeypatch.setattr(inv, "roots", broken)
     with pytest.raises(TypeError, match="not a typed"):
         winding_arg(basis)
+
+
+# ------------------------------------------------- one root solve per direction
+
+# Windings of random_curve(g, seed) for seeds 0-3, frozen from a classify
+# that solved each pencil direction once per winding algorithm; every
+# report is coprime, in stratum V_<winding>.
+FROZEN_WINDINGS = {1: (0, 0, 0, 0), 2: (1, -1, 1, 1), 3: (-2, -2, -2, -2),
+                   4: (-3, 1, -1, -1)}
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3, 4])
+def test_classify_solves_each_direction_once(genus, monkeypatch):
+    import spectralcurves.invariants as inv
+
+    basis = solve_Ba(random_curve(genus, 0))
+    real = inv.roots
+
+    def counted(p, tol=1e-9):
+        counted.calls += 1
+        return real(p, tol=tol)
+
+    counted.calls = 0
+    monkeypatch.setattr(inv, "roots", counted)
+    assert classify(basis.curve, basis).gcd_degree == 0
+    assert counted.calls == 2
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3, 4])
+def test_classify_matches_standalone_windings_and_frozen_reports(genus):
+    for seed, want in enumerate(FROZEN_WINDINGS[genus]):
+        basis = solve_Ba(random_curve(genus, seed))
+        rep = classify(basis.curve, basis)
+        assert (rep.winding_arg, rep.winding_roots) == (winding_arg(basis),
+                                                         winding_roots(basis))
+        assert (rep.genus, rep.deg_f, rep.gcd_degree, rep.gcd_roots) == (genus, genus + 1, 0, ())
+        assert (rep.winding_arg, rep.winding_roots, rep.v_index) == (want, want, want)
+        assert (rep.stratum, rep.lambda0) == ("V_%d" % want, ())
+        assert rep.genus0_flags == (False, False, False)

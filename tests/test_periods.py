@@ -19,7 +19,7 @@ from spectralcurves.periods import (
     solve_Ba,
     sym_integral,
 )
-from spectralcurves.polyring import CPoly, reality_check, symmetrize_reality
+from spectralcurves.polyring import CPoly, real_coords, reality_check, symmetrize_reality
 from spectralcurves.whitham import attach_handle
 
 from conftest import random_curve
@@ -334,3 +334,59 @@ def test_periods_do_not_depend_on_rule_cache_state():
     bp3, s3 = b_periods(curve, b), sym_integral(curve, b, lam0)   # warm rules
     assert np.array_equal(bp1, bp2) and np.array_equal(bp1, bp3)
     assert s1 == s2 == s3
+
+
+# --------------------------------------------------------------- basis memo
+
+
+def _counting_a_period_svd(monkeypatch, genus):
+    """Count SVDs of a g x (g+2) A-period map, from an empty engine memo."""
+    periods._engine.cache_clear()
+    real = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a) == (genus, genus + 2):
+            counted.calls += 1
+        return real(a, *args, **kwargs)
+
+    counted.calls = 0
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return counted
+
+
+def test_solve_ba_reuses_one_basis_per_curve_quad_and_tol(monkeypatch):
+    curve = random_curve(2, 31)
+    svd = _counting_a_period_svd(monkeypatch, 2)
+    basis = solve_Ba(curve)
+    assert svd.calls == 1
+    assert solve_Ba(curve) is basis
+    assert solve_Ba(curve, quad=periods.DEFAULT_QUAD, tol=curve.tol) is basis
+    assert svd.calls == 1
+    other_tol = solve_Ba(curve, tol=2.0 * curve.tol)
+    other_quad = solve_Ba(curve, quad=QuadConfig(nodes=128))
+    assert other_tol is not basis and other_quad is not basis
+    assert svd.calls == 3
+    periods._engine.cache_clear()
+    fresh = solve_Ba(curve)
+    assert fresh is not basis and svd.calls == 4
+    assert fresh.b1 == basis.b1 and fresh.b2 == basis.b2
+
+
+def test_solve_ba_does_not_keep_a_failed_solve(monkeypatch):
+    curve = random_curve(2, 32)
+    svd = _counting_a_period_svd(monkeypatch, 2)
+    for calls in (1, 2):
+        with pytest.raises(ValidationError, match="basis A-period residual"):
+            solve_Ba(curve, tol=1e-30)
+        assert svd.calls == calls
+
+
+def test_b_map_after_solve_ba_runs_no_second_svd(monkeypatch):
+    from spectralcurves.grassmann import B_map
+
+    curve = random_curve(3, 33)
+    svd = _counting_a_period_svd(monkeypatch, 3)
+    basis = solve_Ba(curve)
+    plane = B_map(curve)
+    assert svd.calls == 1
+    assert np.array_equal(plane.M[:, 0], real_coords(basis.b1)[2:])

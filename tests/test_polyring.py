@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from spectralcurves.errors import ValidationError
 from spectralcurves.polyring import (
     CPoly,
+    _fromroots,
     approx_gcd,
     real_coords,
     real_dim,
@@ -179,6 +180,23 @@ def test_from_roots_and_roots_inverse():
     p = CPoly.from_roots(list(want), lead=0.5 - 0.25j)
     got = np.sort_complex(roots(p))
     assert np.allclose(got, np.sort_complex(want), atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "repeated"])
+def test_fromroots_is_bitwise_numpy_polyfromroots(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for k in range(13):
+        for _ in range(20):
+            r = rng.normal(size=k)
+            if kind != "real":
+                r = r + 1j * rng.normal(size=k)
+            if kind == "repeated" and k > 1:
+                r[k // 2:] = r[0]
+            want = np.polynomial.polynomial.polyfromroots(r)
+            got = _fromroots(r)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(CPoly.from_roots(list(r), lead=0.5 - 0.25j).coeffs,
+                                  (0.5 - 0.25j) * want)
 
 
 def test_roots_of_zero_poly_rejected():
