@@ -18,6 +18,7 @@ failure, 4 internal invariant violation (always a bug).
 import argparse
 import json
 import logging
+import math
 import os
 import struct
 import sys
@@ -324,7 +325,7 @@ def _scan_one(args):
                                                        spawn_key=(index,)))
     eta = _sample_eta(genus, rng)
     try:
-        curve = build_curve(eta, tol=tol) if tol else build_curve(eta)
+        curve = build_curve(eta, tol=tol) if tol is not None else build_curve(eta)
         basis = solve_Ba(curve, quad=quad)
         rep = classify(curve, basis=basis, quad=quad)
     except SpectralError as exc:
@@ -553,7 +554,7 @@ def cmd_gr(cfg):
                         "S1_roots": _pairs(rep["S1_roots"])}}
     if rep["gcd_degree"] > 0 and plane.genus > 0:
         probe = stratum_dimension_probe(plane, tol=cfg.tol or GCD_TOL,
-                                        seed=cfg.seed or 11)
+                                        seed=cfg.seed)
         out["probe"] = probe_to_dict(probe)
     else:
         out["probe"] = None
@@ -565,7 +566,10 @@ def cmd_gr(cfg):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _build_parser():
+def _common_parser():
+    """Options every subcommand takes.  Each subcommand gets its own copy:
+    parents share their actions, so one subcommand's ``set_defaults``
+    would otherwise change the default of all."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="-", metavar="PATH",
                         help="output file ('-' for stdout)")
@@ -576,7 +580,10 @@ def _build_parser():
     common.add_argument("--quad-tol", type=float, default=None,
                         help="quadrature doubling tolerance")
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
+    return common
 
+
+def _build_parser():
     ap = argparse.ArgumentParser(
         prog="spectral",
         description="spectral curve pencils, invariants, deformations")
@@ -586,7 +593,7 @@ def _build_parser():
     fmt.add_argument("--format", dest="fmt", choices=("csv", "json"),
                      default=None, help="output format")
 
-    p = sub.add_parser("classify", parents=[common, fmt],
+    p = sub.add_parser("classify", parents=[_common_parser(), fmt],
                        help="invariant report for one curve")
     p.add_argument("--spec", required=True, metavar="PATH")
     p.add_argument("--maxden", type=int, default=None,
@@ -596,13 +603,13 @@ def _build_parser():
                    help="unit-circle marker angle for the proximity report "
                         "(default: farthest from the branch cuts)")
 
-    p = sub.add_parser("scan", parents=[common, fmt],
+    p = sub.add_parser("scan", parents=[_common_parser(), fmt],
                        help="random moduli scan at fixed genus")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("flow", parents=[common],
+    p = sub.add_parser("flow", parents=[_common_parser()],
                        help="isoperiodic RK4 flow")
     p.add_argument("--spec", required=True, metavar="PATH")
     p.add_argument("--q", default=None, metavar="c0,c1,c2",
@@ -611,7 +618,7 @@ def _build_parser():
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--steps", type=int, default=100)
 
-    p = sub.add_parser("deform", parents=[common],
+    p = sub.add_parser("deform", parents=[_common_parser()],
                        help="handle attachment with invariant checks")
     p.add_argument("--spec", required=True, metavar="PATH")
     p.add_argument("--alpha-angle", type=float, required=True,
@@ -619,10 +626,11 @@ def _build_parser():
     p.add_argument("--t", type=float, default=1e-2,
                    help="smoothing parameter (halved on retry)")
 
-    p = sub.add_parser("gr", parents=[common],
+    p = sub.add_parser("gr", parents=[_common_parser()],
                        help="classify a plane and probe its stratum")
     p.add_argument("--spec", required=True, metavar="PATH",
                    help="plane record {genus, M} or curve record {eta}")
+    p.set_defaults(seed=11)
     return ap
 
 
@@ -635,11 +643,12 @@ def main(argv=None):
         level=os.environ.get("SPECTRAL_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s")
     cfg = _build_parser().parse_args(argv)
-    cfg.quad = None
-    if cfg.quad_nodes is not None or cfg.quad_tol is not None:
-        cfg.quad = QuadConfig(nodes=cfg.quad_nodes or QuadConfig.nodes,
-                              tol=cfg.quad_tol or QuadConfig.tol)
     try:
+        if cfg.tol is not None and not 0.0 < cfg.tol < math.inf:
+            raise ValidationError("--tol must be finite and positive, got %r" % cfg.tol)
+        quad = {k: v for k, v in (("nodes", cfg.quad_nodes), ("tol", cfg.quad_tol))
+                if v is not None}
+        cfg.quad = QuadConfig(**quad) if quad else None
         return _COMMANDS[cfg.command](cfg)
     except SpectralError as exc:
         log.debug("traceback", exc_info=True)

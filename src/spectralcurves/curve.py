@@ -139,7 +139,7 @@ def build_curve(eta, tol=DEFAULT_TOL):
     eta : sequence of complex
         Roots in the punctured open unit disc.  May be empty (genus 0).
     tol : float
-        Working tolerance stored on the curve.
+        Working tolerance stored on the curve; must be finite and positive.
 
     Returns
     -------
@@ -149,8 +149,11 @@ def build_curve(eta, tol=DEFAULT_TOL):
     ------
     ValidationError
         If any root sits at the origin, on or outside the unit circle, or
-        two branch points come within 1e-6 of each other.
+        two branch points come within 1e-6 of each other, or if ``tol``
+        is not finite and positive.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValidationError("curve tolerance must be finite and positive, got %r" % tol)
     eta = tuple(complex(z) for z in np.atleast_1d(np.asarray(eta, dtype=complex)).ravel()) if len(np.atleast_1d(eta)) else ()
     g = len(eta)
 

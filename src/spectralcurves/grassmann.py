@@ -37,7 +37,7 @@ import numpy as np
 from .curve import build_curve
 from .errors import InvariantError, ResolutionError, ValidationError
 from .invariants import GCD_TOL, pencil_gcd
-from .periods import solve_Ba
+from .periods import graph_form, solve_Ba
 from .polyring import CPoly, _sylvester, real_coords, real_place_coeffs
 from .polyring import roots as poly_roots
 
@@ -95,10 +95,7 @@ def plane_basis(plane):
     """Normalized basis (b1, b2) of the plane: b1(0) = 1, b2(0) = i,
     top coefficients 1 and -i, middle blocks the columns of M."""
     c1, c2 = _basis_coeffs(plane.genus, plane.M[None])
-    b1, b2 = CPoly(c1[0]), CPoly(c2[0])
-    if b1(0.0) != 1.0 or b2(0.0) != 1j:
-        raise InvariantError("graph-coordinate normalization failed")
-    return b1, b2
+    return CPoly(c1[0]), CPoly(c2[0])
 
 
 def plane_from_pencil(b1, b2, tol=1e-9):
@@ -108,22 +105,8 @@ def plane_from_pencil(b1, b2, tol=1e-9):
     exactly (1, i); a plane containing a nonzero element vanishing at the
     origin has no graph form and is rejected.
     """
-    z1, z2 = complex(b1(0.0)), complex(b2(0.0))
-    vals = np.array([[z1.real, z2.real], [z1.imag, z2.imag]])
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if abs(np.linalg.det(vals)) < 1e-12 * scale ** 2:
-        raise ValidationError(
-            "plane contains a nonzero element vanishing at the origin; "
-            "no graph coordinates exist")
-    T = np.linalg.solve(vals, np.eye(2))
-    w1 = b1 * T[0, 0] + b2 * T[1, 0]
-    w2 = b1 * T[0, 1] + b2 * T[1, 1]
-    g = b1.formal_degree - 1
-    x1, x2 = real_coords(w1), real_coords(w2)
-    head = np.array([x1[0], x1[1], x2[0], x2[1]])
-    if np.max(np.abs(head - [1.0, 0.0, 0.0, 1.0])) > 1e-8:
-        raise ResolutionError("renormalization did not reach graph form")
-    return GrPlane(g, np.stack([x1[2:], x2[2:]], axis=1))
+    rows = graph_form([real_coords(b1), real_coords(b2)])
+    return GrPlane(b1.formal_degree - 1, rows[:, 2:].T)
 
 
 def plane_to_dict(plane):
@@ -476,12 +459,9 @@ def stratum_dimension_probe(plane, radius=1e-3, samples=None, tol=GCD_TOL,
 # ---------------------------------------------------------------------------
 
 def B_map(curve, quad=None, tol=None):
-    """Graph coordinates of the vanishing-A-period plane of a curve."""
+    """Graph coordinates of a curve's plane: its solved basis's middle blocks."""
     basis = solve_Ba(curve, quad=quad, tol=tol)
     x1, x2 = real_coords(basis.b1), real_coords(basis.b2)
-    head = np.array([x1[0], x1[1], x2[0], x2[1]])
-    if np.max(np.abs(head - [1.0, 0.0, 0.0, 1.0])) > 1e-9:
-        raise InvariantError("solved basis is not in graph form")
     return GrPlane(curve.genus, np.stack([x1[2:], x2[2:]], axis=1))
 
 

@@ -2,13 +2,14 @@
 
 The solved pencil (b1, b2) determines a circle map
 
-    f~(lambda) = -b0(lambda) / binf(lambda),        |f~| = 1 on S^1,
+    f~ = u / v,   u = b1 + i b2,   v = b1 - i b2,   |f~| = 1 on S^1
 
-whose degree deg(f) = g+1 - deg gcd(b1, b2) and winding number n classify
-the curve.  The winding is computed by two unrelated algorithms -- argument
-accumulation around the circle and disc-root counting via the argument
-principle -- and the pair must agree; a disagreement is raised, never
-reported.  Strata:
+(-b0/binf of ``periods.derived_pencil`` for a graph-form basis), whose
+degree deg(f) = g+1 - deg gcd(b1, b2) and winding number n classify the
+curve.  The winding is computed twice -- by argument accumulation around
+the circle and by disc-root counting via the argument principle -- and the
+pair must agree; a disagreement is raised, never reported.  Both read the
+same root sets of the deflated u and v, so they are not independent.  Strata:
 
 * V_j    : coprime pencil, winding j;
 * S      : gcd root on the unit circle (all pencil elements vanish there);
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import InvariantError, ResolutionError, ValidationError
-from .periods import derived_pencil, solve_Ba
+from .periods import solve_Ba
 from .polyring import CPoly, approx_gcd, roots
 
 log = logging.getLogger(__name__)
@@ -129,35 +130,31 @@ def deg_f(basis, tol=GCD_TOL):
 
 
 def _deflated_pair(basis, tol=GCD_TOL):
-    dp = derived_pencil(basis)
+    """u = b1 + i b2 and v = b1 - i b2, gcd deflated: f~ = u/v."""
     gcd = pencil_gcd(basis.b1, basis.b2, tol)
-    return _deflate(dp.b0, gcd), _deflate(dp.binf, gcd)
+    return tuple(_deflate(basis.b1 + basis.b2 * s, gcd) for s in (1j, -1j))
 
 
 def circle_map(basis, tol=GCD_TOL):
-    """Callable f~ = -b0/binf with the pencil gcd deflated from both."""
+    """Callable f~ = u/v with the pencil gcd deflated from both."""
     num, den = _deflated_pair(basis, tol)
-    return lambda z: -num(z) / den(z)
+    return lambda z: num(z) / den(z)
 
 
+_WINDING_SAMPLES = 512
 _MAX_WINDING_PASSES = 40
+_BOUNDARY_TOL = 1e-9
 
 
-def _direction_roots(basis, tol):
-    """Roots of the deflated b1 + i b2 and b1 - i b2 (numerator and
-    denominator of f~ up to scale); a typed root failure replaces a set."""
-    gcd = pencil_gcd(basis.b1, basis.b2, tol)
-    out = []
-    for s in (1j, -1j):
-        p = _deflate(basis.b1 + basis.b2 * s, gcd)
-        try:
-            out.append(roots(p, tol=basis.curve.tol) if p.effective_degree() else np.zeros(0))
-        except (ResolutionError, ValidationError) as exc:
-            out.append(exc)
-    return out
+def _roots_or_error(p, tol):
+    """Roots of p, or the typed error that refused them."""
+    try:
+        return roots(p, tol=tol) if p.effective_degree() else np.zeros(0)
+    except (ResolutionError, ValidationError) as exc:
+        return exc
 
 
-def winding_arg(basis, samples=512, tol=GCD_TOL):
+def winding_arg(basis, tol=GCD_TOL):
     """Winding number of f~ over the unit circle by argument accumulation.
 
     The grid is refined until each step satisfies two criteria: the
@@ -169,13 +166,13 @@ def winding_arg(basis, samples=512, tol=GCD_TOL):
     principal-value increments alone cannot see.  The accumulated argument
     divided by 2 pi must land within 0.25 of an integer.
     """
-    return _winding_arg(basis, _direction_roots(basis, tol), samples, tol)
+    pair = _deflated_pair(basis, tol)
+    return _winding_arg(*pair, [_roots_or_error(p, basis.curve.tol) for p in pair])
 
 
-def _winding_arg(basis, seeds, samples=512, tol=GCD_TOL):
-    num, den = _deflated_pair(basis, tol)
+def _winding_arg(num, den, seeds):
     dnum, dden = num.derivative(), den.derivative()
-    theta = np.linspace(0.0, 2.0 * np.pi, max(16, samples), endpoint=True)
+    theta = np.linspace(0.0, 2.0 * np.pi, _WINDING_SAMPLES, endpoint=True)
     # seed dense windows where a zero or pole hugs the circle: the full-turn
     # phase swing of a Blaschke-like pair is narrower than any uniform grid
     windows = []
@@ -197,7 +194,7 @@ def _winding_arg(basis, seeds, samples=512, tol=GCD_TOL):
         nv, dv = num(lam), den(lam)
         if np.any(nv == 0) or np.any(dv == 0) or not np.all(np.isfinite(nv / dv)):
             raise ResolutionError("winding not resolved; refine or deflate gcd")
-        vals = -nv / dv
+        vals = nv / dv
         logder = np.abs(dnum(lam) / nv - dden(lam) / dv)
         steps = np.angle(vals[1:] / vals[:-1])
         h = np.diff(theta)
@@ -216,27 +213,27 @@ def _winding_arg(basis, seeds, samples=512, tol=GCD_TOL):
     raise ResolutionError("winding not resolved; refine or deflate gcd")
 
 
-def winding_roots(basis, tol=GCD_TOL, boundary_tol=1e-9):
+def winding_roots(basis, tol=GCD_TOL):
     """Winding number by the argument principle: disc-root count of
-    b1 + i b2 minus that of b1 - i b2 (the numerator and denominator
-    directions of f~), after gcd deflation.
+    u = b1 + i b2 minus that of v = b1 - i b2, after gcd deflation.
 
-    Roots remaining within ``boundary_tol`` of the unit circle after
+    Roots remaining within ``_BOUNDARY_TOL`` of the unit circle after
     deflation make the count ill-posed and raise.  The guard sits a few
     decades above root-location accuracy (~1e-12 for a solved pencil)
     but below the ~t^2 circle clearance a handle smoothed with t = 1e-3
     leaves behind, so near-boundary curves still count cleanly.
     """
-    return _root_count(_direction_roots(basis, tol), boundary_tol)
+    pair = _deflated_pair(basis, tol)
+    return _root_count([_roots_or_error(p, basis.curve.tol) for p in pair])
 
 
-def _root_count(root_sets, boundary_tol=1e-9):
+def _root_count(root_sets):
     counts = []
     for rts in root_sets:
         if isinstance(rts, Exception):
             raise rts
         dist = np.abs(np.abs(rts) - 1.0)
-        if np.any(dist <= boundary_tol):
+        if np.any(dist <= _BOUNDARY_TOL):
             raise InvariantError("boundary root: stratum boundary case")
         counts.append(int(np.sum(np.abs(rts) < 1.0)))
     return counts[0] - counts[1]
@@ -257,8 +254,9 @@ def classify(curve, basis=None, tol=GCD_TOL, quad=None):
     groots = tuple(roots(gcd, tol=curve.tol)) if gdeg > 0 else ()
     df = g + 1 - gdeg
 
-    root_sets = _direction_roots(basis, tol)   # shared by both winding counts
-    w_arg = _winding_arg(basis, root_sets, tol=tol)
+    pair = _deflated_pair(basis, tol)
+    root_sets = [_roots_or_error(p, curve.tol) for p in pair]   # shared by both counts
+    w_arg = _winding_arg(*pair, root_sets)
     w_roots = _root_count(root_sets)
     if w_arg != w_roots:
         raise InvariantError(

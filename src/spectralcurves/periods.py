@@ -26,6 +26,7 @@ provides a desk-scale probe for rationality of its row plane.
 
 import functools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,14 @@ class QuadConfig:
     tol: float = 1e-10
     max_doublings: int = 8
 
+    def __post_init__(self):
+        if not (isinstance(self.nodes, int) and self.nodes >= 1
+                and isinstance(self.max_doublings, int) and self.max_doublings >= 0
+                and 0.0 < self.tol < math.inf):
+            raise ValidationError(
+                "quadrature needs nodes >= 1, max_doublings >= 0 (integers) and a "
+                "finite tol > 0, got %r" % (self,))
+
 
 DEFAULT_QUAD = QuadConfig()
 
@@ -58,8 +67,8 @@ DEFAULT_QUAD = QuadConfig()
 class PencilBasis:
     """Basis (b1, b2) of the A-period kernel, normalized at lambda = 0.
 
-    b1(0) = 1 and b2(0) = i to rounding; kernel_gap certifies that the kernel
-    of the A-period map had real dimension exactly two.
+    b1(0) = 1 and b2(0) = i exactly (graph form); kernel_gap certifies that
+    the kernel of the A-period map had real dimension exactly two.
     """
 
     curve: SpectralCurve
@@ -339,9 +348,24 @@ def sym_integral(curve, b, lam0, quad=None, seed_sign=1):
     return seed_sign * eng.period(eng.gamma_moments(lam0), b)
 
 
+def graph_form(frame):
+    """Graph form of the plane spanned by two real chart rows: the real
+    combinations c[0] * frame[0] + c[1] * frame[1] (elementwise) whose
+    value-at-zero slots are exactly (1, 0) and (0, 1), i.e. b(0) = 1 and i."""
+    frame = np.asarray(frame, dtype=float)
+    at_zero = frame[:, :2].T
+    if abs(np.linalg.det(at_zero)) < 1e-12 * max(1.0, float(np.max(np.abs(at_zero)))) ** 2:
+        raise ValidationError("plane contains a nonzero element vanishing at the "
+                              "origin; no graph coordinates exist")
+    c = np.linalg.solve(at_zero, np.eye(2))
+    out = c[0][:, None] * frame[0] + c[1][:, None] * frame[1]
+    out[:, :2] = np.eye(2)
+    return out
+
+
 def solve_Ba(curve, quad=None, tol=None):
     """Solve for the two-dimensional space of reversal-real b in P^{g+1}
-    with vanishing A-periods; normalize its basis so b1(0)=1, b2(0)=i.
+    with vanishing A-periods, in graph form: b1(0) = 1, b2(0) = i exactly.
 
     The A-period map is assembled over the real coordinates of
     reversal-real polynomials (dimension g+2) and its kernel is extracted
@@ -374,15 +398,7 @@ def solve_Ba(curve, quad=None, tol=None):
     if gap < 1e6:
         raise ValidationError("degenerate period map: kernel gap %.3e below 1e6" % gap)
 
-    # normalize by the value at 0: chart coordinates 0,1 are Re b(0), Im b(0)
-    at_zero = np.array([[kernel[0][0], kernel[1][0]], [kernel[0][1], kernel[1][1]]])
-    try:
-        c1 = np.linalg.solve(at_zero, [1.0, 0.0])
-        c2 = np.linalg.solve(at_zero, [0.0, 1.0])
-    except np.linalg.LinAlgError:
-        raise ValidationError("degenerate period map: b -> b(0) not invertible on the kernel")
-    b1 = real_place(g + 1, c1[0] * kernel[0] + c1[1] * kernel[1])
-    b2 = real_place(g + 1, c2[0] * kernel[0] + c2[1] * kernel[1])
+    b1, b2 = (real_place(g + 1, row) for row in graph_form(kernel))
 
     basis = PencilBasis(curve=curve, b1=b1, b2=b2, kernel_gap=gap)
     if g > 0:

@@ -495,7 +495,7 @@ class HandleCheck:
 
 
 def _angular_logslope(num, den, theta):
-    """d/dtheta of arg f~ for f~ = -num/den at angles ``theta``, its theta
+    """d/dtheta of arg f~ for f~ = num/den at angles ``theta``, its theta
     derivative, and the size of the terms it differences (its rounding
     scale).  Zeros are exactly the critical points of the circle map."""
     lam = np.exp(1j * np.asarray(theta, dtype=float))
@@ -509,7 +509,7 @@ def _angular_logslope(num, den, theta):
 
 
 def _critical_angles(num, den):
-    """Angles of all critical points of the circle map f~ = -num/den.
+    """Angles of all critical points of the circle map f~ = num/den.
 
     On S^1, d/dtheta arg f~ = lam W / (num den) with W = num' den - num den'
     self-reciprocal (its formal top coefficient cancels; off-circle roots

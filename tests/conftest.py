@@ -56,6 +56,21 @@ def grow_to_genus3(target_jumps, handle_t=0.1):
     return curve
 
 
+def counting_approx_gcd(monkeypatch):
+    """Count the approximate-gcd solves behind ``pencil_gcd``."""
+    import spectralcurves.invariants as inv
+
+    real = inv.approx_gcd
+
+    def counted(p, q, tol=1e-9):
+        counted.calls += 1
+        return real(p, q, tol=tol)
+
+    counted.calls = 0
+    monkeypatch.setattr(inv, "approx_gcd", counted)
+    return counted
+
+
 def shared_plane(roots_circle, roots_pair, fill):
     """Plane whose pencil shares the given circle roots / reflection pairs."""
     rts = list(roots_circle)

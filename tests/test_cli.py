@@ -16,6 +16,9 @@ import spectralcurves
 from spectralcurves import cli
 from spectralcurves.cli import _scan_columns, main
 from spectralcurves.curve import build_curve, curve_to_json
+from spectralcurves.grassmann import plane_to_json
+
+from conftest import shared_plane
 
 
 @pytest.fixture
@@ -344,12 +347,50 @@ def test_gr_accepts_curve_spec(g1_spec, tmp_path):
     assert data["plane"]["M"][0][0] == pytest.approx(-2.24631994, abs=1e-6)
 
 
+def test_gr_seed_zero_is_not_the_default_seed(tmp_path):
+    spec = tmp_path / "plane.json"
+    spec.write_text(plane_to_json(shared_plane([np.exp(1.1j)], [], [0.3, -0.4j])))
+    outs = {}
+    for name, extra in (("default", []), ("0", ["--seed", "0"]), ("11", ["--seed", "11"])):
+        out = tmp_path / ("gr-%s.json" % name)
+        assert main(["gr", "--spec", str(spec), "--out", str(out)] + extra) == 0
+        outs[name] = out.read_bytes()
+    assert outs["default"] == outs["11"]
+    assert outs["0"] != outs["11"]
+    # gr's own default leaves every other subcommand's seed default at 0
+    assert cli._build_parser().parse_args(["scan", "--genus", "1"]).seed == 0
+
+
 def test_gr_rejects_unknown_record(tmp_path, capsys):
     spec = tmp_path / "odd.json"
     spec.write_text(json.dumps({"planes": []}))
     assert main(["gr", "--spec", str(spec)]) == 2
     err = capsys.readouterr().err
     assert "M" in err and "eta" in err
+
+
+# ------------------------------------------------ tolerance and quadrature
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--genus", "2", "--samples", "2", "--quad-nodes", "0"],
+    ["scan", "--genus", "2", "--samples", "2", "--quad-nodes", "-4"],
+    ["scan", "--genus", "2", "--samples", "2", "--quad-tol", "-1"],
+    ["scan", "--genus", "2", "--samples", "2", "--quad-tol", "nan"],
+    ["scan", "--genus", "2", "--samples", "2", "--tol", "0"],
+    ["scan", "--genus", "2", "--samples", "2", "--tol", "-1"],
+    ["classify", "--tol", "0"],
+    ["classify", "--tol", "nan"],
+    ["classify", "--quad-nodes", "0"],
+    ["classify", "--quad-tol", "nan"],
+    ["gr", "--tol", "-1"],
+])
+def test_bad_tolerance_and_quadrature_flags_exit_2(argv, g1_spec, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    spec = [] if argv[0] == "scan" else ["--spec", g1_spec]
+    assert main(argv + spec + ["--out", str(out)]) == 2
+    assert "ValidationError" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "g1.json"]
 
 
 # ---------------------------------------------------------------- --format

@@ -93,6 +93,12 @@ def test_rejects_degenerate_cut_pair():
         build_curve([0.5, 0.5 + 1e-9])
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+def test_rejects_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValidationError, match="tolerance must be finite and positive"):
+        build_curve([0.5], tol=tol)
+
+
 def test_rotation_moves_roots_rigidly():
     c = build_curve([0.5, -0.2 + 0.4j])
     phi = 0.7

@@ -1,9 +1,10 @@
 """Every name a module exports resolves, so a deleted export cannot linger
-in an ``__all__`` list; and the package keeps one implementation of each
-shared primitive."""
+in an ``__all__`` list; every function the traced benchmark wraps exists;
+and the package keeps one implementation of each shared primitive."""
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 import pkgutil
 
@@ -32,3 +33,17 @@ def test_products_from_roots_have_one_implementation():
             if name == "polyfromroots":
                 calls.append("%s:%d" % (path.name, node.lineno))
     assert calls == []
+
+
+def test_every_traced_benchmark_layer_exists():
+    # perfbench/tracing.py wraps these by name; a moved or deleted one would
+    # crash a traced benchmark run with an AttributeError
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.LAYERS
+    for mod, names in tracing.LAYERS.items():
+        module = importlib.import_module("spectralcurves." + mod)
+        for name in names:
+            assert callable(getattr(module, name, None)), "spectralcurves.%s.%s" % (mod, name)

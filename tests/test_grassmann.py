@@ -23,10 +23,11 @@ from spectralcurves.grassmann import (
     plane_to_json,
     stratum_dimension_probe,
 )
-from spectralcurves.invariants import GCD_TOL, classify
+from spectralcurves.invariants import GCD_TOL, classify, pencil_gcd
+from spectralcurves.periods import solve_Ba
 from spectralcurves.polyring import resultant
 
-from conftest import random_curve, shared_plane
+from conftest import counting_approx_gcd, random_curve, shared_plane
 
 
 # ------------------------------------------------------------ chart layer
@@ -69,6 +70,24 @@ def test_plane_serialization_roundtrip():
 
 
 # ------------------------------------------------------ period->plane map
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2, 3, 4])
+def test_period_map_plane_holds_the_solved_basis_and_its_gcd(genus, monkeypatch):
+    # graph form is exact on both sides, so the plane's basis is the solved
+    # basis bit for bit and gr_classify meets classify's gcd in the memo
+    counted = counting_approx_gcd(monkeypatch)
+    for seed in range(3):
+        curve = random_curve(genus, 60 + seed)
+        basis = solve_Ba(curve)
+        b1, b2 = plane_basis(B_map(curve))
+        assert (b1, b2) == (basis.b1, basis.b2)
+        assert (hash(b1), hash(b2)) == (hash(basis.b1), hash(basis.b2))
+        pencil_gcd.cache_clear()
+        counted.calls = 0
+        classify(curve, basis)
+        gr_classify(B_map(curve))
+        assert counted.calls == 1
 
 
 def test_period_map_frozen_values():

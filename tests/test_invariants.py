@@ -15,10 +15,11 @@ from spectralcurves.invariants import (
     winding_arg,
     winding_roots,
 )
-from spectralcurves.periods import solve_Ba
+from spectralcurves.periods import derived_pencil, solve_Ba
 from spectralcurves.polyring import CPoly, real_place, roots, symmetrize_reality
+from spectralcurves.whitham import attach_handle
 
-from conftest import random_curve
+from conftest import counting_approx_gcd, random_curve
 
 # classification is expensive enough to share across assertions
 FROZEN_MINUS = [-0.3967 - 0.5356j, -0.2717 - 0.7730j, -0.0925 + 0.3364j]
@@ -145,20 +146,6 @@ def test_gcd_two_circle_roots():
 # ------------------------------------------------------------ gcd memo
 
 
-def _counting_approx_gcd(monkeypatch):
-    import spectralcurves.invariants as inv
-
-    real = inv.approx_gcd
-
-    def counted(p, q, tol=1e-9):
-        counted.calls += 1
-        return real(p, q, tol=tol)
-
-    counted.calls = 0
-    monkeypatch.setattr(inv, "approx_gcd", counted)
-    return counted
-
-
 def test_gcd_memo_is_bitwise_equal_cold_warm_and_cleared():
     coprime = solve_Ba(random_curve(2, 21))
     u = CPoly.from_roots([np.exp(1.2j), np.exp(-1.4j), 0.3])
@@ -178,7 +165,7 @@ def test_gcd_memo_is_bitwise_equal_cold_warm_and_cleared():
 
 
 def test_gcd_memo_does_not_cache_errors(monkeypatch):
-    counted = _counting_approx_gcd(monkeypatch)
+    counted = counting_approx_gcd(monkeypatch)
     zero = CPoly([0.0, 0.0, 0.0])
     for calls in (1, 2):
         with pytest.raises(ValidationError, match="zero polynomials"):
@@ -189,7 +176,7 @@ def test_gcd_memo_does_not_cache_errors(monkeypatch):
 def test_classify_computes_one_gcd_per_basis(monkeypatch):
     basis = solve_Ba(random_curve(2, 22))
     pencil_gcd.cache_clear()
-    counted = _counting_approx_gcd(monkeypatch)
+    counted = counting_approx_gcd(monkeypatch)
     rep = classify(basis.curve, basis)
     assert rep.gcd_degree == 0
     assert counted.calls == 1
@@ -210,6 +197,28 @@ def test_genus_zero_circle_map_is_identity():
     f = circle_map(solve_Ba(build_curve([])))
     z = np.exp(1j * np.linspace(0, 2 * np.pi, 256, endpoint=False))
     assert np.max(np.abs(f(z) - z)) < 1e-9
+
+
+def _handle_bases():
+    for genus, seed in ((1, 0), (2, 1)):
+        for t in (1e-2, 1e-3):
+            for psi in (0.9, 2.0, -2.5):
+                yield attach_handle(random_curve(genus, seed), None, np.exp(1j * psi), t).basis
+
+
+def test_circle_map_matches_derived_pencil_formula():
+    # f~ = u/v from the deflated b1 +- i b2 against -b0/binf of the public
+    # derived pencil.  The two roundings differ by a few eps relative to
+    # the evaluation scale ||v||_1 / |v(z)|, which a zero of v near S^1
+    # (7e-4 from it at genus 4, seed 1) lifts above 1e-12 absolute.
+    z = np.exp(2j * np.pi * np.arange(512) / 512)
+    bases = [solve_Ba(random_curve(g, s)) for g in range(5) for s in range(3)]
+    for basis in bases + list(_handle_bases()):
+        dp = derived_pencil(basis)
+        v = basis.b1 - basis.b2 * 1j
+        scale = np.maximum(1.0, np.sum(np.abs(v.coeffs)) / np.abs(v(z)))
+        gap = np.abs(circle_map(basis)(z) + dp.b0(z) / dp.binf(z))
+        assert np.max(gap / scale) < 1e-12
 
 
 # ------------------------------------------------------ window seeding

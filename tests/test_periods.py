@@ -147,6 +147,15 @@ def test_quadrature_budget_is_enforced():
         solve_Ba(CURVE_G2, quad=QuadConfig(nodes=8, tol=1e-15, max_doublings=0))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"nodes": 0}, {"nodes": -4}, {"nodes": 8.0}, {"tol": 0.0}, {"tol": -1.0},
+    {"tol": float("nan")}, {"tol": float("inf")}, {"max_doublings": -1},
+])
+def test_quad_config_refuses_bad_settings(kwargs):
+    with pytest.raises(ValidationError, match="quadrature needs"):
+        QuadConfig(**kwargs)
+
+
 def test_non_real_probe_rejected():
     with pytest.raises(ValidationError, match="reversal-real"):
         a_periods(CURVE_G1, CPoly([1.0], degree=2))
