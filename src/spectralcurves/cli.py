@@ -91,8 +91,12 @@ def _load_spec(cfg, what):
         raise ValidationError("--spec %s is not JSON: %s" % (cfg.spec, exc))
 
 
-def _load_curve(cfg):
-    curve = curve_from_dict(_load_spec(cfg, "a curve record file is needed"))
+def _load_curve(cfg, data=None):
+    """The curve of ``data`` (by default the --spec file), rebuilt at --tol
+    when that is given."""
+    if data is None:
+        data = _load_spec(cfg, "a curve record file is needed")
+    curve = curve_from_dict(data)
     if cfg.tol is not None:
         curve = build_curve(curve.eta, tol=cfg.tol)
     return curve
@@ -540,8 +544,7 @@ def cmd_gr(cfg):
     if "M" in data:
         plane = plane_from_dict(data)
     elif "eta" in data:
-        curve = curve_from_dict(data)
-        plane = B_map(curve, quad=cfg.quad)
+        plane = B_map(_load_curve(cfg, data), quad=cfg.quad)
     else:
         raise ValidationError(
             "record needs either an 'M' matrix (plane) or an 'eta' list "

@@ -8,9 +8,9 @@ unit circle, and the polynomial
 
 is reversal-real (see :mod:`spectralcurves.polyring`), has unimodular top
 coefficient, and is positive on the unit circle after dividing by lambda^g.
-This module owns curve construction/validation, square-root sheet tracking
-along paths, and the geometric realization of a homology basis built from
-radial branch cuts.
+This module owns curve construction/validation, the continuation of the
+square root along sampled paths, and the radial-cut layout of a homology
+basis that the period engine integrates over.
 """
 
 import json
@@ -237,11 +237,19 @@ def curve_from_dict(data):
         eta = [complex(re, im) for re, im in data["eta"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("curve record needs an 'eta' list of [re, im] pairs: %s" % exc)
-    if "genus" in data and int(data["genus"]) != len(eta):
+    try:
+        genus = int(data.get("genus", len(eta)))
+    except (TypeError, ValueError):
+        raise ValidationError("curve record 'genus' must be an integer, got %r" % data["genus"])
+    try:
+        tol = float(data.get("tol", DEFAULT_TOL))
+    except (TypeError, ValueError):
+        raise ValidationError("curve record 'tol' must be a number, got %r" % data["tol"])
+    if genus != len(eta):
         raise ValidationError(
             "curve record genus %s does not match %d roots" % (data["genus"], len(eta))
         )
-    return build_curve(eta, tol=float(data.get("tol", DEFAULT_TOL)))
+    return build_curve(eta, tol=tol)
 
 
 def curve_from_json(text):
@@ -253,87 +261,8 @@ def curve_to_json(curve):
 
 
 # ---------------------------------------------------------------------------
-# sheet tracking
+# square-root continuation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SheetPath:
-    """A lift of a lambda-plane polyline to the curve.
-
-    ``y_values[k]`` squares to ``points[k] * a(points[k])``; consecutive
-    values are the continuous square-root continuation.
-    """
-
-    points: np.ndarray
-    y_values: np.ndarray
-    seed_sign: int
-
-    @property
-    def closed(self):
-        scale = max(1.0, float(np.max(np.abs(self.points))))
-        return abs(self.points[0] - self.points[-1]) < 1e-12 * scale
-
-    @property
-    def sign_flip(self):
-        """-1 if a closed path returns on the opposite sheet, else +1."""
-        s = self.y_values[-1] / self.y_values[0]
-        return -1 if s.real < 0 else 1
-
-    def __len__(self):
-        return len(self.points)
-
-
-_MAX_REFINE_PASSES = 40
-
-
-def _refine_polyline(curve, pts):
-    """Insert midpoints until arg(lambda*a) moves < pi/2 between neighbours."""
-    pts = list(pts)
-    for _ in range(_MAX_REFINE_PASSES):
-        w = curve.w(np.asarray(pts))
-        if np.any(w == 0):
-            raise ResolutionError("path passes through a branch point; sheet is ambiguous there")
-        ratio = w[1:] / w[:-1]
-        bad = np.nonzero((ratio.real <= 0) | (np.abs(np.angle(ratio)) >= 0.5 * np.pi))[0]
-        if len(bad) == 0:
-            return np.asarray(pts, dtype=complex)
-        for k in reversed(bad):
-            pts.insert(k + 1, 0.5 * (pts[k] + pts[k + 1]))
-        if len(pts) > 2_000_000:
-            break
-    raise ResolutionError(
-        "sheet tracking did not resolve after %d refinement passes; "
-        "the path runs too close to a branch point" % _MAX_REFINE_PASSES
-    )
-
-
-def y_along(curve, path, seed_sign=1):
-    """Continue y = sqrt(lambda * a(lambda)) along a polyline.
-
-    Parameters
-    ----------
-    curve : SpectralCurve
-    path : sequence of complex
-        Polyline vertices; segments are refined adaptively so that the
-        argument of lambda*a(lambda) turns by less than pi/2 per step.
-    seed_sign : {+1, -1}
-        The start value is seed_sign * principal sqrt of lambda*a at the
-        first vertex (principal branch cut along the negative real axis).
-
-    Returns
-    -------
-    SheetPath
-    """
-    if seed_sign not in (1, -1):
-        raise ValidationError("seed_sign must be +1 or -1")
-    pts = np.asarray(list(path), dtype=complex)
-    if pts.ndim != 1 or len(pts) < 2:
-        raise ValidationError("path must contain at least two vertices")
-    pts = _refine_polyline(curve, pts)
-    w = curve.w(pts)
-    y = continue_sqrt(w, seed_sign * np.sqrt(w[0]))
-    return SheetPath(points=pts, y_values=y, seed_sign=seed_sign)
-
 
 def continue_sqrt(values, seed):
     """Track a square root along precomputed samples of its square.
@@ -361,22 +290,20 @@ def continue_sqrt(values, seed):
 # homology realization
 # ---------------------------------------------------------------------------
 
-def _circle_polyline(radius, start_angle, n=256):
-    th = start_angle + np.linspace(0.0, 2.0 * np.pi, n + 1)
-    return radius * np.exp(1j * th)
-
-
 @dataclass(frozen=True)
 class Homology:
-    """Concrete homology representatives for a curve's radial cut system.
+    """Radial-cut layout of a homology basis, as the period engine reads it.
 
-    A_j is a closed racetrack loop around the j-th cut (root to its circle
-    reflection), realized on one global sheet.  B_j is a lasso: out from the
-    branch point eta_j to the origin service circle, once around that circle
-    (crossing the base cut, hence switching sheets), and back along the same
-    segment on the other sheet.  gamma(lambda0) is the same detour shape
-    launched from a regular point on the unit circle; it joins the two
-    points of the curve over lambda0.
+    A_j encircles the j-th cut (root eta_j to its circle reflection); the
+    engine integrates it along the cut itself.  ``wedge_half_angle`` and
+    ``radial_margin`` bound the wedge around the cut that no other branch
+    point enters, which sizes the layout's refusals and B-leg nudges and
+    holds a racetrack loop around the cut.  B_j is a lasso: the leg :meth:`b_leg` from the branch
+    point eta_j to the origin service circle, once around that circle from
+    angle ``leg_angles[j]`` (crossing the base cut, hence switching
+    sheets), and back along the leg on the other sheet.  gamma(lambda0) is
+    the same detour launched along :meth:`gamma_leg` from a regular point
+    on the unit circle; it joins the two points of the curve over lambda0.
 
     Intersection numbers A_i . B_j = +/- delta_ij hold by construction of
     the layout; they are not recomputed numerically.
@@ -387,67 +314,16 @@ class Homology:
     radial_margin: tuple      # per cut: (inner_radius, outer_radius)
     leg_angles: tuple         # per cut: direction of the B-lasso leg target
 
-    # -- A cycles ----------------------------------------------------------
-
-    def a_loop(self, j, points_per_arc=64):
-        """Closed racetrack polyline around cut j (clockwise as laid out)."""
-        c = self.curve
-        th = c.cut_angles[j]
-        dlt = self.wedge_half_angle[j]
-        rin, rout = self.radial_margin[j]
-        arc_in = rin * np.exp(1j * (th + np.linspace(-dlt, dlt, points_per_arc)))
-        arc_out = rout * np.exp(1j * (th + np.linspace(dlt, -dlt, points_per_arc)))
-        loop = np.concatenate([arc_in, arc_out, arc_in[:1]])
-        return loop
-
-    def a_cycle(self, j, seed_sign=1):
-        """A_j as a tracked SheetPath (closes with sign +1: the racetrack
-        encircles both endpoints of the cut, so y has trivial monodromy)."""
-        return y_along(self.curve, self.a_loop(j), seed_sign=seed_sign)
-
-    # -- B cycles ----------------------------------------------------------
-
     def b_leg(self, j):
         """Straight segment from eta_j to the service circle (endpoints)."""
         c = self.curve
         return c.eta[j], c.r0 * np.exp(1j * self.leg_angles[j])
-
-    def b_lasso(self, j, offset=1e-6, points_per_leg=64):
-        """Polyline realization of B_j beginning just off the branch point.
-
-        The true cycle passes through eta_j itself where the two sheets
-        meet; for sheet-tracked demonstrations the start is offset by
-        ``offset`` along the leg.  A closed-loop traversal flips sheet.
-        """
-        start, target = self.b_leg(j)
-        direction = (target - start) / abs(target - start)
-        p0 = start + offset * direction
-        leg = np.linspace(p0, target, points_per_leg)
-        circ = _circle_polyline(self.curve.r0, self.leg_angles[j], 256)
-        return np.concatenate([leg, circ[1:], leg[::-1][1:]])
-
-    def b_cycle(self, j, seed_sign=1):
-        return y_along(self.curve, self.b_lasso(j), seed_sign=seed_sign)
-
-    # -- Sym path ----------------------------------------------------------
 
     def gamma_leg(self, lam0):
         """Endpoints of the straight detour lambda0 -> service circle."""
         lam0 = complex(lam0)
         self._check_gamma_clearance(lam0)
         return lam0, self.curve.r0 * lam0 / abs(lam0)
-
-    def gamma_path(self, lam0, points_per_leg=64):
-        """Full polyline over which y flips sheet: leg + circle + leg back."""
-        start, target = self.gamma_leg(lam0)
-        leg = np.linspace(start, target, points_per_leg)
-        th = math.atan2(target.imag, target.real)
-        circ = _circle_polyline(self.curve.r0, th, 256)
-        return np.concatenate([leg, circ[1:], leg[::-1][1:]])
-
-    def gamma(self, lam0, seed_sign=1):
-        """gamma(lambda0) as a SheetPath from (lambda0, y0) to (lambda0, -y0)."""
-        return y_along(self.curve, self.gamma_path(lam0), seed_sign=seed_sign)
 
     def _check_gamma_clearance(self, lam0):
         c = self.curve

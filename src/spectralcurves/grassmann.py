@@ -72,7 +72,10 @@ class GrPlane:
         g = int(self.genus)
         if g < 0:
             raise ValidationError("genus must be nonnegative")
-        m = np.asarray(self.M, dtype=float).reshape(g, 2)
+        try:
+            m = np.asarray(self.M, dtype=float).reshape(g, 2)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("plane matrix 'M' must be a %d x 2 matrix of real numbers: %s" % (g, exc))
         if not np.all(np.isfinite(m)):
             raise ValidationError("plane matrix has non-finite entries")
         m.setflags(write=False)
@@ -98,7 +101,7 @@ def plane_basis(plane):
     return CPoly(c1[0]), CPoly(c2[0])
 
 
-def plane_from_pencil(b1, b2, tol=1e-9):
+def plane_from_pencil(b1, b2):
     """Read any spanning pair of a plane into graph coordinates.
 
     The pair is recombined over the reals so the values at zero become
@@ -114,7 +117,11 @@ def plane_to_dict(plane):
 
 
 def plane_from_dict(data):
-    return GrPlane(int(data["genus"]), np.asarray(data["M"], dtype=float))
+    try:
+        genus = int(data["genus"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError("plane record needs an integer 'genus': %s" % exc)
+    return GrPlane(genus, data.get("M"))
 
 
 def plane_to_json(plane):

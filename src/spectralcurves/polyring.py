@@ -30,7 +30,6 @@ __all__ = [
     "roots",
     "approx_gcd",
     "resultant",
-    "real_dim",
     "real_coords",
     "real_place",
     "real_place_coeffs",
@@ -347,11 +346,6 @@ def resultant(p: CPoly, q: CPoly, tol=1e-9) -> complex:
 #
 # so the first two slots always hold the value at lam = 0 and the
 # remaining d - 1 slots are the "middle" coordinates.
-
-
-def real_dim(degree: int) -> int:
-    """Real dimension of the reflection-real polynomials of this degree."""
-    return degree + 1
 
 
 def real_coords(p: CPoly) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 import spectralcurves
 from spectralcurves import cli
 from spectralcurves.cli import _scan_columns, main
-from spectralcurves.curve import build_curve, curve_to_json
+from spectralcurves.curve import build_curve, curve_to_dict, curve_to_json
 from spectralcurves.grassmann import plane_to_json
 
 from conftest import shared_plane
@@ -367,6 +367,40 @@ def test_gr_rejects_unknown_record(tmp_path, capsys):
     assert main(["gr", "--spec", str(spec)]) == 2
     err = capsys.readouterr().err
     assert "M" in err and "eta" in err
+
+
+@pytest.mark.parametrize("command, record, field", [
+    ("gr", {"M": [[-2.0, 0.0]]}, "'genus'"),
+    ("gr", {"genus": 1, "M": "x"}, "'M'"),
+    ("gr", {"genus": 2, "M": [[-2.0, 0.0]]}, "'M'"),
+    ("classify", {"genus": "x", "eta": [[0.5, 0.0]]}, "'genus'"),
+    ("classify", {"eta": [[0.5, 0.0]], "tol": "x"}, "'tol'"),
+])
+def test_malformed_record_fields_exit_2(command, record, field, tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(record))
+    assert main([command, "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "ValidationError" in err and field in err
+
+
+def test_gr_rebuilds_a_curve_spec_at_tol(tmp_path, capsys):
+    # --tol acts on a curve record as if it were the record's own "tol"
+    record = curve_to_dict(build_curve([0.41 + 0.2j, -0.33 - 0.41j]))
+    plain, at_tol, out = (tmp_path / n for n in ("plain.json", "at_tol.json", "gr.json"))
+    plain.write_text(json.dumps(record))
+    at_tol.write_text(json.dumps(dict(record, tol=1e-8)))
+    assert main(["gr", "--tol", "1e-8", "--spec", str(plain), "--out", str(out)]) == 0
+    plane = json.loads(out.read_text())["plane"]
+    assert main(["gr", "--spec", str(at_tol), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["plane"] == plane
+    # a tolerance below the curve's own rounding is refused the same way
+    at_tol.write_text(json.dumps(dict(record, tol=1e-20)))
+    assert main(["gr", "--tol", "1e-20", "--spec", str(plain)]) == 2
+    refusal = capsys.readouterr().err
+    assert main(["gr", "--spec", str(at_tol)]) == 2
+    assert capsys.readouterr().err == refusal
+    assert "reversal-reality" in refusal
 
 
 # ------------------------------------------------ tolerance and quadrature

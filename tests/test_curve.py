@@ -13,12 +13,12 @@ from spectralcurves.curve import (
     curve_to_json,
     homology_cycles,
     rotate_curve,
-    y_along,
 )
 from spectralcurves.errors import ResolutionError, ValidationError
 from spectralcurves.polyring import reality_check
 
 from conftest import sample_eta
+from sheets import a_cycle, a_loop, b_cycle, b_lasso, gamma, y_along
 
 
 def polyline_winding(loop, z0):
@@ -128,7 +128,7 @@ def test_malformed_record_names_field():
 def test_tracked_path_satisfies_curve_equation():
     c = build_curve([0.45 + 0.3j])
     hom = homology_cycles(c)
-    sp = hom.a_cycle(0)
+    sp = a_cycle(hom, 0)
     w = sp.points * c.a(sp.points)
     assert np.max(np.abs(sp.y_values**2 - w)) < 1e-10 * max(1.0, np.max(np.abs(w)))
 
@@ -145,7 +145,7 @@ def test_continue_sqrt_refuses_quarter_turns_and_zeros():
 
 def test_y_along_is_the_continuation_of_curve_values():
     c = build_curve([0.41 + 0.2j, -0.33 - 0.41j])
-    loop = homology_cycles(c).b_lasso(1)
+    loop = b_lasso(homology_cycles(c), 1)
     for sign in (1, -1):
         sp = y_along(c, loop, seed_sign=sign)
         w = c.w(sp.points)
@@ -157,7 +157,7 @@ def test_a_cycle_closes_on_one_sheet():
     c = build_curve([0.45 + 0.3j, -0.3 - 0.35j])
     hom = homology_cycles(c)
     for j in range(c.genus):
-        sp = hom.a_cycle(j)
+        sp = a_cycle(hom, j)
         assert sp.closed
         assert sp.sign_flip == 1
 
@@ -166,7 +166,7 @@ def test_b_lasso_swaps_sheet():
     c = build_curve([0.45 + 0.3j, -0.3 - 0.35j])
     hom = homology_cycles(c)
     for j in range(c.genus):
-        sp = hom.b_cycle(j)
+        sp = b_cycle(hom, j)
         assert sp.closed
         assert sp.sign_flip == -1
 
@@ -175,7 +175,7 @@ def test_gamma_joins_the_two_points_over_lambda0():
     c = build_curve([0.5])
     hom = homology_cycles(c)
     lam0 = np.exp(1.9j)
-    sp = hom.gamma(lam0)
+    sp = gamma(hom, lam0)
     assert abs(sp.points[0] - lam0) < 1e-12
     assert abs(sp.points[-1] - lam0) < 1e-12
     assert abs(sp.y_values[-1] + sp.y_values[0]) < 1e-9 * abs(sp.y_values[0])
@@ -198,7 +198,7 @@ def test_a_loop_encircles_exactly_its_cut():
     c = build_curve([0.45 + 0.3j, -0.3 - 0.35j])
     hom = homology_cycles(c)
     for j in range(c.genus):
-        loop = hom.a_loop(j)
+        loop = a_loop(hom, j)
         assert abs(loop[0] - loop[-1]) < 1e-12
         # one consistent orientation around both endpoints of the cut
         assert polyline_winding(loop, c.eta[j]) == -1

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
 from spectralcurves import periods
-from spectralcurves.curve import build_curve, homology_cycles, y_along
+from spectralcurves.curve import build_curve, homology_cycles
 from spectralcurves.errors import ResolutionError, ValidationError
 from spectralcurves.periods import (
     QuadConfig,
@@ -23,6 +23,7 @@ from spectralcurves.polyring import CPoly, real_coords, reality_check, symmetriz
 from spectralcurves.whitham import attach_handle
 
 from conftest import random_curve
+from sheets import a_loop, gamma_path, y_along
 
 # Magnitude of the A-period of the probe b = lambda on the curve with
 # eta = 1/2, computed from the real elliptic integral
@@ -88,7 +89,7 @@ def simpson_loop_integral(curve, b, loop, seed_sign=1, target=1e-9, max_doubling
 
 def oracle_a_period(curve, b, j, target=1e-9):
     """A-period via the racetrack loop and Simpson: test oracle only."""
-    loop = homology_cycles(curve).a_loop(j)
+    loop = a_loop(homology_cycles(curve), j)
     return simpson_loop_integral(curve, b, loop, target=target)
 
 
@@ -220,7 +221,7 @@ def test_sym_matches_simpson_on_same_detour():
     lam0 = complex(np.exp(2.1j))
     b = probe(curve, [0.3 - 0.2j, 0.0, 0.0, 0.0])
     s = sym_integral(curve, b, lam0)
-    o = simpson_loop_integral(curve, b, hom.gamma_path(lam0))
+    o = simpson_loop_integral(curve, b, gamma_path(hom, lam0))
     assert min(abs(s - o), abs(s + o)) < 1e-8
 
 

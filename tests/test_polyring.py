@@ -10,7 +10,6 @@ from spectralcurves.polyring import (
     _fromroots,
     approx_gcd,
     real_coords,
-    real_dim,
     real_place,
     real_place_coeffs,
     reality_check,
@@ -150,9 +149,7 @@ def test_reflection_real_is_real_on_circle_after_halving():
 
 def test_real_coordinates_roundtrip():
     for d in (1, 2, 3, 5):
-        n = real_dim(d)
-        assert n == d + 1
-        x = np.linspace(-1.0, 1.0, n)
+        x = np.linspace(-1.0, 1.0, d + 1)
         p = real_place(d, x)
         assert reality_check(p)[0]
         assert np.allclose(real_coords(p), x, atol=1e-14)
