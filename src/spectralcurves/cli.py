@@ -78,17 +78,21 @@ def _figure_path(out):
 
 
 def _load_spec(cfg, what):
-    """The parsed JSON of the --spec file; ``what`` names the record kinds
-    it may hold."""
+    """The record (a JSON object) in the --spec file; ``what`` names the
+    record kinds it may hold."""
     if not cfg.spec:
         raise ValidationError("missing --spec: %s" % what)
     try:
         with open(cfg.spec) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise ValidationError("cannot read --spec %s: %s" % (cfg.spec, exc))
     except ValueError as exc:
         raise ValidationError("--spec %s is not JSON: %s" % (cfg.spec, exc))
+    if not isinstance(data, dict):
+        raise ValidationError("--spec %s holds %.40s, not a JSON object: %s"
+                              % (cfg.spec, json.dumps(data), what))
+    return data
 
 
 def _load_curve(cfg, data=None):
@@ -253,7 +257,7 @@ def cmd_classify(cfg):
     curve = _load_curve(cfg)
     quad = cfg.quad
     basis = solve_Ba(curve, quad=quad)
-    rep = classify(curve, basis=basis, tol=cfg.tol or GCD_TOL, quad=quad)
+    rep = classify(curve, basis=basis, tol=cfg.tol or GCD_TOL)
     gap = float(basis.kernel_gap)
     data = {"schema_version": SCHEMA_VERSION,
             "curve": curve_to_dict(curve),
@@ -331,7 +335,7 @@ def _scan_one(args):
     try:
         curve = build_curve(eta, tol=tol) if tol is not None else build_curve(eta)
         basis = solve_Ba(curve, quad=quad)
-        rep = classify(curve, basis=basis, quad=quad)
+        rep = classify(curve, basis=basis)
     except SpectralError as exc:
         row = dict.fromkeys(_scan_columns(genus), "")
         row.update(_eta_cells(eta), index=str(index), genus=str(genus),
@@ -499,8 +503,6 @@ def cmd_flow(cfg):
         print("flow aborted: %s" % exc, file=sys.stderr)
         records = exc.trajectory
         code = exc.exit_code
-    if not records:
-        return code or 3
     rows = _flow_rows(records)
     _write_text(cfg.out, _table("flow", curve.genus, cfg.seed,
                                 _flow_columns(curve.genus), rows))

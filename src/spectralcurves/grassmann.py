@@ -36,7 +36,7 @@ import numpy as np
 
 from .curve import build_curve
 from .errors import InvariantError, ResolutionError, ValidationError
-from .invariants import GCD_TOL, pencil_gcd
+from .invariants import GCD_TOL, _circle_band, pencil_gcd
 from .periods import graph_form, solve_Ba
 from .polyring import CPoly, _sylvester, real_coords, real_place_coeffs
 from .polyring import roots as poly_roots
@@ -73,9 +73,12 @@ class GrPlane:
         if g < 0:
             raise ValidationError("genus must be nonnegative")
         try:
-            m = np.asarray(self.M, dtype=float).reshape(g, 2)
+            m = np.asarray(self.M, dtype=float)
+            if m.shape != (g, 2) and (g or m.size):   # genus 0 takes any empty M
+                raise ValueError("got shape %s" % (m.shape,))
         except (TypeError, ValueError) as exc:
             raise ValidationError("plane matrix 'M' must be a %d x 2 matrix of real numbers: %s" % (g, exc))
+        m = m.reshape(g, 2)
         if not np.all(np.isfinite(m)):
             raise ValidationError("plane matrix has non-finite entries")
         m.setflags(write=False)
@@ -135,10 +138,6 @@ def plane_from_json(text):
 # ---------------------------------------------------------------------------
 # stratification
 # ---------------------------------------------------------------------------
-
-def _circle_band(tol):
-    return max(tol, 1e-8)
-
 
 def gr_classify(plane, tol=GCD_TOL):
     """Common-root data of the plane: validated gcd degree, membership in
@@ -336,7 +335,7 @@ def _directions(dim, samples, rng):
     return np.concatenate([axes, extra])
 
 
-def _quadratic_normals(rho, rho0, mat0, dirs, radius, rel_cut=0.05):
+def _quadratic_normals(rho, rho0, mat0, dirs, radius):
     """Fit rho(M + r v) ~ c + l.v + v^T A v and read normals off A.
 
     The residual vanishes on the stratum and is quadratic in the normal
@@ -362,12 +361,11 @@ def _quadratic_normals(rho, rho0, mat0, dirs, radius, rel_cut=0.05):
     top = max(w[0], 0.0)
     if top <= 0.0:
         return 0, np.zeros((0, d)), w
-    rank = int(np.sum(w > rel_cut * top))
+    rank = int(np.sum(w > 0.05 * top))
     return rank, vecs[:, :rank].T, w
 
 
-def stratum_dimension_probe(plane, radius=1e-3, samples=None, tol=GCD_TOL,
-                            seed=11):
+def stratum_dimension_probe(plane, radius=1e-3, tol=GCD_TOL, seed=11):
     """Estimate the local dimension of the common-root stratum at a plane.
 
     Perturbation matrices are sampled at the given radius in the
@@ -395,13 +393,8 @@ def stratum_dimension_probe(plane, radius=1e-3, samples=None, tol=GCD_TOL,
         raise ValidationError(
             "probe undefined off the common-root stratum "
             "(gcd degree 0 at tol %.1e)" % tol)
-    nfeat = 1 + dim + dim * (dim + 1) // 2
-    if samples is None:
-        samples = 64 if dim == 2 else max(3 * nfeat, 8 * g)
-    elif samples < nfeat:
-        raise ValidationError(
-            "quadratic fit in %d parameters needs at least %d samples"
-            % (dim, nfeat))
+    # three samples per feature of the quadratic fit (constant, linear, quadratic)
+    samples = 64 if dim == 2 else max(3 * (1 + dim + dim * (dim + 1) // 2), 8 * g)
     rng = np.random.default_rng(seed)
     case, clusters = _membership_residuals(plane, tol)
     mat0 = np.asarray(plane.M, dtype=float)
@@ -465,38 +458,38 @@ def stratum_dimension_probe(plane, radius=1e-3, samples=None, tol=GCD_TOL,
 # curves to planes
 # ---------------------------------------------------------------------------
 
-def B_map(curve, quad=None, tol=None):
+def B_map(curve, quad=None):
     """Graph coordinates of a curve's plane: its solved basis's middle blocks."""
-    basis = solve_Ba(curve, quad=quad, tol=tol)
+    basis = solve_Ba(curve, quad=quad)
     x1, x2 = real_coords(basis.b1), real_coords(basis.b2)
     return GrPlane(curve.genus, np.stack([x1[2:], x2[2:]], axis=1))
 
 
-def _rank_with_gap(sv, gap=1e4):
-    """Numerical rank from a singular-value gap of the given factor."""
+def _rank_with_gap(sv):
+    """Numerical rank from a singular-value gap of factor 1e4."""
     sv = np.asarray(sv, dtype=float)
     n = len(sv)
     if n == 0:
         return 0
     if sv[0] == 0.0:
         return 0
-    if sv[-1] > sv[0] / gap:
+    if sv[-1] > sv[0] / 1e4:
         return n
     floor = max(sv[0] * 1e-300, 1e-300)
     ratios = sv[:-1] / np.maximum(sv[1:], floor)
     k = int(np.argmax(ratios))
-    if ratios[k] < gap:
+    if ratios[k] < 1e4:
         return None
     return k + 1
 
 
-def immersion_rank(curve, fd_step=1e-3, quad=None):
+def immersion_rank(curve):
     """Numerical rank of the Jacobian of the curve-to-plane map over the
     2g real root coordinates.
 
-    Central finite differences at fd_step, SVD, and a rank decision by
-    singular-value gap (factor 1e4); the estimate must agree with a rerun
-    at fd_step/2, otherwise "rank not resolved at fd_step" is raised.
+    Central finite differences at step 1e-3 (default quadrature), SVD, and
+    a rank decision by singular-value gap (factor 1e4); the estimate must
+    agree with a rerun at step 5e-4, else "rank not resolved" is raised.
     Full rank 2g certifies the immersion property at this curve.
     """
     g = curve.genus
@@ -509,7 +502,7 @@ def immersion_rank(curve, fd_step=1e-3, quad=None):
 
     def m_of(coords):
         z = coords[0::2] + 1j * coords[1::2]
-        return B_map(build_curve(z, tol=curve.tol), quad=quad).M.ravel()
+        return B_map(build_curve(z, tol=curve.tol)).M.ravel()
 
     def rank_at(h):
         cols = []
@@ -520,12 +513,12 @@ def immersion_rank(curve, fd_step=1e-3, quad=None):
         sv = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)
         return _rank_with_gap(sv), sv
 
-    r1, sv1 = rank_at(fd_step)
-    r2, sv2 = rank_at(fd_step / 2.0)
+    r1, sv1 = rank_at(1e-3)
+    r2, sv2 = rank_at(5e-4)
     if r1 is None or r2 is None or r1 != r2:
         raise ResolutionError(
-            "rank not resolved at fd_step %g (estimates %s and %s; "
+            "rank not resolved at fd_step 0.001 (estimates %s and %s; "
             "singular values %s / %s)"
-            % (fd_step, r1, r2, np.format_float_scientific(sv1[-1], 2),
+            % (r1, r2, np.format_float_scientific(sv1[-1], 2),
                np.format_float_scientific(sv2[-1], 2)))
     return r1

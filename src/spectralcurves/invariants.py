@@ -32,6 +32,11 @@ log = logging.getLogger(__name__)
 GCD_TOL = 1e-6
 
 
+def _circle_band(tol):
+    """Distance from S^1 within which a gcd root at ``tol`` lies on it."""
+    return max(tol, 1e-8)
+
+
 @dataclass(frozen=True)
 class InvariantReport:
     genus: int
@@ -239,7 +244,7 @@ def _root_count(root_sets):
     return counts[0] - counts[1]
 
 
-def classify(curve, basis=None, tol=GCD_TOL, quad=None):
+def classify(curve, basis=None, tol=GCD_TOL):
     """Full invariant report for a curve (basis solved on demand).
 
     Cross-checks the two winding algorithms, the parity and range bounds
@@ -247,7 +252,7 @@ def classify(curve, basis=None, tol=GCD_TOL, quad=None):
     violation raises InvariantError.
     """
     if basis is None:
-        basis = solve_Ba(curve, quad=quad)
+        basis = solve_Ba(curve)
     g = curve.genus
     gcd = pencil_gcd(basis.b1, basis.b2, tol)
     gdeg = gcd.formal_degree
@@ -273,7 +278,7 @@ def classify(curve, basis=None, tol=GCD_TOL, quad=None):
             "winding %d exceeds deg-2 bound for a coprime positive-genus pencil" % w_arg
         )
 
-    on_circle = tuple(z for z in groots if abs(abs(z) - 1.0) <= max(tol, 1e-8))
+    on_circle = tuple(z for z in groots if abs(abs(z) - 1.0) <= _circle_band(tol))
     if gdeg == 0:
         stratum, v_index, lam0 = "V_%d" % w_arg, w_arg, ()
     elif on_circle:

@@ -67,8 +67,12 @@ DEFAULT_QUAD = QuadConfig()
 class PencilBasis:
     """Basis (b1, b2) of the A-period kernel, normalized at lambda = 0.
 
-    b1(0) = 1 and b2(0) = i exactly (graph form); kernel_gap certifies that
-    the kernel of the A-period map had real dimension exactly two.
+    A solved basis is in graph form, b1(0) = 1 and b2(0) = i exactly, so
+    by reversal-reality its top coefficients are exactly 1 and -i, which
+    ``derived_pencil`` relies on.  kernel_gap certifies that the A-period
+    kernel had real dimension exactly two.  The frames ``whitham.flow``
+    carries (kernel_gap nan) are not in graph form; only its tangent
+    selectors see them.
     """
 
     curve: SpectralCurve
@@ -80,12 +84,10 @@ class PencilBasis:
 @dataclass(frozen=True)
 class DerivedPencil:
     """The distinguished pair b0 = b2 - i b1 (top coefficient -2i) and its
-    circle-reflection partner binf, plus the combination coefficients."""
+    circle-reflection partner binf."""
 
     b0: CPoly
     binf: CPoly
-    alpha: complex
-    beta: complex
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +112,7 @@ class PeriodEngine:
     """Caches per-cycle moment vectors and solved bases for one curve and
     quadrature config."""
 
-    def __init__(self, curve, quad=DEFAULT_QUAD):
+    def __init__(self, curve, quad):
         self.curve = curve
         self.quad = quad
         self.homology = homology_cycles(curve)
@@ -334,18 +336,16 @@ def b_periods(curve, b, quad=None):
     return np.asarray([eng.period(eng.b_moments(j), b) for j in range(curve.genus)])
 
 
-def sym_integral(curve, b, lam0, quad=None, seed_sign=1):
+def sym_integral(curve, b, lam0, quad=None):
     """Integral of Theta_b over gamma(lambda0), joining the two points of
     the curve over the unit-circle point lambda0.
 
-    The path starts on the sheet fixed by seed_sign * principal sqrt at
-    lambda0 and ends on the opposite sheet.
+    The path starts on the principal-sqrt sheet at lambda0 and ends on the
+    opposite one; starting on the other sheet only negates the integral.
     """
     b = _as_poly(b)
-    if seed_sign not in (1, -1):
-        raise ValidationError("seed_sign must be +1 or -1")
     eng = get_engine(curve, quad)
-    return seed_sign * eng.period(eng.gamma_moments(lam0), b)
+    return eng.period(eng.gamma_moments(lam0), b)
 
 
 def graph_form(frame):
@@ -413,30 +413,14 @@ def solve_Ba(curve, quad=None, tol=None):
 
 
 def derived_pencil(basis):
-    """Distinguished combination b0 = b2 - i b1 rescaled to top coefficient
-    exactly -2i, and its circle reflection binf (conjugate reversal).
+    """Distinguished combination b0 = b2 - i b1 of a solved basis, and its
+    circle reflection binf (conjugate reversal).
 
-    Under exact normalization the top coefficient of b2 - i b1 already *is*
-    -2i (it equals the conjugate of b2(0) + i b1(0) by reversal-reality),
-    so the rescale only polishes floating-point residue.
+    The basis is in graph form, so the top coefficient of b0 is exactly
+    -2i: by reversal-reality it is the conjugate of b2(0) + i b1(0) = 2i.
     """
     b0 = basis.b2 + basis.b1 * (-1j)
-    top = complex(b0.coeffs[-1])
-    if abs(top) < 1e-8:
-        raise ValidationError(
-            "b0 degenerate: top coefficient %.3e vanishes (numerator degree drop)" % abs(top)
-        )
-    b0 = b0 * (-2j / top)
-    binf = CPoly(np.conj(b0.coeffs[::-1]))
-    z1, z2 = complex(basis.b1(0.0)), complex(basis.b2(0.0))
-    d = z1 * np.conj(z2) - z2 * np.conj(z1)
-    alpha = 2j * z2 / d
-    beta = -2j * z1 / d
-    combo = basis.b1 * complex(alpha) + basis.b2 * complex(beta)
-    mismatch = float(np.max(np.abs(combo.coeffs - b0.coeffs)))
-    if mismatch > 1e-6 * max(1.0, float(np.max(np.abs(b0.coeffs)))):
-        log.warning("alpha/beta combination differs from b0 by %.3e", mismatch)
-    return DerivedPencil(b0=b0, binf=binf, alpha=complex(alpha), beta=complex(beta))
+    return DerivedPencil(b0=b0, binf=CPoly(np.conj(b0.coeffs[::-1])))
 
 
 def phi_map(curve, basis, lam0, quad=None):

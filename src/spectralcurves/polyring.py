@@ -148,8 +148,8 @@ class CPoly:
         return CPoly(p.coeffs / lead)
 
     @staticmethod
-    def from_roots(root_list, lead=1.0, degree=None):
-        return CPoly(lead * _fromroots(root_list), degree=degree)
+    def from_roots(root_list, lead=1.0):
+        return CPoly(lead * _fromroots(root_list))
 
     def __repr__(self):
         return f"CPoly(deg={self.formal_degree}, {np.array2string(self.coeffs, precision=6)})"

@@ -131,13 +131,13 @@ class WhithamTangent:
                  self.a_dot, self.b1_dot, self.b2_dot)
         return max(1.0, max(p.norm_inf() for p in polys))
 
-    def check(self, tol=1e-9):
+    def check(self):
         res = self.residuals()
         s = self.scale()
-        bad = {k: v for k, v in res.items() if v > tol * s}
+        bad = {k: v for k, v in res.items() if v > 1e-9 * s}
         if bad:
             raise ResolutionError(
-                "tangent residuals exceed %g relative: %s" % (tol, bad))
+                "tangent residuals exceed 1e-09 relative: %s" % bad)
         return res
 
 
@@ -192,7 +192,7 @@ def bezout_solve(a, b1, b2, Q, tol=1e-9):
     return c1, c2
 
 
-def whitham_tangent(curve, basis, Q, tol=None):
+def whitham_tangent(curve, basis, Q):
     """Solve the tangent system at (curve; b1, b2) for the given Q.
 
     The linear system for (a_dot, b1_dot, b2_dot) over real coefficient
@@ -200,7 +200,6 @@ def whitham_tangent(curve, basis, Q, tol=None):
     removes the common-rescaling kernel (2 s a, s b1, s b2); for a pencil
     with gcd(a, b1, b2) = 1 the gauged solution is unique.
     """
-    tol = tol if tol is not None else curve.tol
     b1, b2 = basis.b1, basis.b2
     a = curve.a
     g = curve.genus
@@ -212,7 +211,7 @@ def whitham_tangent(curve, basis, Q, tol=None):
                 raise ValidationError(
                     "nonunique tangent: a, b1, b2 share the root %s" % r)
 
-    c1, c2 = bezout_solve(a, b1, b2, Q, tol=max(tol, 1e-9))
+    c1, c2 = bezout_solve(a, b1, b2, Q, tol=max(curve.tol, 1e-9))
 
     dim_a = 2 * g + 1                 # chart of reversal-real degree 2g
     dim_b = b1.formal_degree + 1      # chart of reversal-real degree g+1
@@ -241,7 +240,7 @@ def whitham_tangent(curve, basis, Q, tol=None):
     tangent = WhithamTangent(a=a, b1=b1, b2=b2, a_dot=a_dot,
                              b1_dot=b1_dot, b2_dot=b2_dot,
                              c1=c1, c2=c2, Q=_coerce_Q(Q))
-    tangent.check(tol=1e-9)
+    tangent.check()
     return tangent
 
 
@@ -268,7 +267,7 @@ def rotation_tangent(curve, basis):
     tangent = WhithamTangent(a=a, b1=b1, b2=b2, a_dot=a_dot,
                              b1_dot=b1_dot, b2_dot=b2_dot,
                              c1=b1, c2=b2, Q=_coerce_Q(None))
-    tangent.check(tol=1e-9)
+    tangent.check()
     return tangent
 
 
@@ -423,7 +422,7 @@ class HandleDeformation:
 
     The raw two-factor form (lambda - alpha e^t)(conj(alpha) lambda - e^{-t})
     times the base numerator is negative on the unit circle after dividing
-    by lambda^{g+1}; the stored a_t is the sign-corrected canonical
+    by lambda^{g+1}; ``curve.a`` is the sign-corrected canonical
     representative whose root multiset is the base roots together with the
     in-disc member alpha e^{-t} of the new reflection pair.
     """
@@ -431,11 +430,9 @@ class HandleDeformation:
     alpha: complex
     sqrt_alpha_bar: complex
     t: float
-    a_t: CPoly
     b_t: CPoly
     curve: object
     basis: object            # solved pencil basis of the handle curve
-    base: object
 
 
 def _handle_parameter(t):
@@ -448,38 +445,34 @@ def _handle_parameter(t):
     return t
 
 
-def attach_handle(curve, b, alpha, t, sqrt_choice=1, tol=None, quad=None):
+def attach_handle(curve, b, alpha, t, quad=None):
     """Open a handle: adjoin the branch-point pair alpha e^{-t}, alpha e^{t}.
 
     ``b`` is an element of the vanishing-A-period pencil of the base curve
-    (pass None to use the first solved basis element).  The deformed b_t
-    is the element of the new curve's pencil with
+    (pass None to use the first solved basis element).  The handle curve
+    keeps ``curve.tol``; b_t is the element of its pencil with
 
         b_t(0) = -alpha * sqrt(conj(alpha)) * b(0),
 
-    the square root branch picked by ``sqrt_choice`` (+1 principal).
+    the principal square root; the other branch only negates b_t.
     """
-    tol = tol if tol is not None else curve.tol
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > 1e-12:
         raise ValidationError(
             "handle point must lie on the unit circle, got |alpha| = %.12g"
             % abs(alpha))
-    if sqrt_choice not in (1, -1):
-        raise ValidationError("sqrt_choice must be +1 or -1")
     t = _handle_parameter(t)
     if b is None:
         b = solve_Ba(curve, quad=quad).b1
 
     new_eta = alpha * math.exp(-t)
-    curve_t = build_curve(list(curve.eta) + [new_eta], tol=tol)
+    curve_t = build_curve(list(curve.eta) + [new_eta], tol=curve.tol)
     basis_t = solve_Ba(curve_t, quad=quad)
-    sab = sqrt_choice * complex(np.sqrt(np.conj(alpha)))
+    sab = complex(np.sqrt(np.conj(alpha)))
     z = -alpha * sab * complex(b(0.0))
     b_t = basis_t.b1 * z.real + basis_t.b2 * z.imag
-    return HandleDeformation(alpha=alpha, sqrt_alpha_bar=sab, t=t,
-                             a_t=curve_t.a, b_t=b_t, curve=curve_t,
-                             basis=basis_t, base=curve)
+    return HandleDeformation(alpha=alpha, sqrt_alpha_bar=sab, t=t, b_t=b_t,
+                             curve=curve_t, basis=basis_t)
 
 
 @dataclass(frozen=True)
@@ -608,8 +601,7 @@ def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
     last_exc = None
     for _ in range(12):
         try:
-            deformed = attach_handle(curve, basis.b1, alpha, t_used,
-                                     tol=curve.tol, quad=quad)
+            deformed = attach_handle(curve, basis.b1, alpha, t_used, quad=quad)
             report1 = classify(deformed.curve, deformed.basis, tol=tol)
             if report1.gcd_degree != 0:
                 raise _StratumCollapse(

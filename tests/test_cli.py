@@ -375,6 +375,8 @@ def test_gr_rejects_unknown_record(tmp_path, capsys):
     ("gr", {"genus": 2, "M": [[-2.0, 0.0]]}, "'M'"),
     ("classify", {"genus": "x", "eta": [[0.5, 0.0]]}, "'genus'"),
     ("classify", {"eta": [[0.5, 0.0]], "tol": "x"}, "'tol'"),
+    ("gr", {"genus": 2, "M": [[-2.0, 0.0, 0.5, 0.1]]}, "'M'"),
+    ("gr", {"genus": 1, "M": [[-2.0], [0.0]]}, "'M'"),
 ])
 def test_malformed_record_fields_exit_2(command, record, field, tmp_path, capsys):
     spec = tmp_path / "bad.json"
@@ -382,6 +384,25 @@ def test_malformed_record_fields_exit_2(command, record, field, tmp_path, capsys
     assert main([command, "--spec", str(spec)]) == 2
     err = capsys.readouterr().err
     assert "ValidationError" in err and field in err
+
+
+@pytest.mark.parametrize("command", ["gr", "classify"])
+@pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"x"'])
+def test_spec_that_is_not_a_json_object_exits_2(command, text, tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_text(text)
+    assert main([command, "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError") and "not a JSON object" in err
+
+
+def test_gr_accepts_the_empty_genus_zero_plane(tmp_path):
+    spec, out = tmp_path / "plane.json", tmp_path / "gr.json"
+    spec.write_text(json.dumps({"genus": 0, "M": []}))
+    assert main(["gr", "--spec", str(spec), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["plane"] == {"genus": 0, "M": []}
+    assert data["probe"] is None
 
 
 def test_gr_rebuilds_a_curve_spec_at_tol(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Every name a module exports resolves, so a deleted export cannot linger
-in an ``__all__`` list; every function the traced benchmark wraps exists;
-and the package keeps one implementation of each shared primitive."""
+in an ``__all__`` list; every function the benchmark wraps or calls exists
+and accepts its arguments; and the package keeps one implementation of
+each shared primitive."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import pkgutil
 
@@ -47,3 +49,60 @@ def test_every_traced_benchmark_layer_exists():
         module = importlib.import_module("spectralcurves." + mod)
         for name in names:
             assert callable(getattr(module, name, None)), "spectralcurves.%s.%s" % (mod, name)
+
+
+def _package_names(tree):
+    """Names a perfbench module binds to spectralcurves modules and objects."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "spectralcurves":
+                    bound = alias.name if alias.asname else "spectralcurves"
+                    names[alias.asname or bound] = importlib.import_module(bound)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.partition(".")[0] == "spectralcurves":
+            mod = importlib.import_module(node.module)
+            for alias in node.names:
+                names[alias.asname or alias.name] = getattr(mod, alias.name, None) \
+                    or importlib.import_module(node.module + "." + alias.name)
+    return names
+
+
+def test_every_benchmark_call_into_the_package_binds():
+    # perfbench runs outside tier-1, so a removed or renamed parameter
+    # would only show as a crashed benchmark run: every direct call into
+    # the package must name a function that exists and whose signature
+    # accepts the call's positional count and keyword names
+    bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    checked, bad = [], []
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = _package_names(tree)
+
+        def resolve(expr):
+            if isinstance(expr, ast.Name):
+                return names.get(expr.id)
+            if isinstance(expr, ast.Attribute):
+                owner = resolve(expr.value)
+                if inspect.ismodule(owner) or inspect.isclass(owner):
+                    assert hasattr(owner, expr.attr), "%s:%d: %s.%s" % (
+                        path.name, expr.lineno, owner.__name__, expr.attr)
+                    return getattr(owner, expr.attr)
+            return None
+
+        for node in ast.walk(tree):
+            target = resolve(node.func) if isinstance(node, ast.Call) else None
+            if not callable(target) or inspect.ismodule(target):
+                continue
+            keywords = [k.arg for k in node.keywords]
+            if None in keywords or any(isinstance(a, ast.Starred) for a in node.args):
+                continue    # unpacked arguments: the count is not known here
+            where = "%s:%d %s" % (path.name, node.lineno, ast.unparse(node.func))
+            try:
+                inspect.signature(target).bind(*node.args, **dict.fromkeys(keywords))
+            except TypeError as exc:
+                bad.append("%s: %s" % (where, exc))
+            checked.append(where)
+    assert len(checked) > 20
+    assert bad == []

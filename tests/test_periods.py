@@ -212,6 +212,19 @@ def test_derived_pencil_combinations():
     assert dp.b0.coeffs[-1] == pytest.approx(-2j, abs=1e-12)
 
 
+def test_derived_pencil_needs_no_rescale_on_graph_form_bases():
+    # derived_pencil takes b2 - i b1 as it is: graph form makes its top
+    # coefficient -2i exactly, on solved and on handle bases alike
+    bases = [solve_Ba(random_curve(g, s)) for g in range(5) for s in range(3)]
+    bases += [attach_handle(random_curve(g, s), None, np.exp(1j * psi), t).basis
+              for g, s in ((1, 0), (2, 1)) for t in (1e-2, 1e-3) for psi in (0.9, 2.0, -2.5)]
+    for basis in bases:
+        dp = derived_pencil(basis)
+        assert dp.b0.coeffs[-1] == -2j
+        assert dp.b0 == basis.b2 + basis.b1 * (-1j)
+        assert dp.binf == CPoly(np.conj(dp.b0.coeffs[::-1]))
+
+
 # ------------------------------------------------------------ sym and phi
 
 
