@@ -335,7 +335,7 @@ def _scan_one(args):
     try:
         curve = build_curve(eta, tol=tol) if tol is not None else build_curve(eta)
         basis = solve_Ba(curve, quad=quad)
-        rep = classify(curve, basis=basis)
+        rep = classify(curve, basis=basis, tol=tol or GCD_TOL)
     except SpectralError as exc:
         row = dict.fromkeys(_scan_columns(genus), "")
         row.update(_eta_cells(eta), index=str(index), genus=str(genus),
@@ -651,6 +651,8 @@ def main(argv=None):
     try:
         if cfg.tol is not None and not 0.0 < cfg.tol < math.inf:
             raise ValidationError("--tol must be finite and positive, got %r" % cfg.tol)
+        if cfg.seed < 0:
+            raise ValidationError("--seed must be non-negative, got %d" % cfg.seed)
         quad = {k: v for k, v in (("nodes", cfg.quad_nodes), ("tol", cfg.quad_tol))
                 if v is not None}
         cfg.quad = QuadConfig(**quad) if quad else None

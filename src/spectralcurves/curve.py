@@ -158,6 +158,8 @@ def build_curve(eta, tol=DEFAULT_TOL):
     g = len(eta)
 
     for z in eta:
+        if not np.isfinite(z):
+            raise ValidationError("root %s is not finite" % z)
         r = abs(z)
         if r < 1e-12:
             raise ValidationError("root at origin violates punctured disc")

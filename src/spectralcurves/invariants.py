@@ -6,10 +6,12 @@ The solved pencil (b1, b2) determines a circle map
 
 (-b0/binf of ``periods.derived_pencil`` for a graph-form basis), whose
 degree deg(f) = g+1 - deg gcd(b1, b2) and winding number n classify the
-curve.  The winding is computed twice -- by argument accumulation around
-the circle and by disc-root counting via the argument principle -- and the
-pair must agree; a disagreement is raised, never reported.  Both read the
-same root sets of the deflated u and v, so they are not independent.  Strata:
+curve.  The winding is computed twice from the deflated u and v, and the
+two counts must agree; a disagreement is raised, never reported.  The
+Schur-Cohn recursion counts disc zeros from the coefficients alone
+(``winding_arg``); companion-matrix roots are counted inside S^1
+(``winding_roots``).  They share the two polynomials and nothing else.
+Strata:
 
 * V_j    : coprime pencil, winding j;
 * S      : gcd root on the unit circle (all pencil elements vanish there);
@@ -17,7 +19,6 @@ same root sets of the deflated u and v, so they are not independent.  Strata:
 """
 
 import functools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,6 @@ from numpy.polynomial import polynomial as npoly
 from .errors import InvariantError, ResolutionError, ValidationError
 from .periods import solve_Ba
 from .polyring import CPoly, approx_gcd, roots
-
-log = logging.getLogger(__name__)
 
 GCD_TOL = 1e-6
 
@@ -146,81 +145,50 @@ def circle_map(basis, tol=GCD_TOL):
     return lambda z: num(z) / den(z)
 
 
-_WINDING_SAMPLES = 512
-_MAX_WINDING_PASSES = 40
 _BOUNDARY_TOL = 1e-9
+_DISC_ROUNDING = 64 * np.finfo(float).eps
 
 
-def _roots_or_error(p, tol):
-    """Roots of p, or the typed error that refused them."""
-    try:
-        return roots(p, tol=tol) if p.effective_degree() else np.zeros(0)
-    except (ResolutionError, ValidationError) as exc:
-        return exc
+def _disc_count(p):
+    """Zeros of p in the open unit disc, from its coefficients alone
+    (Schur-Cohn; Henrici, Applied and Computational Complex Analysis I,
+    6.8).  Tp = conj(a0) p - an p* has degree below n = deg p, and N(p)
+    is N(Tp) when |a0| > |an|, n - N(Tp) when |a0| < |an|.  An
+    |a0|^2 - |an|^2 within rounding of zero means a zero on S^1: raised.
+    """
+    a = [complex(c) for c in p.coeffs]
+    if not any(a):
+        raise ValidationError("zero polynomial has no root set")
+    count, sign = 0, 1          # N(p) = count + sign * N(a)
+    while True:
+        while a[-1] == 0:       # exact zeros: a graph-form v ends in one
+            a.pop()
+        n = len(a) - 1
+        if n == 0:
+            return count
+        top = max(map(abs, a))
+        a = [c / top for c in a]
+        a0bar, an = a[0].conjugate(), a[-1]
+        delta = abs(a0bar) ** 2 - abs(an) ** 2
+        if abs(delta) <= _DISC_ROUNDING * n * sum(map(abs, a)) ** 2:
+            raise ResolutionError("winding not resolved; refine or deflate gcd")
+        if delta < 0:
+            count, sign = count + sign * n, -sign
+        a = [a0bar * a[k] - an * a[n - k].conjugate() for k in range(n)]
 
 
 def winding_arg(basis, tol=GCD_TOL):
-    """Winding number of f~ over the unit circle by argument accumulation.
-
-    The grid is refined until each step satisfies two criteria: the
-    principal-value argument increment stays under pi/2, and the step size
-    times the local logarithmic-derivative bound of f~ stays under pi/2.
-    The second criterion matters: a zero/pole pair of f~ hugging the unit
-    circle (a curve near the common-root stratum) swings the phase by a
-    full turn over a window narrower than any fixed grid, which
-    principal-value increments alone cannot see.  The accumulated argument
-    divided by 2 pi must land within 0.25 of an integer.
-    """
-    pair = _deflated_pair(basis, tol)
-    return _winding_arg(*pair, [_roots_or_error(p, basis.curve.tol) for p in pair])
-
-
-def _winding_arg(num, den, seeds):
-    dnum, dden = num.derivative(), den.derivative()
-    theta = np.linspace(0.0, 2.0 * np.pi, _WINDING_SAMPLES, endpoint=True)
-    # seed dense windows where a zero or pole hugs the circle: the full-turn
-    # phase swing of a Blaschke-like pair is narrower than any uniform grid
-    windows = []
-    for rts in seeds:
-        if isinstance(rts, Exception):
-            log.debug("winding window seeding skipped: %s", rts)
-            continue
-        for r in rts:
-            d = abs(abs(r) - 1.0)
-            if 1e-12 < d < 0.1:
-                psi = float(np.angle(r))
-                windows.append(psi + np.linspace(-10.0 * d, 10.0 * d, 161))
-    if windows:
-        extra = np.concatenate(windows) % (2.0 * np.pi)
-        theta = np.unique(np.concatenate([theta, extra]))
-        theta = np.concatenate([theta, [2.0 * np.pi]]) if theta[-1] < 2.0 * np.pi else theta
-    for _ in range(_MAX_WINDING_PASSES):
-        lam = np.exp(1j * theta)
-        nv, dv = num(lam), den(lam)
-        if np.any(nv == 0) or np.any(dv == 0) or not np.all(np.isfinite(nv / dv)):
-            raise ResolutionError("winding not resolved; refine or deflate gcd")
-        vals = nv / dv
-        logder = np.abs(dnum(lam) / nv - dden(lam) / dv)
-        steps = np.angle(vals[1:] / vals[:-1])
-        h = np.diff(theta)
-        lip = h * np.maximum(logder[1:], logder[:-1])
-        bad = np.nonzero((np.abs(steps) >= 0.5 * np.pi) | (lip >= 0.5 * np.pi))[0]
-        if len(bad) == 0:
-            total = float(np.sum(steps))
-            w = total / (2.0 * np.pi)
-            snapped = int(np.rint(w))
-            if abs(w - snapped) >= 0.25:
-                raise ResolutionError("winding not resolved; refine or deflate gcd")
-            return snapped
-        theta = np.sort(np.concatenate([theta, (theta[bad] + theta[bad + 1]) / 2.0]))
-        if len(theta) > 2_000_000:
-            break
-    raise ResolutionError("winding not resolved; refine or deflate gcd")
+    """Winding number of f~ = u/v over the unit circle: the Schur-Cohn
+    disc count of u minus that of v, after gcd deflation.  It solves no
+    roots, so it shares only u and v with ``winding_roots``."""
+    num, den = _deflated_pair(basis, tol)
+    return _disc_count(num) - _disc_count(den)
 
 
 def winding_roots(basis, tol=GCD_TOL):
     """Winding number by the argument principle: disc-root count of
-    u = b1 + i b2 minus that of v = b1 - i b2, after gcd deflation.
+    u = b1 + i b2 minus that of v = b1 - i b2, after gcd deflation, from
+    their companion-matrix roots.
 
     Roots remaining within ``_BOUNDARY_TOL`` of the unit circle after
     deflation make the count ill-posed and raise.  The guard sits a few
@@ -228,15 +196,13 @@ def winding_roots(basis, tol=GCD_TOL):
     but below the ~t^2 circle clearance a handle smoothed with t = 1e-3
     leaves behind, so near-boundary curves still count cleanly.
     """
-    pair = _deflated_pair(basis, tol)
-    return _root_count([_roots_or_error(p, basis.curve.tol) for p in pair])
+    return _root_count(_deflated_pair(basis, tol), basis.curve.tol)
 
 
-def _root_count(root_sets):
+def _root_count(pair, tol):
     counts = []
-    for rts in root_sets:
-        if isinstance(rts, Exception):
-            raise rts
+    for p in pair:
+        rts = roots(p, tol=tol) if p.effective_degree() else np.zeros(0)
         dist = np.abs(np.abs(rts) - 1.0)
         if np.any(dist <= _BOUNDARY_TOL):
             raise InvariantError("boundary root: stratum boundary case")
@@ -259,15 +225,12 @@ def classify(curve, basis=None, tol=GCD_TOL):
     groots = tuple(roots(gcd, tol=curve.tol)) if gdeg > 0 else ()
     df = g + 1 - gdeg
 
-    pair = _deflated_pair(basis, tol)
-    root_sets = [_roots_or_error(p, curve.tol) for p in pair]   # shared by both counts
-    w_arg = _winding_arg(*pair, root_sets)
-    w_roots = _root_count(root_sets)
+    num, den = _deflated_pair(basis, tol)
+    w_arg = _disc_count(num) - _disc_count(den)
+    w_roots = _root_count((num, den), curve.tol)
     if w_arg != w_roots:
-        raise InvariantError(
-            "winding algorithms disagree: argument accumulation %d vs root count %d"
-            % (w_arg, w_roots)
-        )
+        raise InvariantError("winding algorithms disagree: Schur-Cohn count %d "
+                             "vs root count %d" % (w_arg, w_roots))
 
     if (w_arg - df) % 2 != 0:
         raise InvariantError("winding %d and degree %d have different parity" % (w_arg, df))

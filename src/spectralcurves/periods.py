@@ -44,23 +44,20 @@ class QuadConfig:
     """Quadrature configuration shared by all period evaluations.
 
     nodes: starting node count per rule; doubled until two successive
-    estimates agree to relative ``tol`` (at most ``max_doublings`` times).
+    estimates agree to relative ``tol`` (at most ``MAX_DOUBLINGS`` times).
     """
 
     nodes: int = 64
     tol: float = 1e-10
-    max_doublings: int = 8
 
     def __post_init__(self):
-        if not (isinstance(self.nodes, int) and self.nodes >= 1
-                and isinstance(self.max_doublings, int) and self.max_doublings >= 0
-                and 0.0 < self.tol < math.inf):
-            raise ValidationError(
-                "quadrature needs nodes >= 1, max_doublings >= 0 (integers) and a "
-                "finite tol > 0, got %r" % (self,))
+        if not (isinstance(self.nodes, int) and self.nodes >= 1 and 0.0 < self.tol < math.inf):
+            raise ValidationError("quadrature needs nodes >= 1 (an integer) and a "
+                                  "finite tol > 0, got %r" % (self,))
 
 
 DEFAULT_QUAD = QuadConfig()
+MAX_DOUBLINGS = 8
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,7 @@ def _gauss_rule(kind, n):
 
 
 class PeriodEngine:
-    """Caches per-cycle moment vectors and solved bases for one curve and
+    """Caches per-cycle moment vectors and the solved basis for one curve and
     quadrature config."""
 
     def __init__(self, curve, quad):
@@ -117,7 +114,7 @@ class PeriodEngine:
         self.quad = quad
         self.homology = homology_cycles(curve)
         self._moments = {}
-        self.bases = {}
+        self.basis = None
 
     # -- public moment accessors -------------------------------------------
 
@@ -152,7 +149,7 @@ class PeriodEngine:
             return self._moments[key]
         n = self.quad.nodes
         prev, prev_rel = None, None
-        for _ in range(self.quad.max_doublings + 1):
+        for _ in range(MAX_DOUBLINGS + 1):
             try:
                 cur = compute(n)
             except ResolutionError:
@@ -173,7 +170,7 @@ class PeriodEngine:
             n *= 2
         raise ResolutionError(
             "quadrature failed to converge for cycle %s after %d doublings"
-            % (key, self.quad.max_doublings)
+            % (key, MAX_DOUBLINGS)
         )
 
     # -- A: Gauss-Chebyshev across the radial cut ----------------------------
@@ -363,20 +360,19 @@ def graph_form(frame):
     return out
 
 
-def solve_Ba(curve, quad=None, tol=None):
+def solve_Ba(curve, quad=None):
     """Solve for the two-dimensional space of reversal-real b in P^{g+1}
     with vanishing A-periods, in graph form: b1(0) = 1, b2(0) = i exactly.
 
     The A-period map is assembled over the real coordinates of
     reversal-real polynomials (dimension g+2) and its kernel is extracted
     by SVD.  kernel_gap = (smallest kept singular value) / (largest
-    A-period residual of the kernel vectors) must exceed 1e6.  A solved
-    basis is kept per tol on the shared engine of (curve, quad).
+    A-period residual of the kernel vectors) must exceed 1e6.  The solved
+    basis is kept on the shared engine of (curve, quad).
     """
-    tol = tol if tol is not None else curve.tol
     eng = get_engine(curve, quad)
-    if tol in eng.bases:
-        return eng.bases[tol]
+    if eng.basis is not None:
+        return eng.basis
     g = curve.genus
     dim = g + 2  # real dimension of reversal-real polynomials of degree g+1
     chart = real_place_coeffs(g + 1, np.eye(dim))
@@ -404,11 +400,11 @@ def solve_Ba(curve, quad=None, tol=None):
     if g > 0:
         resid = float(np.max(np.abs(np.concatenate([a_periods(curve, b1, quad),
                                                     a_periods(curve, b2, quad)]))))
-        if resid > 1e3 * tol:
+        if resid > 1e3 * curve.tol:
             raise ValidationError("degenerate period map: basis A-period residual %.3e" % resid)
-        if resid > 10 * tol:
+        if resid > 10 * curve.tol:
             log.warning("solved basis A-period residual %.3e", resid)
-    eng.bases[tol] = basis
+    eng.basis = basis
     return basis
 
 

@@ -197,6 +197,25 @@ def test_scan_failure_rows_json(monkeypatch, tmp_path):
     assert data["occupancy"] == {}
 
 
+def test_scan_and_classify_give_one_row_at_tol(monkeypatch, tmp_path):
+    # a handle at t = 1e-4 leaves the pencil roots ~3e-9 apart: the gcd
+    # tolerance decides the stratum, so scan must apply --tol as classify does
+    from conftest import random_curve
+    from spectralcurves.whitham import attach_handle
+
+    curve = attach_handle(random_curve(1, 0), None, np.exp(-3j), 1e-4).basis.curve
+    spec, scan_out, rep_out = (tmp_path / n for n in ("c.json", "scan.csv", "rep.csv"))
+    spec.write_text(curve_to_json(curve))
+    monkeypatch.setattr(cli, "_sample_eta", lambda genus, rng: list(curve.eta))
+    tol = ["--tol", "1e-10", "--format", "csv"]
+    assert main(["scan", "--genus", "2", "--samples", "1", "--out", str(scan_out)] + tol) == 0
+    assert main(["classify", "--spec", str(spec), "--out", str(rep_out)] + tol) == 0
+    scan_row, rep_row = (p.read_text().splitlines()[3] for p in (scan_out, rep_out))
+    assert scan_row == rep_row
+    row = dict(zip(_scan_columns(2), scan_row.split(",")))
+    assert (row["stratum"], row["deg_f"]) == ("V_-1", "3")
+
+
 def test_scan_genus_out_of_range(capsys):
     assert main(["scan", "--genus", "9", "--samples", "2"]) == 2
     assert "genus" in capsys.readouterr().err
@@ -446,6 +465,30 @@ def test_bad_tolerance_and_quadrature_flags_exit_2(argv, g1_spec, tmp_path, caps
     assert main(argv + spec + ["--out", str(out)]) == 2
     assert "ValidationError" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "g1.json"]
+
+
+@pytest.mark.parametrize("command", ["scan", "classify", "flow", "deform", "gr"])
+def test_negative_seed_exits_2_before_any_work(command, g1_spec, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    args = {"scan": ["--genus", "2", "--samples", "2"],
+            "deform": ["--spec", g1_spec, "--alpha-angle", "0.9"]}
+    argv = [command] + args.get(command, ["--spec", g1_spec])
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    assert "ValidationError: --seed must be non-negative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "g1.json"]
+
+
+@pytest.mark.parametrize("root", [["NaN", 0.0], [0.3, "NaN"]])
+def test_non_finite_root_is_refused_by_name(root, tmp_path, capsys):
+    import warnings
+
+    spec = tmp_path / "nan.json"
+    spec.write_text('{"eta": [[%s, %s]]}' % tuple(root))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["classify", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError: root (") and "is not finite" in err
 
 
 # ---------------------------------------------------------------- --format

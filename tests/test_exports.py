@@ -71,9 +71,10 @@ def _package_names(tree):
 
 def test_every_benchmark_call_into_the_package_binds():
     # perfbench runs outside tier-1, so a removed or renamed parameter
-    # would only show as a crashed benchmark run: every direct call into
-    # the package must name a function that exists and whose signature
-    # accepts the call's positional count and keyword names
+    # would only show as a crashed benchmark run: every call into the
+    # package, direct or forwarded by ``workloads.timed(fn, *args)``, must
+    # name a function that exists and whose signature accepts the call's
+    # positional count and keyword names
     bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
     checked, bad = [], []
     for path in sorted(bench.glob("*.py")):
@@ -92,15 +93,20 @@ def test_every_benchmark_call_into_the_package_binds():
             return None
 
         for node in ast.walk(tree):
-            target = resolve(node.func) if isinstance(node, ast.Call) else None
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if isinstance(func, ast.Name) and func.id == "timed" and args:
+                func, args = args[0], args[1:]    # workloads.timed(fn, *args)
+            target = resolve(func)
             if not callable(target) or inspect.ismodule(target):
                 continue
             keywords = [k.arg for k in node.keywords]
-            if None in keywords or any(isinstance(a, ast.Starred) for a in node.args):
+            if None in keywords or any(isinstance(a, ast.Starred) for a in args):
                 continue    # unpacked arguments: the count is not known here
-            where = "%s:%d %s" % (path.name, node.lineno, ast.unparse(node.func))
+            where = "%s:%d %s" % (path.name, node.lineno, ast.unparse(func))
             try:
-                inspect.signature(target).bind(*node.args, **dict.fromkeys(keywords))
+                inspect.signature(target).bind(*args, **dict.fromkeys(keywords))
             except TypeError as exc:
                 bad.append("%s: %s" % (where, exc))
             checked.append(where)

@@ -221,28 +221,65 @@ def test_circle_map_matches_derived_pencil_formula():
         assert np.max(gap / scale) < 1e-12
 
 
-# ------------------------------------------------------ window seeding
+# ------------------------------------------------- Schur-Cohn disc count
 
 
-def test_winding_window_seeding_skips_only_typed_root_failures(monkeypatch):
+def test_winding_arg_solves_no_roots_and_winding_roots_reraises(monkeypatch):
     import spectralcurves.invariants as inv
 
     basis = solve_Ba(random_curve(2, 12))
-    expected = winding_arg(basis)
+    expected = winding_roots(basis)
+    assert expected == -1
 
-    def unresolved(p, tol=1e-9):
-        raise ResolutionError("root set not resolved")
+    for exc in (ResolutionError("root set not resolved"),
+                TypeError("not a typed resolution failure")):
+        def failing(p, tol=1e-9, exc=exc):
+            raise exc
 
-    monkeypatch.setattr(inv, "roots", unresolved)
-    # seeding is an accelerator: without it the refined grid still counts
-    assert winding_arg(basis) == expected
+        monkeypatch.setattr(inv, "roots", failing)
+        # the disc count reads coefficients only; the root count re-raises
+        assert winding_arg(basis) == expected
+        with pytest.raises(type(exc), match=str(exc)):
+            winding_roots(basis)
 
-    def broken(p, tol=1e-9):
-        raise TypeError("not a typed resolution failure")
 
-    monkeypatch.setattr(inv, "roots", broken)
-    with pytest.raises(TypeError, match="not a typed"):
-        winding_arg(basis)
+def test_near_circle_zero_pole_pair_counts_one():
+    # a zero of u just inside S^1 and one of v just outside, 1e-7 off the
+    # circle and 1e-7 rad apart: f~ swings a full turn over a ~1e-7 arc
+    u = CPoly.from_roots([(1.0 - 1e-7) * np.exp(1j)])
+    v = CPoly.from_roots([(1.0 + 1e-7) * np.exp(1j * (1.0 + 1e-7))])
+    pb = synthetic_pencil(u, v)
+    assert winding_arg(pb) == winding_roots(pb) == 1
+
+
+def test_zero_on_the_circle_is_refused_by_the_disc_count():
+    u = CPoly.from_roots([np.exp(1.1j), 0.3])
+    v = CPoly.from_roots([0.7, 1.6])
+    with pytest.raises(ResolutionError, match="winding not resolved"):
+        winding_arg(synthetic_pencil(u, v))
+
+
+def test_disc_count_refuses_the_zero_polynomial():
+    from spectralcurves.invariants import _disc_count
+
+    with pytest.raises(ValidationError, match="zero polynomial"):
+        _disc_count(CPoly([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_disc_count_matches_companion_roots(degree):
+    from spectralcurves.invariants import _disc_count
+
+    rng = np.random.default_rng(400 + degree)
+    for _ in range(60):
+        r = np.exp(rng.uniform(-1.5, 1.5, degree)) * np.exp(2j * np.pi * rng.uniform(size=degree))
+        r = np.where(np.abs(np.abs(r) - 1.0) < 1e-6, 2.0 * r, r)
+        lead = complex(*rng.normal(size=2))
+        p = CPoly.from_roots(r) * lead if degree else CPoly([lead])
+        # zero trailing coefficients (formal degree above the true one) are legal
+        p = CPoly(p.coeffs, degree=degree + int(rng.integers(2)))
+        want = int(np.sum(np.abs(roots(p)) < 1.0))
+        assert _disc_count(p) == want == int(np.sum(np.abs(r) < 1.0))
 
 
 # ------------------------------------------------- one root solve per direction
