@@ -13,8 +13,9 @@ with adaptive node doubling:
   behaviour of 1/y is absorbed by Gauss-Chebyshev weights.
 * B-cycles are lassos from a branch point to the origin service circle;
   the single square-root endpoint is absorbed by Gauss-Jacobi (0, -1/2)
-  weights, the circle part uses Gauss-Legendre with a periodic square-root
-  factor tracked explicitly.
+  weights (the 2n-point Gauss-Legendre rule mapped by x = 2 s^2 - 1, s > 0,
+  weights 2 sqrt(2) w: exact to degree 2n - 1), the circle part uses
+  Gauss-Legendre with a periodic square-root factor tracked explicitly.
 * Sym paths gamma(lambda0) use the same lasso shape from a regular point,
   all-Legendre.
 
@@ -30,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .curve import SpectralCurve, continue_sqrt, homology_cycles
 from .errors import ResolutionError, ValidationError
@@ -97,9 +97,34 @@ def _principal_sqrt(z):
 
 @functools.lru_cache(maxsize=64)
 def _gauss_rule(kind, n):
-    """Read-only nodes and weights of the n-point Gauss-Jacobi (0, -1/2)
-    ("jacobi") or Gauss-Legendre ("legendre") rule on [-1, 1]."""
-    x, w = roots_jacobi(n, 0.0, -0.5) if kind == "jacobi" else roots_legendre(n)
+    """Read-only ascending nodes and weights of the n-point Gauss-Jacobi
+    (0, -1/2) ("jacobi") or Gauss-Legendre ("legendre") rule on [-1, 1].
+
+    Newton steps on the Legendre recurrence from Tricomi's estimate; each
+    pass's weights 2 / ((1 - x^2) P'(x)^2) are corrected to first order for
+    its step, so they belong to the root, not to its rounded node.
+    """
+    m = 2 * n if kind == "jacobi" else n
+    k = np.arange((m + 1) // 2, 0, -1)
+    x = (1 - (m - 1) / (8 * m**3)) * np.cos(np.pi * (4 * k - 1) / (4 * m + 2))
+    for _ in range(6):
+        p0, p1 = np.ones_like(x), x
+        for j in range(1, m):
+            t = x * p1
+            p0, p1 = p1, t + (t - p0) * (j / (j + 1))
+        s = (1 - x) * (1 + x)
+        dp = m * (p0 - x * p1) / s
+        dx = p1 / dp
+        w = 2 / (s * dp * dp) * (1 + 2 * x * dx / s)
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-14:    # quadratic: x is now at rounding level
+            break
+    else:
+        raise ResolutionError("Newton did not converge for the %d-point rule" % m)
+    if kind == "jacobi":
+        x, w = 2 * x * x - 1, 2 * math.sqrt(2) * w
+    else:
+        x, w = np.concatenate([-x[m % 2:][::-1], x]), np.concatenate([w[m % 2:][::-1], w])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

@@ -29,6 +29,7 @@ genus by one while shifting the degree and winding of the unimodular
 circle map in a controlled way.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -570,6 +571,21 @@ def _new_critical_pair(crit0, crit1, psi, t_used):
     return tuple(psi + z1[np.argsort(np.abs(z1), kind="stable")[:2]])
 
 
+@functools.lru_cache(maxsize=32)
+def _base_map(basis, tol):
+    """Classification, deflated pair and critical angles of a handle check's
+    base map, shared by every alpha and t checked on one (basis, tol)."""
+    report = classify(basis.curve, basis, tol=tol)
+    if report.gcd_degree != 0:
+        raise ValidationError(
+            "handle check requires a coprime pencil (gcd degree 0), got %d"
+            % report.gcd_degree)
+    pair = _deflated_pair(basis, tol)
+    crit = _critical_angles(*pair)
+    crit.setflags(write=False)
+    return report, pair, crit
+
+
 def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
     """Verify the degree/winding laws of a handle attachment.
 
@@ -583,12 +599,7 @@ def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
     alpha = complex(alpha)
     t_used = _handle_parameter(t)
     basis = solve_Ba(curve, quad=quad)
-    report0 = classify(curve, basis, tol=tol)
-    if report0.gcd_degree != 0:
-        raise ValidationError(
-            "handle check requires a coprime pencil (gcd degree 0), got %d"
-            % report0.gcd_degree)
-    pair0 = _deflated_pair(basis, tol)
+    report0, pair0, crit0 = _base_map(basis, tol)
     psi = float(np.angle(alpha))
     s_alpha = float(_angular_logslope(*pair0, psi)[0])
     if abs(s_alpha) < 1e-5:
@@ -596,7 +607,6 @@ def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
             "alpha is (numerically) a critical point of the circle map: "
             "angular slope %.3e" % s_alpha)
     sign = 1 if s_alpha > 0 else -1
-    crit0 = _critical_angles(*pair0)
 
     last_exc = None
     for _ in range(12):

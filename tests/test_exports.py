@@ -1,14 +1,18 @@
 """Every name a module exports resolves, so a deleted export cannot linger
 in an ``__all__`` list; every function the benchmark wraps or calls exists
-and accepts its arguments; and the package keeps one implementation of
-each shared primitive."""
+and accepts its arguments; the package keeps one implementation of each
+shared primitive; and it runs on numpy alone, scipy being a test-only
+dependency."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import spectralcurves
 
@@ -35,6 +39,45 @@ def test_products_from_roots_have_one_implementation():
             if name == "polyfromroots":
                 calls.append("%s:%d" % (path.name, node.lineno))
     assert calls == []
+
+
+def test_no_module_imports_scipy():
+    src = pathlib.Path(spectralcurves.__file__).parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "scipy" for name in names):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+
+
+_NO_SCIPY_RUN = """
+import cmath, sys
+from spectralcurves import build_curve, phi_map, solve_Ba
+from spectralcurves.cli import main
+curve = build_curve([0.41 + 0.2j, -0.33 - 0.41j])
+phi_map(curve, solve_Ba(curve), cmath.exp(2.1j))    # Gauss-Jacobi and -Legendre rules
+assert main(["scan", "--genus", "2", "--samples", "4", "--seed", "3",
+             "--out", sys.argv[1]]) == 0
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_periods_and_scan_run_without_loading_scipy(tmp_path):
+    # a fresh interpreter, since this one has scipy loaded by other tests
+    pkg_root = os.path.dirname(os.path.dirname(spectralcurves.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path / "scan.csv")],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_every_traced_benchmark_layer_exists():

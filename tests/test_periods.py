@@ -1,5 +1,6 @@
 """Period engine: kernel solve, independent quadrature oracles, sym map."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import roots_jacobi, roots_legendre
@@ -322,12 +323,46 @@ def test_rational_distance_detects_integer_plane():
 # ------------------------------------------------------------ rule cache
 
 
-@pytest.mark.parametrize("n", [64, 257])
-def test_gauss_rule_is_scipys_rule_shared_read_only(n):
-    for kind, want in (("jacobi", roots_jacobi(n, 0.0, -0.5)),
-                       ("legendre", roots_legendre(n))):
+def _mpmath_weight(kind, n, x0):
+    """40-digit Gauss weight at the root of P_n (Legendre) or of
+    P_n^(0,-1/2) (Jacobi) next to x0, by the textbook formulas
+    w = 2 (1 - x^2) / (n P_{n-1}(x))^2 and w = sqrt(2) / ((1 - x^2) P_n'(x)^2)
+    with P_n' = (n + 1/2)/2 P_{n-1}^(1,1/2).  The secant gets two starting
+    points: from x0 alone it stops short at the last node of n = 257."""
+    with mpmath.workdps(40):
+        if kind == "legendre":
+            r = mpmath.findroot(lambda t: mpmath.legendre(n, t),
+                                (mpmath.mpf(x0), mpmath.mpf(x0) + 1e-18), verify=False)
+            return 2 * (1 - r * r) / (n * mpmath.legendre(n - 1, r)) ** 2
+        r = mpmath.findroot(lambda t: mpmath.jacobi(n, 0, -0.5, t),
+                            (mpmath.mpf(x0), mpmath.mpf(x0) + 1e-18), verify=False)
+        dp = (n + mpmath.mpf(0.5)) / 2 * mpmath.jacobi(n - 1, 1, 0.5, r)
+        return mpmath.sqrt(2) / ((1 - r * r) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
+def test_gauss_rule_is_exact_accurate_shared_read_only(n):
+    eps = np.finfo(float).eps
+    for kind, want_x in (("jacobi", roots_jacobi(n, 0.0, -0.5)[0]),
+                         ("legendre", roots_legendre(n)[0])):
         x, w = _gauss_rule(kind, n)
-        assert np.array_equal(x, want[0]) and np.array_equal(w, want[1])
+        assert np.all(np.diff(x) > 0) and np.max(np.abs(x - want_x)) <= 1e-15
+        # degree 2n - 1: a node one ulp off moves x^k by k ulps, and the
+        # weights and the sum add a few ulps more; the error is measured
+        # against the integral of |integrand|, which is what the sum rounds
+        for k in range(2 * n):
+            if kind == "legendre":
+                got, scale = np.sum(w * x**k), 2.0 / (k + 1)
+                want = scale if k % 2 == 0 else 0.0
+            else:
+                want = scale = 2.0 ** (k + 0.5) / (k + 0.5)
+                got = np.sum(w * (1.0 + x) ** k)
+            assert abs(got - want) <= 8 * (k + 1) * eps * scale, (kind, k)
+        # endpoint weights are where the rounded node makes the weight
+        # formula ill-conditioned (scipy's rule is 5.3e-10 off at n = 257)
+        for i in sorted({0, 1, n // 2, n - 2, n - 1} & set(range(n))):
+            ref = _mpmath_weight(kind, n, x[i])
+            assert abs(w[i] / float(ref) - 1.0) <= 1e-11, (kind, i)
         for arr in (x, w):
             with pytest.raises(ValueError):
                 arr[0] = 0.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spectralcurves import whitham
 from spectralcurves.curve import build_curve
 from spectralcurves.errors import InvariantError, ValidationError
 from spectralcurves.invariants import _deflated_pair, classify
@@ -313,6 +314,25 @@ def test_unresolvable_near_circle_pair_raises():
     pair = _poisson_pair(a0 - 1e-8)
     assert len(_critical_angles(*pair)) == 0
     assert _reference_slope_zeros(_slope(pair), np.linspace(-np.pi, np.pi, 16001)) == []
+
+
+def test_handle_check_classifies_its_base_curve_once(monkeypatch):
+    # the base map's report, deflated pair and critical angles depend on
+    # (basis, tol) alone, so a second alpha on one curve reuses them
+    curve = build_curve([0.5])
+    whitham._base_map.cache_clear()
+    seen = []
+
+    def counting_classify(c, *args, **kwargs):
+        seen.append(c)
+        return classify(c, *args, **kwargs)
+
+    monkeypatch.setattr(whitham, "classify", counting_classify)
+    checks = [handle_invariant_check(curve, complex(np.exp(1j * psi)), 1e-2)
+              for psi in (0.9, 2.3)]
+    assert sum(c == curve for c in seen) == 1
+    assert len(seen) == 1 + len(checks)           # one deformed curve per alpha
+    assert checks[0].winding_before == checks[1].winding_before
 
 
 def test_handle_check_laws_on_one_triple():
