@@ -583,7 +583,7 @@ def _common_parser():
     common.add_argument("--quad-nodes", type=int, default=None,
                         help="starting quadrature node count")
     common.add_argument("--quad-tol", type=float, default=None,
-                        help="quadrature doubling tolerance")
+                        help="quadrature convergence tolerance")
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
     return common
 

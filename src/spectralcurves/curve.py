@@ -85,10 +85,6 @@ class SpectralCurve:
         """All finite nonzero branch points (interior roots then partners)."""
         return self.eta + self.partners
 
-    def w(self, lam):
-        """Evaluate lambda * a(lambda), the function under the square root."""
-        return np.asarray(lam) * self.a(lam)
-
     def __repr__(self):
         return "SpectralCurve(genus=%d, eta=%s)" % (self.genus, list(self.eta))
 
@@ -267,13 +263,10 @@ def curve_to_json(curve):
 # ---------------------------------------------------------------------------
 
 def continue_sqrt(values, seed):
-    """Track a square root along precomputed samples of its square.
-
-    ``values`` are samples of a nonvanishing function along a path and
-    ``seed`` satisfies seed^2 ~ values[0].  Consecutive samples must keep
-    the argument step under pi/2 (raises ResolutionError otherwise, which
-    the period engine treats as "use more nodes").
-    """
+    """Track a square root along samples of its square from ``seed``
+    (seed^2 ~ values[0]) by a running product of principal roots of ratios.
+    A zero or an argument step of pi/2 or more raises ResolutionError,
+    which the period engine treats as "use more nodes"."""
     values = np.asarray(values, dtype=complex)
     if np.any(values == 0):
         raise ResolutionError("square root tracking hit an exact zero")
@@ -286,6 +279,21 @@ def continue_sqrt(values, seed):
     out[0] = seed
     out[1:] = seed * np.cumprod(np.sqrt(ratio))
     return out
+
+
+def track_sqrt(values):
+    """Roots along the last axis of ``values`` (one path per row) from each
+    first sample's principal root, and a per-row flag, False (roots 1, no
+    warning) where a row has a zero or a step of pi/2 in arg.  Signed principal
+    roots keep one rounding; continue_sqrt's running product gains one a step."""
+    root = np.sqrt(np.asarray(values, dtype=complex))
+    # a step under pi/2 in arg turns the root under pi/4, so neighbouring
+    # principal roots point within pi/4 of each other, or apart at a sign flip
+    step = root[..., 1:] * root[..., :-1].conj()
+    ok = np.all(np.abs(step.real) > np.abs(step.imag), axis=-1)
+    root[..., 1:] *= np.cumprod(np.sign(step.real), axis=-1)
+    root[~ok] = 1.0
+    return root, ok
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ All cycle integrals reduce to moment vectors
 so that the period of Theta_b is the dot product of m with the coefficient
 vector of b.  Each Gauss rule is built once per (kind, n) per process, and
 moments once per (curve, quadrature config), by singularity-adapted rules
-with adaptive node doubling:
+refined until two successive estimates agree:
 
 * A-cycles collapse onto the radial cut; the inverse-square-root endpoint
-  behaviour of 1/y is absorbed by Gauss-Chebyshev weights.
+  behaviour of 1/y is absorbed by Gauss-Chebyshev weights, whose rules nest
+  under n -> 3n: one pass over the unsettled A-cycles gives both estimates.
 * B-cycles are lassos from a branch point to the origin service circle;
   the single square-root endpoint is absorbed by Gauss-Jacobi (0, -1/2)
   weights (the 2n-point Gauss-Legendre rule mapped by x = 2 s^2 - 1, s > 0,
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import SpectralCurve, continue_sqrt, homology_cycles
+from .curve import SpectralCurve, continue_sqrt, homology_cycles, track_sqrt
 from .errors import ResolutionError, ValidationError
 from .polyring import CPoly, _as_poly, real_place, real_place_coeffs, reality_check
 
@@ -43,8 +44,9 @@ log = logging.getLogger(__name__)
 class QuadConfig:
     """Quadrature configuration shared by all period evaluations.
 
-    nodes: starting node count per rule; doubled until two successive
-    estimates agree to relative ``tol`` (at most ``MAX_DOUBLINGS`` times).
+    nodes: points of the coarser rule in the first comparison of two estimates,
+    which must agree to relative ``tol``.  B and gamma rules double (at most
+    ``MAX_DOUBLINGS`` times); A rules triple up to ``nodes * 2**MAX_DOUBLINGS``.
     """
 
     nodes: int = 64
@@ -91,10 +93,6 @@ class DerivedPencil:
 # moment engine
 # ---------------------------------------------------------------------------
 
-def _principal_sqrt(z):
-    return complex(np.sqrt(complex(z)))
-
-
 @functools.lru_cache(maxsize=64)
 def _gauss_rule(kind, n):
     """Read-only ascending nodes and weights of the n-point Gauss-Jacobi
@@ -130,21 +128,58 @@ def _gauss_rule(kind, n):
     return x, w
 
 
+def _settle(cur, prev, prev_rel, tol):
+    """Acceptance rule of both refinement loops, per row of moments: the
+    relative change rel, whether ``cur`` is accepted (rel < tol), and
+    whether ``prev`` is kept at the roundoff floor (rel within 10x tol but
+    no longer halving from ``prev_rel``)."""
+    scale = np.maximum(1.0, np.abs(cur).max(axis=-1))
+    rel = np.abs(cur - prev).max(axis=-1) / scale
+    return rel, rel < tol, (rel < 10 * tol) & (rel > 0.5 * prev_rel)
+
+
 class PeriodEngine:
     """Caches per-cycle moment vectors and the solved basis for one curve and
     quadrature config."""
 
     def __init__(self, curve, quad):
-        self.curve = curve
-        self.quad = quad
+        self.curve, self.quad = curve, quad
         self.homology = homology_cycles(curve)
+        pairs = list(zip(curve.eta, curve.partners))   # column j: the other cuts' roots
+        self._others = np.array([np.ravel(pairs[:j] + pairs[j + 1:]) for j in range(curve.genus)],
+                                dtype=complex).T
         self._moments = {}
+        self._a = self.a_nodes = None   # a_nodes: points of each accepted A rule
         self.basis = None
 
     # -- public moment accessors -------------------------------------------
 
+    def a_matrix(self):
+        """The moment vectors of all A-cycles, one row per cycle, from one
+        :meth:`_a_level` pass per level over the cycles still unsettled."""
+        if self._a is not None:
+            return self._a
+        g, n, tol = self.curve.genus, self.quad.nodes, self.quad.tol
+        out, nodes = np.empty((g, g + 2), dtype=complex), np.zeros(g, dtype=int)
+        prev_rel, todo = np.full(g, np.inf), np.arange(g)
+        while todo.size and 3 * n <= self.quad.nodes << MAX_DOUBLINGS:
+            coarse, fine, ok = self._a_level(todo, n)
+            rel, accept, floor = _settle(fine, coarse, prev_rel[todo], tol)
+            done = ok & (accept | floor)
+            for j in todo[done & ~accept]:
+                log.debug("cycle %s settled at roundoff floor", ("A", int(j)))
+            out[todo[done]] = np.where(accept[:, None], fine, coarse)[done]
+            nodes[todo[done]] = np.where(accept, 3 * n, n)[done]
+            prev_rel[todo] = np.where(ok, rel, np.inf)
+            todo, n = todo[~done], 3 * n
+        if todo.size:
+            raise ResolutionError("quadrature failed to converge for cycle %s within %d nodes"
+                                  % (("A", int(todo[0])), self.quad.nodes << MAX_DOUBLINGS))
+        self._a, self.a_nodes = out, nodes
+        return out
+
     def a_moments(self, j):
-        return self._converged(("A", j), lambda n: self._a_moments_n(j, n))
+        return self.a_matrix()[j]
 
     def b_moments(self, j):
         return self._converged(("B", j), lambda n: self._b_moments_n(j, n))
@@ -154,55 +189,47 @@ class PeriodEngine:
         return self._converged(("gamma", lam0), lambda n: self._gamma_moments_n(lam0, n))
 
     def period(self, moments, b):
-        coeffs = self._coeff_vector(b)
-        return complex(np.dot(moments, coeffs))
+        return complex(np.dot(moments, self._coeff_vector(b)))
 
     def _coeff_vector(self, b):
         g = self.curve.genus
         if b.formal_degree > g + 1:
-            raise ValidationError(
-                "numerator degree %d exceeds g+1 = %d" % (b.formal_degree, g + 1)
-            )
+            raise ValidationError("numerator degree %d exceeds g+1 = %d" % (b.formal_degree, g + 1))
         out = np.zeros(g + 2, dtype=complex)
         out[: len(b.coeffs)] = b.coeffs
         return out
 
-    # -- adaptive doubling ---------------------------------------------------
+    # -- refinement: B and gamma double --------------------------------------
 
     def _converged(self, key, compute):
         if key in self._moments:
             return self._moments[key]
         n = self.quad.nodes
-        prev, prev_rel = None, None
+        prev, prev_rel = None, np.inf
         for _ in range(MAX_DOUBLINGS + 1):
             try:
                 cur = compute(n)
             except ResolutionError:
                 cur = None
             if cur is not None and prev is not None:
-                scale = max(1.0, float(np.max(np.abs(cur))))
-                rel = float(np.max(np.abs(cur - prev))) / scale
-                if rel < self.quad.tol:
-                    self._moments[key] = cur
-                    return cur
-                # roundoff floor: no longer improving but within 10x target
-                if prev_rel is not None and rel < 10 * self.quad.tol and rel > 0.5 * prev_rel:
-                    log.debug("cycle %s settled at roundoff floor %.2e", key, rel)
-                    self._moments[key] = prev
-                    return prev
+                rel, accept, floor = _settle(cur, prev, prev_rel, self.quad.tol)
+                if accept or floor:
+                    if not accept:
+                        log.debug("cycle %s settled at roundoff floor %.2e", key, rel)
+                    self._moments[key] = cur if accept else prev
+                    return self._moments[key]
                 prev_rel = rel
             prev = cur
             n *= 2
-        raise ResolutionError(
-            "quadrature failed to converge for cycle %s after %d doublings"
-            % (key, MAX_DOUBLINGS)
-        )
+        raise ResolutionError("quadrature failed to converge for cycle %s after %d doublings"
+                              % (key, MAX_DOUBLINGS))
 
     # -- A: Gauss-Chebyshev across the radial cut ----------------------------
 
     def _deflated_square(self, lam, skip):
         """lead * lambda * prod of (lam - root) over all branch roots except
-        the cut pair ``skip``.
+        the cut pair ``skip``: one cut, or a column of cuts, one per row of
+        ``lam``.
 
         Equals lambda*a(lambda)/((lambda-eta_skip)(lambda-part_skip)) but is
         evaluated as a root product: polyval of ``a`` near its own roots
@@ -210,29 +237,31 @@ class PeriodEngine:
         that noise, divided by the tiny linear factors, used to poison the
         quadrature floor.
         """
-        c = self.curve
-        vals = c.lead * np.asarray(lam, dtype=complex)
-        for k in range(c.genus):
-            if k == skip:
-                continue
-            vals = vals * (lam - c.eta[k]) * (lam - c.partners[k])
+        vals = self.curve.lead * np.asarray(lam, dtype=complex)
+        for root in self._others[:, skip]:
+            vals *= lam - root
         return vals
 
-    def _a_moments_n(self, j, n):
+    def _a_level(self, todo, n):
+        """Coarse (n-point) and fine (3n-point) moments of the A-cycles
+        ``todo`` from one pass over the 3n Gauss-Chebyshev nodes, and a
+        per-cycle flag, False where the square root could not be tracked."""
         c = self.curve
-        eta, part = c.eta[j], c.partners[j]
-        span = part - eta
-        k = np.arange(1, n + 1)
-        x = np.cos((2 * k - 1) * np.pi / (2 * n))
-        lam = eta + span * (x + 1.0) / 2.0
-        # smooth square factor V = lambda*a / ((lambda-eta)(lambda-part));
-        # reference branch is pinned at the regular endpoint lambda = part
-        vref = complex(self._deflated_square(part, j))
-        v = self._deflated_square(lam, j)
-        track = continue_sqrt(np.concatenate([[vref], v]), _principal_sqrt(vref))[1:]
-        powers = np.arange(c.genus + 2)
-        mono = lam[:, None] ** (powers[None, :] - 1)
-        return -2j * (np.pi / n) * np.sum(mono / track[:, None], axis=0)
+        # the smooth square factor V = lambda*a / ((lambda-eta)(lambda-part))
+        # has its branch pinned at the regular endpoint lambda = part, put first
+        x = np.cos((2 * np.arange(1, 3 * n + 1) - 1) * (np.pi / (6 * n)))
+        eta, part = np.asarray(c.eta)[todo, None], np.asarray(c.partners)[todo, None]
+        lam = np.concatenate([part, eta + (part - eta) * ((x + 1.0) / 2.0)], axis=1)
+        track, ok = track_sqrt(self._deflated_square(lam, todo[:, None]))
+        lam, track = lam[:, 1:], track[:, 1:]
+        # lambda^(k-1) / V^(1/2) for k = 0..g+1 by running products, nodes
+        # last so that numpy sums them pairwise
+        terms = np.empty((len(todo), c.genus + 2, 3 * n), dtype=complex)
+        terms[:, 0] = 1.0 / (lam * track)
+        for k in range(1, c.genus + 2):
+            terms[:, k] = terms[:, k - 1] * lam
+        coarse = -2j * (np.pi / n) * np.sum(terms[..., 1::3], axis=-1)
+        return coarse, -2j * (np.pi / (3 * n)) * np.sum(terms, axis=-1), ok
 
     # -- B: Gauss-Jacobi leg + Legendre circle -------------------------------
 
@@ -249,7 +278,7 @@ class PeriodEngine:
         wsq = self._deflated_square(lam, j) * (lam - c.partners[j])
         wend = complex(self._deflated_square(target, j)) * (target - c.partners[j])
         samples = np.concatenate([[wref], wsq, [wend]])
-        track = continue_sqrt(samples, _principal_sqrt(wref))
+        track = continue_sqrt(samples, np.sqrt(complex(wref)))
         u, u_end = track[1:-1], track[-1]
         scale = np.sqrt(complex(target - start) / 2.0)
         powers = np.arange(c.genus + 2)
@@ -295,7 +324,7 @@ class PeriodEngine:
         wref = start * c.a(start)
         wsq = lam * c.a(lam)
         wend = target * c.a(target)
-        track = continue_sqrt(np.concatenate([[wref], wsq, [wend]]), _principal_sqrt(wref))
+        track = continue_sqrt(np.concatenate([[wref], wsq, [wend]]), np.sqrt(complex(wref)))
         y, y_end = track[1:-1], track[-1]
         powers = np.arange(c.genus + 2)
         mono = lam[:, None] ** (powers[None, :] - 1)
@@ -347,8 +376,7 @@ def a_periods(curve, b, quad=None):
     if not ok:
         raise ValidationError("b is not reversal-real (defect %.3e)" % defect)
     eng = get_engine(curve, quad)
-    vals = [eng.period(eng.a_moments(j), b) for j in range(curve.genus)]
-    return _require_real(vals, curve.tol, "A-periods")
+    return _require_real(eng.a_matrix() @ eng._coeff_vector(b), curve.tol, "A-periods")
 
 
 def b_periods(curve, b, quad=None):
@@ -402,9 +430,8 @@ def solve_Ba(curve, quad=None):
     dim = g + 2  # real dimension of reversal-real polynomials of degree g+1
     chart = real_place_coeffs(g + 1, np.eye(dim))
 
-    rows = np.zeros((g, dim))
-    for i in range(g):
-        rows[i] = _require_real(chart @ eng.a_moments(i), curve.tol, "A-period map row %d" % i)
+    rows = np.array([_require_real(chart @ moments, curve.tol, "A-period map row %d" % i)
+                     for i, moments in enumerate(eng.a_matrix())]).reshape(g, dim)
 
     if g == 0:
         kernel = np.eye(dim)

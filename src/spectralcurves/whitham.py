@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .curve import build_curve
+from .curve import _segment_distance, build_curve
 from .errors import InvariantError, ResolutionError, ValidationError
 from .invariants import GCD_TOL, _deflated_pair, classify, pencil_gcd
 from .periods import PencilBasis, b_periods, solve_Ba
@@ -644,6 +644,10 @@ def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
         except _StratumCollapse:
             raise
         except (ValidationError, ResolutionError, InvariantError) as exc:
+            if isinstance(exc, ResolutionError) and any(
+                    _segment_distance(e, p, alpha) < 1e-3
+                    for e, p in zip(curve.eta, curve.partners)):
+                raise   # a cut crowds alpha: halving t moves the handle toward it
             last_exc = exc
             t_used *= 0.5
     raise InvariantError(

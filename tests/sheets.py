@@ -45,6 +45,11 @@ class SheetPath:
         return len(self.points)
 
 
+def y_squared(curve, lam):
+    """lambda * a(lambda), the function under the square root."""
+    return np.asarray(lam) * curve.a(lam)
+
+
 _MAX_REFINE_PASSES = 40
 
 
@@ -52,7 +57,7 @@ def _refine_polyline(curve, pts):
     """Insert midpoints until arg(lambda*a) moves < pi/2 between neighbours."""
     pts = list(pts)
     for _ in range(_MAX_REFINE_PASSES):
-        w = curve.w(np.asarray(pts))
+        w = y_squared(curve, np.asarray(pts))
         if np.any(w == 0):
             raise ResolutionError("path passes through a branch point; sheet is ambiguous there")
         ratio = w[1:] / w[:-1]
@@ -92,7 +97,7 @@ def y_along(curve, path, seed_sign=1):
     if pts.ndim != 1 or len(pts) < 2:
         raise ValidationError("path must contain at least two vertices")
     pts = _refine_polyline(curve, pts)
-    w = curve.w(pts)
+    w = y_squared(curve, pts)
     y = continue_sqrt(w, seed_sign * np.sqrt(w[0]))
     return SheetPath(points=pts, y_values=y, seed_sign=seed_sign)
 

@@ -1,5 +1,7 @@
 """Curve construction, validation, sheet tracking, homology layout."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +15,13 @@ from spectralcurves.curve import (
     curve_to_json,
     homology_cycles,
     rotate_curve,
+    track_sqrt,
 )
 from spectralcurves.errors import ResolutionError, ValidationError
 from spectralcurves.polyring import reality_check
 
 from conftest import sample_eta
-from sheets import a_cycle, a_loop, b_cycle, b_lasso, gamma, y_along
+from sheets import a_cycle, a_loop, b_cycle, b_lasso, gamma, y_along, y_squared
 
 
 def polyline_winding(loop, z0):
@@ -143,12 +146,27 @@ def test_continue_sqrt_refuses_quarter_turns_and_zeros():
         continue_sqrt([1.0, 0.0, 1.0], 1.0)
 
 
+def test_track_sqrt_flags_failed_rows_alone_and_warns_nothing():
+    theta = np.linspace(0.0, 6.0 * np.pi, 200)   # three turns: two sign flips
+    good = 2.0 * np.exp(1j * theta)
+    rows = np.stack([good, good, good])
+    rows[1, 50] = 0.0                  # an exact zero
+    rows[2, 100:] *= 1j                # a quarter turn between samples
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root, ok = track_sqrt(rows)
+    assert ok.tolist() == [True, False, False]
+    assert np.all(root[1:] == 1.0)
+    assert np.max(np.abs(root[0] - np.sqrt(2.0) * np.exp(0.5j * theta))) <= 1e-15
+    assert np.max(np.abs(root[0] - continue_sqrt(good, np.sqrt(good[0])))) <= 1e-13
+
+
 def test_y_along_is_the_continuation_of_curve_values():
     c = build_curve([0.41 + 0.2j, -0.33 - 0.41j])
     loop = b_lasso(homology_cycles(c), 1)
     for sign in (1, -1):
         sp = y_along(c, loop, seed_sign=sign)
-        w = c.w(sp.points)
+        w = y_squared(c, sp.points)
         assert np.array_equal(sp.y_values, continue_sqrt(w, sign * np.sqrt(w[0])))
         assert np.max(np.abs(sp.y_values**2 - w)) < 1e-12 * max(1.0, np.max(np.abs(w)))
 

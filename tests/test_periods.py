@@ -1,5 +1,8 @@
 """Period engine: kernel solve, independent quadrature oracles, sym map."""
 
+import math
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -187,6 +190,116 @@ def test_a_periods_match_simpson_tracker():
         sign = 1.0 if abs(A_one[j] - o_one) < abs(A_one[j] + o_one) else -1.0
         assert A_one[j] == pytest.approx(sign * o_one, abs=2e-9)
         assert A_two[j] == pytest.approx(sign * o_two, abs=2e-9)
+
+
+# ------------------------------------------------- stacked A-cycle levels
+
+# A genus-3 curve whose branch point 0.7 e^{0.0043i} sits 3.0e-3 from cut
+# 0, the segment [0.5, 2]; cuts 1 and 2 see no crowding.
+CURVE_CROWDED = build_curve([0.5, 0.7 * np.exp(0.0043j), 0.6 * np.exp(2.5j)])
+
+
+def gauss_chebyshev_a_moments(curve, j, n):
+    """Moments of A_j by the n-point Gauss-Chebyshev rule, one cycle on its
+    own: the smooth factor as a root product, each root the sign of the
+    principal root nearer the previous one (from the principal root at the
+    outer end of the cut), powers by ``**`` and each sum by math.fsum."""
+    eta, part = curve.eta[j], curve.partners[j]
+    others = [z for k, z in enumerate(curve.branch_points) if k % curve.genus != j]
+
+    def smooth(z):
+        return curve.lead * z * np.prod([z - r for r in others], axis=0)
+
+    x = np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n))
+    lam = eta + (part - eta) * (x + 1.0) / 2.0
+    y, prev = np.sqrt(smooth(lam)), np.sqrt(smooth(part))
+    for i in range(n):
+        if (y[i] * np.conj(prev)).real < 0:
+            y[i] = -y[i]
+        prev = y[i]
+    sums = [lam ** (k - 1.0) / y for k in range(curve.genus + 2)]
+    return np.array([-2j * (np.pi / n) * complex(math.fsum(t.real), math.fsum(t.imag))
+                     for t in sums])
+
+
+def _rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_coarse_estimate_is_the_independent_n_point_rule():
+    # the n-point nodes are every third 3n-point node from index 1, so one
+    # pass gives both estimates of a comparison
+    for curve, levels in ((CURVE_G2, (64, 192)), (random_curve(3, 15), (64, 192)),
+                          (CURVE_CROWDED, (576,))):
+        eng = periods.PeriodEngine(curve, periods.DEFAULT_QUAD)
+        for n in levels:
+            coarse, fine, ok = eng._a_level(np.arange(curve.genus), n)
+            assert ok.all()
+            for j in range(curve.genus):
+                assert _rel(coarse[j], gauss_chebyshev_a_moments(curve, j, n)) <= 1e-15
+                assert _rel(fine[j], gauss_chebyshev_a_moments(curve, j, 3 * n)) <= 1e-15
+
+
+def test_crowded_cycle_triples_alone():
+    eng = periods.PeriodEngine(CURVE_CROWDED, periods.DEFAULT_QUAD)
+    levels = []
+    real = eng._a_level
+    eng._a_level = lambda todo, n: levels.append(list(todo)) or real(todo, n)
+    moments = eng.a_matrix()
+    assert levels[0] == [0, 1, 2] and len(levels) >= 2
+    assert all(todo == [0] for todo in levels[1:])
+    assert eng.a_nodes[0] >= 576 and list(eng.a_nodes[1:]) == [192, 192]
+    for j, n in enumerate(eng.a_nodes):
+        assert _rel(moments[j], gauss_chebyshev_a_moments(CURVE_CROWDED, j, n)) <= 1e-14
+
+
+def test_tracking_failure_holds_back_only_its_own_cycle(monkeypatch):
+    # a cycle whose square root cannot be tracked at one level goes on to
+    # the next; the others are settled by that same pass
+    real = periods.track_sqrt
+    passes = []
+
+    def failing_first_row_once(values):
+        root, ok = real(values)
+        if not passes:
+            ok[0] = False
+        passes.append(len(ok))
+        return root, ok
+
+    monkeypatch.setattr(periods, "track_sqrt", failing_first_row_once)
+    eng = periods.PeriodEngine(CURVE_G2, periods.DEFAULT_QUAD)
+    moments = eng.a_matrix()
+    assert passes == [2, 1] and list(eng.a_nodes) == [576, 192]
+    for j, n in enumerate(eng.a_nodes):
+        assert _rel(moments[j], gauss_chebyshev_a_moments(CURVE_G2, j, n)) <= 1e-14
+
+
+def test_unreachable_tolerance_names_the_a_cycle_without_warning():
+    eng = periods.PeriodEngine(CURVE_G2, QuadConfig(tol=1e-300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResolutionError, match=r"quadrature .* cycle \('A', 0\)"):
+            eng.a_matrix()
+
+
+def test_scan_op_on_a_clear_curve_takes_one_a_pass(monkeypatch):
+    # what a scan op asks of the A-cycles -- the solve, its classification,
+    # the plane and a period check -- is one stacked pass on a curve whose
+    # branch points keep clear of the cuts
+    from spectralcurves.grassmann import B_map
+    from spectralcurves.invariants import classify
+
+    curve = build_curve([0.45, 0.5 * np.exp(1.6j), 0.55 * np.exp(3.1j), 0.4 * np.exp(4.7j)])
+    periods._engine.cache_clear()
+    real = periods.PeriodEngine._a_level
+    passes = []
+    monkeypatch.setattr(periods.PeriodEngine, "_a_level",
+                        lambda self, todo, n: passes.append(n) or real(self, todo, n))
+    basis = solve_Ba(curve)
+    classify(curve, basis)
+    B_map(curve)
+    assert np.max(np.abs(a_periods(curve, basis.b2))) < 1e-9
+    assert passes == [64]
 
 
 def test_near_nodal_curve_stays_resolved():

@@ -5,7 +5,7 @@ import pytest
 
 from spectralcurves import whitham
 from spectralcurves.curve import build_curve
-from spectralcurves.errors import InvariantError, ValidationError
+from spectralcurves.errors import InvariantError, ResolutionError, ValidationError
 from spectralcurves.invariants import _deflated_pair, classify
 from spectralcurves.periods import solve_Ba
 from spectralcurves.polyring import CPoly, real_place, reality_check
@@ -333,6 +333,23 @@ def test_handle_check_classifies_its_base_curve_once(monkeypatch):
     assert sum(c == curve for c in seen) == 1
     assert len(seen) == 1 + len(checks)           # one deformed curve per alpha
     assert checks[0].winding_before == checks[1].winding_before
+
+
+def test_handle_check_refuses_at_once_when_alpha_crowds_a_cut(monkeypatch):
+    # alpha = e^{0.7i} is 1.5e-4 from cut 1 of this curve: every smaller t
+    # only moves the new branch points toward alpha, so the first cut
+    # layout refusal is final and keeps its own type
+    curve = random_curve(2, 34)
+    calls = []
+
+    def counting_attach(*args, **kwargs):
+        calls.append(args[3])
+        return attach_handle(*args, **kwargs)
+
+    monkeypatch.setattr(whitham, "attach_handle", counting_attach)
+    with pytest.raises(ResolutionError, match="cut layout failed"):
+        handle_invariant_check(curve, complex(np.exp(0.7j)), 1e-2)
+    assert calls == [1e-2]
 
 
 def test_handle_check_laws_on_one_triple():
