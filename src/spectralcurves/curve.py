@@ -36,6 +36,9 @@ MIN_ROOT_SEPARATION = 1e-6
 # the origin (the circle is shared by all B-cycle lassos and Sym detours).
 SERVICE_RADIUS_FACTOR = 0.45
 
+# The 512 points of S^1 on which build_curve asserts positivity.
+_CIRCLE_GRID = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False))
+
 
 # ---------------------------------------------------------------------------
 # curve construction
@@ -188,9 +191,7 @@ def build_curve(eta, tol=DEFAULT_TOL):
 
     # positivity of lambda^(-g) a on the unit circle -- automatic for this
     # construction, asserted defensively on a sample grid
-    theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-    circ = np.exp(1j * theta)
-    vals = a(circ) * circ ** (-g)
+    vals = a(_CIRCLE_GRID) * _CIRCLE_GRID ** (-g)
     if np.max(np.abs(vals.imag)) > 1e3 * tol * max(1.0, np.max(np.abs(vals))) or np.min(vals.real) <= 0:
         raise ValidationError("lambda^(-g) a(lambda) is not positive on the unit circle")
 

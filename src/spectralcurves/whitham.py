@@ -32,7 +32,7 @@ circle map in a controlled way.
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -81,16 +81,32 @@ def _times(p, degree, length):
 # tangent algebra
 # ---------------------------------------------------------------------------
 
-def _driver(a, c):
-    """i (2 lambda a c' - a c - lambda a' c): the c-side of the derivative
-    equation."""
-    return ((a * c.derivative()).times_lambda() * 2.0 - a * c
-            - (a.derivative() * c).times_lambda()) * 1j
+def _der(c):
+    """Coefficients of CPoly(c).derivative()."""
+    return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1, complex)
 
 
-def _derivative_residual(a, c, b, a_dot, b_dot):
-    """2 a b_dot - a_dot b - i (2 lambda a c' - a c - lambda a' c)."""
-    return a * b_dot * 2.0 - a_dot * b - _driver(a, c)
+def _lam(c):
+    """Coefficients of CPoly(c).times_lambda()."""
+    return np.concatenate([[0.0 + 0.0j], c])
+
+
+def _sum(*terms):
+    """Coefficients of terms[0] + terms[1] + ... as chained CPoly additions
+    form them.  With np.convolve for products and a difference as the sum
+    with the negation, array algebra keeps the bits of CPoly's operators."""
+    out = np.zeros(max(len(t) for t in terms), dtype=complex)
+    out[: len(terms[0])] = terms[0]
+    for t in terms[1:]:
+        out[: len(t)] += t
+    return out
+
+
+def _driver(a, da, c, dc):
+    """i (2 lambda a c' - a c - lambda a' c), the c-side of the derivative
+    equation, from the coefficients of a, a', c and c'."""
+    return _sum(_lam(np.convolve(a, dc)) * 2.0, -np.convolve(a, c),
+                -_lam(np.convolve(da, c))) * 1j
 
 
 @dataclass(frozen=True)
@@ -113,19 +129,20 @@ class WhithamTangent:
     Q: CPoly
 
     def residuals(self):
-        out = {
-            "pencil": (self.c1 * self.b2 - self.c2 * self.b1
-                       - self.Q * self.a).norm_inf(),
-            "derivative1": _derivative_residual(
-                self.a, self.c1, self.b1, self.a_dot, self.b1_dot).norm_inf(),
-            "derivative2": _derivative_residual(
-                self.a, self.c2, self.b2, self.a_dot, self.b2_dot).norm_inf(),
+        a, b1, b2, a_dot, b1_dot, b2_dot, c1, c2, Q = (
+            getattr(self, f.name).coeffs for f in fields(self))
+        conv, da, dc1, dc2 = np.convolve, _der(a), _der(c1), _der(c2)
+        cross = _lam(_sum(conv(dc1, c2), -conv(dc2, c1)))
+        polys = {
+            "pencil": _sum(conv(c1, b2), -conv(c2, b1), -conv(Q, a)),
+            "derivative1": _sum(conv(a, b1_dot) * 2.0, -conv(a_dot, b1),
+                                -_driver(a, da, c1, dc1)),
+            "derivative2": _sum(conv(a, b2_dot) * 2.0, -conv(a_dot, b2),
+                                -_driver(a, da, c2, dc2)),
+            "compatibility": _sum(_sum(cross * 1j, conv(c1, b2_dot),
+                                       -conv(c2, b1_dot)) * 2.0, -conv(a_dot, Q)),
         }
-        cross = self.c1.derivative() * self.c2 - self.c2.derivative() * self.c1
-        compat = (cross.times_lambda() * 1j + self.c1 * self.b2_dot
-                  - self.c2 * self.b1_dot) * 2.0 - self.a_dot * self.Q
-        out["compatibility"] = compat.norm_inf()
-        return out
+        return {k: float(np.abs(p).max()) for k, p in polys.items()}
 
     def scale(self):
         polys = (self.a, self.b1, self.b2, self.c1, self.c2, self.Q,
@@ -212,6 +229,7 @@ def whitham_tangent(curve, basis, Q):
                 raise ValidationError(
                     "nonunique tangent: a, b1, b2 share the root %s" % r)
 
+    Q = _coerce_Q(Q)
     c1, c2 = bezout_solve(a, b1, b2, Q, tol=max(curve.tol, 1e-9))
 
     dim_a = 2 * g + 1                 # chart of reversal-real degree 2g
@@ -221,7 +239,8 @@ def whitham_tangent(curve, basis, Q):
     zero = np.zeros_like(ta)
     mat = np.block([[-_times(b1, 2 * g, nrow), ta, zero],
                     [-_times(b2, 2 * g, nrow), zero, ta]])
-    rhs = np.concatenate([_rows(_driver(a, c1), nrow), _rows(_driver(a, c2), nrow)])
+    rhs = np.concatenate([_rows(CPoly(_driver(a.coeffs, _der(a.coeffs), c.coeffs,
+                                              _der(c.coeffs))), nrow) for c in (c1, c2)])
 
     # gauge: lead a_dot equals the conjugate of the constant coefficient,
     # whose chart coordinates occupy slots 0 (real) and 1 (imaginary)
@@ -240,7 +259,7 @@ def whitham_tangent(curve, basis, Q):
 
     tangent = WhithamTangent(a=a, b1=b1, b2=b2, a_dot=a_dot,
                              b1_dot=b1_dot, b2_dot=b2_dot,
-                             c1=c1, c2=c2, Q=_coerce_Q(Q))
+                             c1=c1, c2=c2, Q=Q)
     tangent.check()
     return tangent
 
@@ -262,9 +281,8 @@ def rotation_tangent(curve, basis):
     a = curve.a
     g = curve.genus
     half = (g + 1) / 2.0
-    a_dot = (a.derivative().times_lambda() - a * float(g)) * 1j
-    b1_dot = (b1.derivative().times_lambda() - b1 * half) * 1j
-    b2_dot = (b2.derivative().times_lambda() - b2 * half) * 1j
+    a_dot, b1_dot, b2_dot = (CPoly(_sum(_lam(_der(p.coeffs)), -(p.coeffs * k)) * 1j)
+                             for p, k in ((a, float(g)), (b1, half), (b2, half)))
     tangent = WhithamTangent(a=a, b1=b1, b2=b2, a_dot=a_dot,
                              b1_dot=b1_dot, b2_dot=b2_dot,
                              c1=b1, c2=b2, Q=_coerce_Q(None))
@@ -301,35 +319,28 @@ class FlowRecord:
     drift: float
 
 
-def _advect(curve, a_dot):
-    eta = np.asarray(curve.eta, dtype=complex)
-    if not len(eta):
-        return np.zeros(0, dtype=complex)
-    da = curve.a.derivative()
-    return -a_dot(eta) / da(eta)
-
-
-def _state_derivative(eta, b1, b2, selector, tol):
-    curve = build_curve(eta, tol=tol)
+def _state_derivative(curve, b1, b2, selector):
+    """Root velocities -a_dot(eta) / a'(eta) and b1_dot, b2_dot coefficients."""
     # the frame is carried by the flow, not solved: it has no kernel gap
     tan = selector(curve, PencilBasis(curve, b1, b2, kernel_gap=math.nan))
-    return _advect(curve, tan.a_dot), tan.b1_dot, tan.b2_dot
+    eta = np.asarray(curve.eta, dtype=complex)
+    return -tan.a_dot(eta) / curve.a.derivative()(eta), tan.b1_dot.coeffs, tan.b2_dot.coeffs
 
 
 def flow(curve, selector, dt, steps, quad=None, tol=None):
     """Classical RK4 integration of an isoperiodic direction field.
 
     ``selector(curve, basis) -> WhithamTangent`` is evaluated at every
-    stage on the carried frame (b1, b2), passed as a PencilBasis.  After
-    each step the curve is re-built and validated, the pencil basis
-    re-solved (for reporting and downstream classification), and the
-    B-periods of the carried frame compared with the previous step: drift
-    above 100 * tol relative to the period scale rejects the step and
-    halves dt.  (The budget is relative because the
-    period quadratures themselves carry relative error; anything a scheme
-    could genuinely violate sits orders of magnitude above it.)  After
-    eight halvings the flow aborts with the trajectory so far attached to
-    the exception.
+    stage on the carried frame (b1, b2), passed as a PencilBasis; a retried
+    step reuses its first stage.  After each step the curve is re-built and
+    validated and the B-periods of the carried frame compared with the
+    previous step: drift above 100 * tol relative to the period scale
+    rejects the step, halving dt and doubling the count of steps left.
+    (The budget is relative because the period quadratures themselves carry
+    relative error; anything a scheme could genuinely violate sits orders
+    of magnitude above it.)  An accepted step's pencil basis is re-solved
+    (for reporting and downstream classification).  After eight halvings
+    the flow aborts with the trajectory so far attached to the exception.
 
     The homology derived per curve fixes each B-cycle's orientation only
     up to sign (the square-root seeding has a seam when a cut crosses
@@ -337,8 +348,9 @@ def flow(curve, selector, dt, steps, quad=None, tol=None):
     previous record before the drift comparison, and the aligned values
     are what the records store.
 
-    Returns the list of FlowRecord, including the initial state.  dt must
-    be finite and positive and steps at least one.
+    Returns the list of FlowRecord, including the initial state: steps + 1
+    of them when no step is rejected.  dt must be finite and positive and
+    steps at least one.
     """
     if not 0.0 < dt < math.inf or steps < 1:
         raise ValidationError("flow needs a finite dt > 0 and steps >= 1, "
@@ -352,29 +364,30 @@ def flow(curve, selector, dt, steps, quad=None, tol=None):
     records = [FlowRecord(t=0.0, curve=curve, basis=basis0, b1=b1, b2=b2,
                           periods_b1=p1, periods_b2=p2, drift=0.0)]
 
+    def stage(frac, k):
+        return _state_derivative(build_curve(eta + frac * k[0], tol=tol),
+                                 CPoly(_sum(b1.coeffs, k[1] * frac)),
+                                 CPoly(_sum(b2.coeffs, k[2] * frac)), selector)
+
     t_total = dt * steps
-    h = dt
+    h, left = dt, steps               # left: steps of size h still to take
     halvings = 0
     t = 0.0
-    while t < t_total - 1e-15:
+    state = curve if tol == curve.tol else build_curve(eta, tol=tol)
+    k1 = None                         # of state; a retried step reuses it
+    while left:
         step = min(h, t_total - t)
         try:
-            k1 = _state_derivative(eta, b1, b2, selector, tol)
-            k2 = _state_derivative(eta + 0.5 * step * k1[0],
-                                   b1 + k1[1] * (0.5 * step),
-                                   b2 + k1[2] * (0.5 * step), selector, tol)
-            k3 = _state_derivative(eta + 0.5 * step * k2[0],
-                                   b1 + k2[1] * (0.5 * step),
-                                   b2 + k2[2] * (0.5 * step), selector, tol)
-            k4 = _state_derivative(eta + step * k3[0],
-                                   b1 + k3[1] * step,
-                                   b2 + k3[2] * step, selector, tol)
+            if k1 is None:
+                k1 = _state_derivative(state, b1, b2, selector)
+            k2 = stage(0.5 * step, k1)
+            k3 = stage(0.5 * step, k2)
+            k4 = stage(step, k3)
             eta_n = eta + (step / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            b1_n = b1 + (k1[1] + k2[1] * 2.0 + k3[1] * 2.0 + k4[1]) * (step / 6.0)
-            b2_n = b2 + (k1[2] + k2[2] * 2.0 + k3[2] * 2.0 + k4[2]) * (step / 6.0)
+            b1_n, b2_n = (CPoly(_sum(b.coeffs, _sum(k1[i], k2[i] * 2.0, k3[i] * 2.0, k4[i])
+                                     * (step / 6.0))) for i, b in ((1, b1), (2, b2)))
 
             curve_n = build_curve(eta_n, tol=tol)
-            basis_n = solve_Ba(curve_n, quad=quad)
             p1_n = np.asarray(b_periods(curve_n, b1_n, quad))
             p2_n = np.asarray(b_periods(curve_n, b2_n, quad))
             prev = records[-1]
@@ -385,8 +398,7 @@ def flow(curve, selector, dt, steps, quad=None, tol=None):
                         < np.abs(p1_n - prev.periods_b1)
                         + np.abs(p2_n - prev.periods_b2))
                 signs = np.where(flip, -1.0, 1.0)
-                p1_n = signs * p1_n
-                p2_n = signs * p2_n
+                p1_n, p2_n = signs * p1_n, signs * p2_n
                 drift = max(float(np.max(np.abs(p1_n - prev.periods_b1))),
                             float(np.max(np.abs(p2_n - prev.periods_b2))))
             pscale = max(1.0, float(np.max(np.abs(prev.periods_b1), initial=0.0)),
@@ -395,9 +407,10 @@ def flow(curve, selector, dt, steps, quad=None, tol=None):
                 raise ResolutionError(
                     "period drift %.3e exceeds budget %.3e"
                     % (drift, 100.0 * tol * pscale))
+            basis_n = solve_Ba(curve_n, quad=quad)
         except (ValidationError, ResolutionError) as exc:
             halvings += 1
-            h = 0.5 * step
+            h, left = 0.5 * step, 2 * left
             log.warning("flow step rejected at t=%.6g (%s); dt -> %.3g",
                         t, exc, h)
             if halvings > 8:
@@ -406,7 +419,8 @@ def flow(curve, selector, dt, steps, quad=None, tol=None):
                     % (t, exc), records)
             continue
         t += step
-        eta, b1, b2 = eta_n, b1_n, b2_n
+        left -= 1
+        state, eta, b1, b2, k1 = curve_n, eta_n, b1_n, b2_n, None
         records.append(FlowRecord(t=t, curve=curve_n, basis=basis_n,
                                   b1=b1, b2=b2, periods_b1=p1_n,
                                   periods_b2=p2_n, drift=drift))
@@ -488,21 +502,33 @@ class HandleCheck:
     new_circle_critical_points: tuple
 
 
-def _angular_logslope(num, den, theta):
+def _slope_block(num, den):
+    """Columns num, num', num'', den, den', den'', zero-padded at the top:
+    one polyval at an array of points gives the bits of six separate calls
+    (Horner steps on leading zeros are exact)."""
+    dn, dd = num.derivative(), den.derivative()
+    cols = (num.coeffs, dn.coeffs, dn.derivative().coeffs, den.coeffs, dd.coeffs,
+            dd.derivative().coeffs)
+    block = np.zeros((max(len(c) for c in cols), 6), dtype=np.complex128)
+    for k, c in enumerate(cols):
+        block[: len(c), k] = c
+    return block
+
+
+def _angular_logslope(block, theta):
     """d/dtheta of arg f~ for f~ = num/den at angles ``theta``, its theta
     derivative, and the size of the terms it differences (its rounding
-    scale).  Zeros are exactly the critical points of the circle map."""
+    scale), from ``block = _slope_block(num, den)``.  Zeros are exactly
+    the critical points of the circle map."""
     lam = np.exp(1j * np.asarray(theta, dtype=float))
-    n0, m0 = num(lam), den(lam)
-    dn, dd = num.derivative(), den.derivative()
-    ln, ld = dn(lam) / n0, dd(lam) / m0
+    n0, dn, ddn, m0, dd, ddd = npoly.polyval(lam, block)
+    ln, ld = dn / n0, dd / m0
     s = lam * (ln - ld)
-    curv = lam * lam * (dn.derivative()(lam) / n0 - ln * ln
-                        - dd.derivative()(lam) / m0 + ld * ld)
+    curv = lam * lam * (ddn / n0 - ln * ln - ddd / m0 + ld * ld)
     return np.real(s), -np.imag(s + curv), np.abs(ln) + np.abs(ld)
 
 
-def _critical_angles(num, den):
+def _critical_angles(num, den, block=None):
     """Angles of all critical points of the circle map f~ = num/den.
 
     On S^1, d/dtheta arg f~ = lam W / (num den) with W = num' den - num den'
@@ -513,8 +539,9 @@ def _critical_angles(num, den):
     Newton steps on the slope.  Each kept zero must be farther from its
     neighbours than four times their errors (Newton step plus rounding);
     else a near-circle pair is within rounding of a double root, which
-    raises InvariantError.
+    raises InvariantError.  ``block`` is _slope_block(num, den), if known.
     """
+    block = _slope_block(num, den) if block is None else block
     rounding = 64.0 * np.finfo(float).eps
     w = (num.derivative() * den - num * den.derivative()).coeffs[:-1]
     r = np.roots(w[::-1])
@@ -524,10 +551,10 @@ def _critical_angles(num, den):
             * np.linalg.norm(np.abs(r)[:, None] ** np.arange(len(w)), axis=1))
     theta = np.angle(r[near])
     for _ in range(3):
-        s, ds, _ = _angular_logslope(num, den, theta)
+        s, ds, _ = _angular_logslope(block, theta)
         theta = theta - s / ds
     theta = np.sort(theta % (2.0 * np.pi))
-    s, ds, scale = _angular_logslope(num, den, theta)
+    s, ds, scale = _angular_logslope(block, theta)
     err = 4.0 * (np.abs(s) + rounding * scale) / np.abs(ds)
     gaps = np.diff(theta, append=theta[:1] + 2.0 * np.pi)
     if not np.all(gaps > err + np.roll(err, -1)):
@@ -573,7 +600,7 @@ def _new_critical_pair(crit0, crit1, psi, t_used):
 
 @functools.lru_cache(maxsize=32)
 def _base_map(basis, tol):
-    """Classification, deflated pair and critical angles of a handle check's
+    """Classification, slope block and critical angles of a handle check's
     base map, shared by every alpha and t checked on one (basis, tol)."""
     report = classify(basis.curve, basis, tol=tol)
     if report.gcd_degree != 0:
@@ -581,9 +608,11 @@ def _base_map(basis, tol):
             "handle check requires a coprime pencil (gcd degree 0), got %d"
             % report.gcd_degree)
     pair = _deflated_pair(basis, tol)
-    crit = _critical_angles(*pair)
-    crit.setflags(write=False)
-    return report, pair, crit
+    block = _slope_block(*pair)
+    crit = _critical_angles(*pair, block)
+    for shared in (block, crit):
+        shared.setflags(write=False)
+    return report, block, crit
 
 
 def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
@@ -599,9 +628,9 @@ def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
     alpha = complex(alpha)
     t_used = _handle_parameter(t)
     basis = solve_Ba(curve, quad=quad)
-    report0, pair0, crit0 = _base_map(basis, tol)
+    report0, block0, crit0 = _base_map(basis, tol)
     psi = float(np.angle(alpha))
-    s_alpha = float(_angular_logslope(*pair0, psi)[0])
+    s_alpha = float(_angular_logslope(block0, psi)[0])
     if abs(s_alpha) < 1e-5:
         raise ValidationError(
             "alpha is (numerically) a critical point of the circle map: "

@@ -13,7 +13,10 @@ from spectralcurves.whitham import (
     FlowAbort,
     _angular_logslope,
     _critical_angles,
+    _der,
+    _driver,
     _rows,
+    _slope_block,
     _times,
     attach_handle,
     bezout_solve,
@@ -78,6 +81,55 @@ def test_tangent_gauge_fixes_rescaling():
     lead_a = complex(curve.a.coeffs[-1])
     lead_dot = complex(tan.a_dot.coeffs[-1])
     assert abs((np.conj(lead_a) * lead_dot).real) < 1e-9
+
+
+def _hex(values):
+    """float.hex of every real and imaginary part, signed zeros included."""
+    return [float.hex(x) for x in np.asarray(values, dtype=complex).view(float).ravel()]
+
+
+def _operator_form(tan):
+    """The four residual polynomials and the two drivers, written with
+    CPoly operators."""
+    a = tan.a
+
+    def driver(c):
+        return ((a * c.derivative()).times_lambda() * 2.0 - a * c
+                - (a.derivative() * c).times_lambda()) * 1j
+
+    cross = tan.c1.derivative() * tan.c2 - tan.c2.derivative() * tan.c1
+    residuals = {
+        "pencil": tan.c1 * tan.b2 - tan.c2 * tan.b1 - tan.Q * a,
+        "derivative1": a * tan.b1_dot * 2.0 - tan.a_dot * tan.b1 - driver(tan.c1),
+        "derivative2": a * tan.b2_dot * 2.0 - tan.a_dot * tan.b2 - driver(tan.c2),
+        "compatibility": (cross.times_lambda() * 1j + tan.c1 * tan.b2_dot
+                          - tan.c2 * tan.b1_dot) * 2.0 - tan.a_dot * tan.Q,
+    }
+    return residuals, (driver(tan.c1), driver(tan.c2))
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2, 3])
+def test_residuals_match_the_operator_form_bit_for_bit(genus):
+    # genus 0: a is a constant, so a' is the degree-0 derivative [0]
+    for seed in range(2):
+        curve = random_curve(genus, 90 + seed)
+        basis = solve_Ba(curve)
+        g, half = curve.genus, (curve.genus + 1) / 2.0
+        rot = rotation_tangent(curve, basis)
+        assert _hex(rot.a_dot.coeffs) == _hex(
+            ((curve.a.derivative().times_lambda() - curve.a * float(g)) * 1j).coeffs)
+        for b, b_dot in ((basis.b1, rot.b1_dot), (basis.b2, rot.b2_dot)):
+            assert _hex(b_dot.coeffs) == _hex(
+                ((b.derivative().times_lambda() - b * half) * 1j).coeffs)
+        for tan in (rot, whitham_tangent(curve, basis, Q_GENERIC)):
+            want, drivers = _operator_form(tan)
+            got = tan.residuals()
+            assert list(got) == list(want)
+            for key, poly in want.items():
+                assert float.hex(got[key]) == float.hex(poly.norm_inf()), key
+            a = tan.a.coeffs
+            for c, drive in zip((tan.c1, tan.c2), drivers):
+                assert _hex(_driver(a, _der(a), c.coeffs, _der(c.coeffs))) == _hex(drive.coeffs)
 
 
 def _column_loop(p, degree, length):
@@ -154,6 +206,32 @@ def test_flow_rejects_invalid_step_and_count(dt, steps):
         flow(build_curve([0.5]), rotation_selector, dt=dt, steps=steps)
 
 
+@pytest.mark.parametrize("dt", [1e-16, 4e-16, 1e-9, 1e-3])
+def test_flow_takes_every_step_asked_for(dt):
+    # an absolute end test took no step at dt = 1e-16 and one at 4e-16
+    curve = build_curve([0.41 + 0.2j, -0.33 - 0.41j])
+    recs = flow(curve, rotation_selector, dt=dt, steps=3)
+    assert len(recs) == 4
+    assert recs[-1].t == pytest.approx(3 * dt, rel=1e-12)
+    assert all(r.t > prev.t for prev, r in zip(recs, recs[1:]))
+
+
+@pytest.mark.parametrize("steps, builds", [(1, 4), (3, 12)])
+def test_flow_builds_each_state_curve_once(monkeypatch, steps, builds):
+    # one per stage k2, k3, k4 and one for the new state, whose curve is
+    # also its next k1's; the first k1 runs on the input curve
+    curve = build_curve([0.41 + 0.2j, -0.33 - 0.41j])
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_curve(*args, **kwargs)
+
+    monkeypatch.setattr(whitham, "build_curve", counting)
+    assert len(flow(curve, rotation_selector, dt=1e-3, steps=steps)) == steps + 1
+    assert len(calls) == builds
+
+
 def test_flow_abort_carries_trajectory():
     # drive a root toward the unit circle until validation gives out
     curve = build_curve([0.41 + 0.2j, -0.33 - 0.41j])
@@ -224,7 +302,7 @@ def _reference_slope_zeros(slope, grid):
 
 
 def _slope(pair):
-    return lambda theta: _angular_logslope(*pair, theta)[0]
+    return lambda theta: _angular_logslope(_slope_block(*pair), theta)[0]
 
 
 def _angle_mismatch(got, want):
@@ -235,6 +313,44 @@ def _angle_mismatch(got, want):
         return 0.0
     d = np.abs(np.angle(np.exp(1j * np.subtract.outer(got, want))))
     return max(d.min(axis=0).max(), d.min(axis=1).max())
+
+
+def _six_call_slope(num, den, theta):
+    """The slope with one polyval per polynomial of (num, num', num'', den,
+    den', den'')."""
+    lam = np.exp(1j * theta)
+    n0, m0 = num(lam), den(lam)
+    dn, dd = num.derivative(), den.derivative()
+    ln, ld = dn(lam) / n0, dd(lam) / m0
+    s = lam * (ln - ld)
+    curv = lam * lam * (dn.derivative()(lam) / n0 - ln * ln
+                        - dd.derivative()(lam) / m0 + ld * ld)
+    return np.real(s), -np.imag(s + curv), np.abs(ln) + np.abs(ld)
+
+
+def test_stacked_slope_matches_six_polyval_calls_bit_for_bit():
+    # theta is an array: numpy's scalar complex arithmetic can round
+    # differently from its array loops, whichever form the block takes
+    pairs = [_deflated_pair(solve_Ba(random_curve(genus, 700 + genus)))
+             for genus in (1, 2, 3)]
+    # a degree-4 num against a degree-1 den (den'' = [0]) and a degree-0
+    # one (den' = den'' = [0]): columns of every length from 1 to 5
+    num = CPoly.from_roots([0.3 + 0.1j, 1.7 - 0.4j, -2.2j, 0.5])
+    pairs += [(num, CPoly([0.4 - 0.2j, 1.1 + 0.3j])), (num, CPoly([2.0 - 1.0j]))]
+    rng = np.random.default_rng(5)
+    for num, den in pairs:
+        block = _slope_block(num, den)
+        assert block.shape == (max(len(num.coeffs), len(den.coeffs)), 6)
+        for size in (1, 7, 33):
+            theta = rng.uniform(-np.pi, np.pi, size)
+            lam = np.exp(1j * theta)
+            rows = np.polynomial.polynomial.polyval(lam, block)
+            for row, p in zip(rows, (num, num.derivative(), num.derivative().derivative(),
+                                     den, den.derivative(), den.derivative().derivative())):
+                assert _hex(row) == _hex(p(lam))
+            for got, want in zip(_angular_logslope(block, theta),
+                                 _six_call_slope(num, den, theta)):
+                assert _hex(got) == _hex(want)
 
 
 def test_critical_angles_match_grid_bisection_on_random_bases():
@@ -335,6 +451,31 @@ def test_handle_check_classifies_its_base_curve_once(monkeypatch):
     assert checks[0].winding_before == checks[1].winding_before
 
 
+def test_slope_block_is_built_once_per_pair(monkeypatch):
+    # the speed of the handle check rests on this: every slope evaluation
+    # of a pair reads one block, never re-differentiating the pair
+    curve = build_curve([0.41 + 0.2j, -0.33 - 0.41j])
+    num, den = _deflated_pair(solve_Ba(curve))
+    base = (num, den, num.derivative(), den.derivative())
+    calls = []
+    derivative = CPoly.derivative
+
+    def counting(p):
+        calls.append(p)
+        return derivative(p)
+
+    monkeypatch.setattr(CPoly, "derivative", counting)
+    _critical_angles(num, den)
+    # W = num' den - num den' takes two, the block's num', num'', den', den'' four
+    assert len(calls) == 6
+    calls.clear()
+    whitham._base_map.cache_clear()
+    chk = handle_invariant_check(curve, complex(np.exp(0.9j)), 1e-2)
+    assert chk.t == 1e-2
+    # the base map's critical angles and the slope at alpha share one block
+    assert sum(any(p == q for q in base) for p in calls) == 6
+
+
 def test_handle_check_refuses_at_once_when_alpha_crowds_a_cut(monkeypatch):
     # alpha = e^{0.7i} is 1.5e-4 from cut 1 of this curve: every smaller t
     # only moves the new branch points toward alpha, so the first cut
@@ -364,3 +505,31 @@ def test_handle_check_laws_on_one_triple():
     for z in chk.new_circle_critical_points:
         assert abs(abs(z) - 1.0) < 1e-9
         assert abs(z - alpha) < 0.1
+
+
+def test_flow_solves_accepted_states_and_retries_without_k1(monkeypatch):
+    # the aborting flow above: a retried step reuses its state's k1, and
+    # only accepted states (and the initial one) get a solved basis
+    curve = build_curve([0.41 + 0.2j, -0.33 - 0.41j])
+    select = constant_Q_selector(CPoly([0.4 + 0.25j, -0.3, 0.4 - 0.25j]))
+    seen, solved = [], []
+
+    def counting_select(c, basis):
+        seen.append(c)
+        return select(c, basis)
+
+    def counting_solve(c, quad=None):
+        solved.append(c)
+        return solve_Ba(c, quad=quad)
+
+    monkeypatch.setattr(whitham, "solve_Ba", counting_solve)
+    with pytest.raises(FlowAbort) as exc_info:
+        flow(curve, counting_select, dt=2e-2, steps=40)
+    trajectory = exc_info.value.trajectory
+    assert [sum(c is r.curve for c in seen) for r in trajectory] == [1] * len(trajectory)
+    # every other selector call is one of three stages of an attempt
+    attempts = (len(seen) - len(trajectory)) // 3
+    assert len(seen) == len(trajectory) + 3 * attempts
+    assert attempts == len(trajectory) - 1 + 9        # accepted, then 9 rejected
+    assert [c is r.curve for c, r in zip(solved, trajectory)] == [True] * len(trajectory)
+    assert len(solved) == len(trajectory)
