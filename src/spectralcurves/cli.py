@@ -249,10 +249,10 @@ def _write_png(path, img, text):
 # ---------------------------------------------------------------------------
 
 def cmd_classify(cfg):
-    if cfg.maxden and cfg.fmt == "csv":
+    if cfg.maxden is not None and cfg.fmt == "csv":
         raise ValidationError("--maxden needs --format json: the CSV row has "
                               "no proximity columns")
-    if cfg.alpha_angle is not None and not cfg.maxden:
+    if cfg.alpha_angle is not None and cfg.maxden is None:
         raise ValidationError("--alpha-angle marks the proximity report and needs --maxden")
     curve = _load_curve(cfg)
     quad = cfg.quad
@@ -263,7 +263,7 @@ def cmd_classify(cfg):
             "curve": curve_to_dict(curve),
             "kernel_gap": gap if np.isfinite(gap) else None}
     data.update(_report_dict(rep))
-    if cfg.maxden:
+    if cfg.maxden is not None:
         angle = cfg.alpha_angle
         if angle is None:
             # farthest point on S^1 from every branch-cut crossing

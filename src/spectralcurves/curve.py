@@ -263,30 +263,11 @@ def curve_to_json(curve):
 # square-root continuation
 # ---------------------------------------------------------------------------
 
-def continue_sqrt(values, seed):
-    """Track a square root along samples of its square from ``seed``
-    (seed^2 ~ values[0]) by a running product of principal roots of ratios.
-    A zero or an argument step of pi/2 or more raises ResolutionError,
-    which the period engine treats as "use more nodes"."""
-    values = np.asarray(values, dtype=complex)
-    if np.any(values == 0):
-        raise ResolutionError("square root tracking hit an exact zero")
-    ratio = values[1:] / values[:-1]
-    # |delta arg| < pi/2 puts each ratio in the right half plane, where the
-    # principal square root of the ratio is the continuous branch
-    if np.any(ratio.real <= 0):
-        raise ResolutionError("square root tracking under-resolved; increase node count")
-    out = np.empty_like(values)
-    out[0] = seed
-    out[1:] = seed * np.cumprod(np.sqrt(ratio))
-    return out
-
-
 def track_sqrt(values):
     """Roots along the last axis of ``values`` (one path per row) from each
     first sample's principal root, and a per-row flag, False (roots 1, no
     warning) where a row has a zero or a step of pi/2 in arg.  Signed principal
-    roots keep one rounding; continue_sqrt's running product gains one a step."""
+    roots keep one rounding at any path length."""
     root = np.sqrt(np.asarray(values, dtype=complex))
     # a step under pi/2 in arg turns the root under pi/4, so neighbouring
     # principal roots point within pi/4 of each other, or apart at a sign flip

@@ -7,7 +7,8 @@ All cycle integrals reduce to moment vectors
 so that the period of Theta_b is the dot product of m with the coefficient
 vector of b.  Each Gauss rule is built once per (kind, n) per process, and
 moments once per (curve, quadrature config), by singularity-adapted rules
-refined until two successive estimates agree:
+refined in one loop, one array pass per level over a kind's unsettled
+cycles, until two successive estimates of each agree:
 
 * A-cycles collapse onto the radial cut; the inverse-square-root endpoint
   behaviour of 1/y is absorbed by Gauss-Chebyshev weights, whose rules nest
@@ -16,7 +17,7 @@ refined until two successive estimates agree:
   the single square-root endpoint is absorbed by Gauss-Jacobi (0, -1/2)
   weights (the 2n-point Gauss-Legendre rule mapped by x = 2 s^2 - 1, s > 0,
   weights 2 sqrt(2) w: exact to degree 2n - 1), the circle part uses
-  Gauss-Legendre with a periodic square-root factor tracked explicitly.
+  Gauss-Legendre with a periodic square-root factor; their rules double.
 * Sym paths gamma(lambda0) use the same lasso shape from a regular point,
   all-Legendre.
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import SpectralCurve, continue_sqrt, homology_cycles, track_sqrt
+from .curve import SpectralCurve, homology_cycles, track_sqrt
 from .errors import ResolutionError, ValidationError
 from .polyring import CPoly, _as_poly, real_place, real_place_coeffs, reality_check
 
@@ -45,8 +46,9 @@ class QuadConfig:
     """Quadrature configuration shared by all period evaluations.
 
     nodes: points of the coarser rule in the first comparison of two estimates,
-    which must agree to relative ``tol``.  B and gamma rules double (at most
-    ``MAX_DOUBLINGS`` times); A rules triple up to ``nodes * 2**MAX_DOUBLINGS``.
+    which must agree to relative ``tol``.  A rules triple, B and gamma rules
+    double, all in one refinement loop and up to ``nodes * 2**MAX_DOUBLINGS``
+    points.
     """
 
     nodes: int = 64
@@ -129,7 +131,7 @@ def _gauss_rule(kind, n):
 
 
 def _settle(cur, prev, prev_rel, tol):
-    """Acceptance rule of both refinement loops, per row of moments: the
+    """Acceptance rule of the refinement loop, per row of moments: the
     relative change rel, whether ``cur`` is accepted (rel < tol), and
     whether ``prev`` is kept at the roundoff floor (rel within 10x tol but
     no longer halving from ``prev_rel``)."""
@@ -139,8 +141,8 @@ def _settle(cur, prev, prev_rel, tol):
 
 
 class PeriodEngine:
-    """Caches per-cycle moment vectors and the solved basis for one curve and
-    quadrature config."""
+    """Caches the moment vectors of every cycle and the solved basis for one
+    curve and quadrature config."""
 
     def __init__(self, curve, quad):
         self.curve, self.quad = curve, quad
@@ -148,8 +150,8 @@ class PeriodEngine:
         pairs = list(zip(curve.eta, curve.partners))   # column j: the other cuts' roots
         self._others = np.array([np.ravel(pairs[:j] + pairs[j + 1:]) for j in range(curve.genus)],
                                 dtype=complex).T
-        self._moments = {}
-        self._a = self.a_nodes = None   # a_nodes: points of each accepted A rule
+        self._gamma = {}
+        self._a = self.a_nodes = self._b = self.b_nodes = None   # *_nodes: accepted rule sizes
         self.basis = None
 
     # -- public moment accessors -------------------------------------------
@@ -157,36 +159,35 @@ class PeriodEngine:
     def a_matrix(self):
         """The moment vectors of all A-cycles, one row per cycle, from one
         :meth:`_a_level` pass per level over the cycles still unsettled."""
-        if self._a is not None:
-            return self._a
-        g, n, tol = self.curve.genus, self.quad.nodes, self.quad.tol
-        out, nodes = np.empty((g, g + 2), dtype=complex), np.zeros(g, dtype=int)
-        prev_rel, todo = np.full(g, np.inf), np.arange(g)
-        while todo.size and 3 * n <= self.quad.nodes << MAX_DOUBLINGS:
-            coarse, fine, ok = self._a_level(todo, n)
-            rel, accept, floor = _settle(fine, coarse, prev_rel[todo], tol)
-            done = ok & (accept | floor)
-            for j in todo[done & ~accept]:
-                log.debug("cycle %s settled at roundoff floor", ("A", int(j)))
-            out[todo[done]] = np.where(accept[:, None], fine, coarse)[done]
-            nodes[todo[done]] = np.where(accept, 3 * n, n)[done]
-            prev_rel[todo] = np.where(ok, rel, np.inf)
-            todo, n = todo[~done], 3 * n
-        if todo.size:
-            raise ResolutionError("quadrature failed to converge for cycle %s within %d nodes"
-                                  % (("A", int(todo[0])), self.quad.nodes << MAX_DOUBLINGS))
-        self._a, self.a_nodes = out, nodes
-        return out
+        if self._a is None:
+            self._a, self.a_nodes = self._refine(
+                [("A", j) for j in range(self.curve.genus)],
+                lambda todo, m: self._a_level(todo, m // 3), 3 * self.quad.nodes, 3)
+        return self._a
+
+    def b_matrix(self):
+        """The moment vectors of all B-lassos, one row per cycle, from one
+        :meth:`_lasso` pass per level over the lassos still unsettled."""
+        if self._b is None:
+            g = self.curve.genus
+            ends = np.array([self.homology.b_leg(j) for j in range(g)], dtype=complex).T[..., None]
+            self._b, self.b_nodes = self._refine([("B", j) for j in range(g)], functools.partial(
+                self._lasso, ends=ends, kind="jacobi"), self.quad.nodes, 2)
+        return self._b
 
     def a_moments(self, j):
         return self.a_matrix()[j]
 
     def b_moments(self, j):
-        return self._converged(("B", j), lambda n: self._b_moments_n(j, n))
+        return self.b_matrix()[j]
 
     def gamma_moments(self, lam0):
         lam0 = complex(lam0)
-        return self._converged(("gamma", lam0), lambda n: self._gamma_moments_n(lam0, n))
+        if lam0 not in self._gamma:
+            ends = np.array(self.homology.gamma_leg(lam0))[:, None, None]   # refuses a bad lam0
+            self._gamma[lam0] = self._refine([("gamma", lam0)], functools.partial(
+                self._lasso, ends=ends, kind="legendre"), self.quad.nodes, 2)[0][0]
+        return self._gamma[lam0]
 
     def period(self, moments, b):
         return complex(np.dot(moments, self._coeff_vector(b)))
@@ -199,30 +200,34 @@ class PeriodEngine:
         out[: len(b.coeffs)] = b.coeffs
         return out
 
-    # -- refinement: B and gamma double --------------------------------------
+    # -- refinement: one loop for every kind of cycle ------------------------
 
-    def _converged(self, key, compute):
-        if key in self._moments:
-            return self._moments[key]
-        n = self.quad.nodes
-        prev, prev_rel = None, np.inf
-        for _ in range(MAX_DOUBLINGS + 1):
-            try:
-                cur = compute(n)
-            except ResolutionError:
-                cur = None
-            if cur is not None and prev is not None:
-                rel, accept, floor = _settle(cur, prev, prev_rel, self.quad.tol)
-                if accept or floor:
-                    if not accept:
-                        log.debug("cycle %s settled at roundoff floor %.2e", key, rel)
-                    self._moments[key] = cur if accept else prev
-                    return self._moments[key]
-                prev_rel = rel
-            prev = cur
-            n *= 2
-        raise ResolutionError("quadrature failed to converge for cycle %s after %d doublings"
-                              % (key, MAX_DOUBLINGS))
+    def _refine(self, keys, level, size, grow):
+        """Moments of the cycles ``keys`` and the points of each accepted
+        rule.  ``level(todo, m)`` gives, for the rows ``todo``, estimates at
+        m // grow points (None: its own pass at m // 2) and at m, and a flag,
+        False where one is missing.  Rows settle by :func:`_settle`; the rest
+        go on at grow * m points, up to nodes * 2**MAX_DOUBLINGS."""
+        tol, limit = self.quad.tol, self.quad.nodes << MAX_DOUBLINGS
+        out = np.empty((len(keys), self.curve.genus + 2), dtype=complex)
+        last, had, nodes = np.zeros_like(out), np.zeros(len(keys), bool), np.zeros(len(keys), int)
+        prev_rel, todo = np.full(len(keys), np.inf), np.arange(len(keys))
+        while todo.size and size <= limit:
+            coarse, fine, ok = level(todo, size)
+            if coarse is None:
+                coarse, ok, last[todo], had[todo] = last[todo], ok & had[todo], fine, ok
+            rel, accept, floor = _settle(fine, coarse, prev_rel[todo], tol)
+            done = ok & (accept | floor)
+            for i in todo[done & ~accept]:
+                log.debug("cycle %s settled at roundoff floor", keys[i])
+            out[todo[done]] = np.where(accept[:, None], fine, coarse)[done]
+            nodes[todo[done]] = np.where(accept, size, size // grow)[done]
+            prev_rel[todo] = np.where(ok, rel, np.inf)
+            todo, size = todo[~done], grow * size
+        if todo.size:
+            raise ResolutionError("quadrature failed to converge for cycle %s within %d nodes"
+                                  % (keys[todo[0]], limit))
+        return out, nodes
 
     # -- A: Gauss-Chebyshev across the radial cut ----------------------------
 
@@ -254,84 +259,58 @@ class PeriodEngine:
         lam = np.concatenate([part, eta + (part - eta) * ((x + 1.0) / 2.0)], axis=1)
         track, ok = track_sqrt(self._deflated_square(lam, todo[:, None]))
         lam, track = lam[:, 1:], track[:, 1:]
-        # lambda^(k-1) / V^(1/2) for k = 0..g+1 by running products, nodes
-        # last so that numpy sums them pairwise
-        terms = np.empty((len(todo), c.genus + 2, 3 * n), dtype=complex)
-        terms[:, 0] = 1.0 / (lam * track)
-        for k in range(1, c.genus + 2):
-            terms[:, k] = terms[:, k - 1] * lam
+        # lambda^(k-1) / V^(1/2) for k = 0..g+1
+        terms = _power_terms(1.0 / (lam * track), lam, c.genus + 2)
         coarse = -2j * (np.pi / n) * np.sum(terms[..., 1::3], axis=-1)
         return coarse, -2j * (np.pi / (3 * n)) * np.sum(terms, axis=-1), ok
 
-    # -- B: Gauss-Jacobi leg + Legendre circle -------------------------------
+    # -- B and gamma: a leg and the service circle ---------------------------
 
-    def _leg_from_branch(self, j, n):
-        """Moments of the straight leg eta_j -> service circle, and the
-        tracked y value at the outer end."""
-        c = self.curve
-        start, target = self.homology.b_leg(j)
-        x, w = _gauss_rule("jacobi", n)
-        lam = start + (target - start) * (x + 1.0) / 2.0
-        # lambda*a/(lambda-start) as an explicit root product (see
-        # _deflated_square for why polyval is not used here)
-        wref = complex(self._deflated_square(start, j)) * (start - c.partners[j])
-        wsq = self._deflated_square(lam, j) * (lam - c.partners[j])
-        wend = complex(self._deflated_square(target, j)) * (target - c.partners[j])
-        samples = np.concatenate([[wref], wsq, [wend]])
-        track = continue_sqrt(samples, np.sqrt(complex(wref)))
-        u, u_end = track[1:-1], track[-1]
-        scale = np.sqrt(complex(target - start) / 2.0)
-        powers = np.arange(c.genus + 2)
-        mono = lam[:, None] ** (powers[None, :] - 1)
-        moments = scale * np.sum(w[:, None] * mono / u[:, None], axis=0)
-        y_end = np.sqrt(complex(target - start)) * u_end
-        return moments, y_end
+    def _lasso(self, todo, n, ends, kind):
+        """None, the moments of the lassos ``todo`` at n leg points, and a
+        flag, False where a root was not tracked or the circle's does not
+        continue the leg's.  Lasso i runs ends[0, i] -> ends[1, i] on the
+        service circle, around it (Legendre, max(n, 64) points) and back; a
+        "jacobi" leg's weight absorbs the root at its branch-point start."""
+        c, k = self.curve, self.curve.genus + 2
+        start, target = ends[:, todo]
+        x, w = _gauss_rule(kind, n)
+        lam = np.concatenate([start, start + (target - start) * ((x + 1.0) / 2.0), target], axis=1)
+        if kind == "jacobi":
+            # y = sqrt(lambda - start) * root; lambda*a/(lambda-start) as a
+            # root product (see _deflated_square for why not by polyval)
+            part = np.asarray(c.partners)[todo, None]
+            root, ok = track_sqrt(self._deflated_square(lam, todo[:, None]) * (lam - part))
+            jac, y_end = np.sqrt((target - start) / 2.0), np.sqrt(target - start) * root[:, -1:]
+        else:
+            root, ok = track_sqrt(lam * c.a(lam))
+            jac, y_end = (target - start) / 2.0, root[:, -1:]
+        legs = lam[:, 1:-1]
+        leg = jac * np.sum(_power_terms(w / (legs * root[:, 1:-1]), legs, k), axis=-1)
+        # y = e^{i theta/2} u(theta) on the circle, u periodic with u^2 = r0 a;
+        # u takes the sign that continues the leg's end value
+        angle = np.angle(target)
+        x, w = _gauss_rule("legendre", max(n, 64))
+        theta = angle + np.pi * (np.concatenate([[-1.0], x]) + 1.0)
+        z = c.r0 * np.exp(1j * theta)
+        usq = c.r0 * c.a(z)
+        u, tracked = track_sqrt(usq)
+        seed = y_end * np.exp(-0.5j * angle)
+        matched = np.abs(seed * seed - usq[:, :1]) <= 1e-6 * np.maximum(1.0, np.abs(usq[:, :1]))
+        u = np.where((seed * u[:, :1].conj()).real < 0, -u[:, 1:], u[:, 1:])
+        first = w * np.exp(-0.5j * theta[:, 1:]) / u
+        circle = 1j * np.pi * np.sum(_power_terms(first, z[:, 1:], k), axis=-1)
+        return None, 2.0 * leg + circle, ok & tracked & matched[:, 0]
 
-    def _circle_moments(self, start_angle, y_start, n):
-        """Moments of one full turn around the origin service circle.
 
-        y = e^{i theta/2} u(theta) with u periodic; u is tracked from the
-        seed supplied by the incoming leg.
-        """
-        c = self.curve
-        r0 = c.r0
-        x, w = _gauss_rule("legendre", n)
-        theta = start_angle + np.pi * (x + 1.0)
-        ssq = r0 * c.a(r0 * np.exp(1j * theta))
-        sref = r0 * c.a(r0 * np.exp(1j * start_angle))
-        seed = y_start * np.exp(-0.5j * start_angle)
-        if abs(seed * seed - sref) > 1e-6 * max(1.0, abs(sref)):
-            raise ResolutionError("circle seed inconsistent with incoming leg")
-        u = continue_sqrt(np.concatenate([[sref], ssq]), seed)[1:]
-        powers = np.arange(c.genus + 2)
-        phase = np.exp(1j * (powers[None, :] - 0.5) * theta[:, None])
-        vals = (r0 ** powers)[None, :] * phase / u[:, None]
-        return 1j * np.pi * np.sum(w[:, None] * vals, axis=0)
-
-    def _b_moments_n(self, j, n):
-        leg, y_end = self._leg_from_branch(j, n)
-        start_angle = self.homology.leg_angles[j]
-        circle = self._circle_moments(start_angle, y_end, max(n, 64))
-        return 2.0 * leg + circle
-
-    # -- gamma: Legendre leg + Legendre circle -------------------------------
-
-    def _gamma_moments_n(self, lam0, n):
-        c = self.curve
-        start, target = self.homology.gamma_leg(lam0)
-        x, w = _gauss_rule("legendre", n)
-        lam = start + (target - start) * (x + 1.0) / 2.0
-        wref = start * c.a(start)
-        wsq = lam * c.a(lam)
-        wend = target * c.a(target)
-        track = continue_sqrt(np.concatenate([[wref], wsq, [wend]]), np.sqrt(complex(wref)))
-        y, y_end = track[1:-1], track[-1]
-        powers = np.arange(c.genus + 2)
-        mono = lam[:, None] ** (powers[None, :] - 1)
-        leg = (complex(target - start) / 2.0) * np.sum(w[:, None] * mono / y[:, None], axis=0)
-        th = float(np.angle(target))
-        circle = self._circle_moments(th, y_end, max(n, 64))
-        return 2.0 * leg + circle
+def _power_terms(first, lam, k):
+    """first * lam^i, i = 0..k-1, on a new axis before the last by running
+    products; the node axis stays last so that numpy sums it pairwise."""
+    terms = np.empty(first.shape[:-1] + (k, first.shape[-1]), dtype=complex)
+    terms[..., 0, :] = first
+    for i in range(1, k):
+        terms[..., i, :] = terms[..., i - 1, :] * lam
+    return terms
 
 
 @functools.lru_cache(maxsize=128)
@@ -383,7 +362,7 @@ def b_periods(curve, b, quad=None):
     """B-periods of Theta_b: vector of g complex numbers."""
     b = _as_poly(b)
     eng = get_engine(curve, quad)
-    return np.asarray([eng.period(eng.b_moments(j), b) for j in range(curve.genus)])
+    return np.asarray([eng.period(moments, b) for moments in eng.b_matrix()])
 
 
 def sym_integral(curve, b, lam0, quad=None):
@@ -474,14 +453,10 @@ def derived_pencil(basis):
 def phi_map(curve, basis, lam0, quad=None):
     """Torus-characterization matrix: rows are (1/2 pi i) * (B-periods, Sym)
     of Theta_{b1} and Theta_{b2}; entries are real for a solved basis."""
-    eng = get_engine(curve, quad)
-    rows = []
-    for b in (basis.b1, basis.b2):
-        vals = [eng.period(eng.b_moments(j), b) for j in range(curve.genus)]
-        vals.append(eng.period(eng.gamma_moments(lam0), b))
-        rows.append(np.asarray(vals) / (2j * np.pi))
     return np.vstack([
-        _require_real(r, curve.tol, "normalized period row") for r in rows
+        _require_real(np.append(b_periods(curve, b, quad), sym_integral(curve, b, lam0, quad))
+                      / (2j * np.pi), curve.tol, "normalized period row")
+        for b in (basis.b1, basis.b2)
     ])
 
 
@@ -489,19 +464,18 @@ def phi_map(curve, basis, lam0, quad=None):
 # rationality probe
 # ---------------------------------------------------------------------------
 
+# Most points (2 m + 1)^dim of the grid rational_plane_distance scans: it
+# peaks near 46 bytes a point at dim 5, so under 0.5 GB; genus 4 at m = 12
+# (9.8e6 points) fits, and at dim >= 2 every m stays inside int16.
+MAX_DIRECTION_GRID = 10_000_000
+
+
 def _integer_directions(dim, bound):
     """Primitive integer vectors with max-norm <= bound, one per +/- pair."""
-    rng = np.arange(-bound, bound + 1, dtype=np.int16)
-    grids = np.meshgrid(*([rng] * dim), indexing="ij")
-    vecs = np.stack([gr.ravel() for gr in grids], axis=1)
-    nz = vecs != 0
-    any_nz = nz.any(axis=1)
-    vecs, nz = vecs[any_nz], nz[any_nz]
-    first = nz.argmax(axis=1)
-    lead = vecs[np.arange(len(vecs)), first]
+    vecs = np.indices((2 * bound + 1,) * dim, dtype=np.int16).reshape(dim, -1).T - bound
+    lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]   # 0 for the zero vector
     vecs = vecs[lead > 0]
-    prim = np.gcd.reduce(np.abs(vecs.astype(np.int32)), axis=1) == 1
-    return vecs[prim]
+    return vecs[np.gcd.reduce(np.abs(vecs.astype(np.int32)), axis=1) == 1]
 
 
 def rational_plane_distance(matrix, max_denominator=12, shortlist=256):
@@ -511,26 +485,30 @@ def rational_plane_distance(matrix, max_denominator=12, shortlist=256):
 
     A desk-scale probe: integer directions are scored by their angle to the
     row span, a shortlist is paired exhaustively, and the minimal largest
-    principal angle is returned.  Not a decision procedure.
+    principal angle is returned.  Not a decision procedure.  Raises
+    ValidationError for max_denominator < 1, shortlist < 2 (no pair), or a
+    direction grid of more than MAX_DIRECTION_GRID points.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     dim = m.shape[1]
+    if (max_denominator < 1 or shortlist < 2
+            or (2 * max_denominator + 1) ** dim > MAX_DIRECTION_GRID):
+        raise ValidationError("the rational probe needs max_denominator >= 1, shortlist >= 2 and "
+                              "(2 max_denominator + 1)^%d <= %d, got %r and %r"
+                              % (dim, MAX_DIRECTION_GRID, max_denominator, shortlist))
     if dim < 2:
         return 0.0
     q, r = np.linalg.qr(m.T)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, float(np.max(np.abs(m))))
-    q = q[:, keep]
+    q = q[:, np.abs(np.diag(r)) > 1e-12 * max(1.0, float(np.max(np.abs(m))))]
     if q.shape[1] in (0, dim):   # zero matrix, or a span holding every plane
         return 0.0
 
-    vecs = _integer_directions(dim, max_denominator)
-    vf = vecs.astype(np.float64)
+    vf = _integer_directions(dim, max_denominator).astype(np.float64)
     norms = np.linalg.norm(vf, axis=1)
     sin2 = np.empty(len(vf))
     step = 1_000_000
     for i in range(0, len(vf), step):
-        block = vf[i:i + step]
-        proj = block @ q
+        proj = vf[i:i + step] @ q
         sin2[i:i + step] = 1.0 - (proj * proj).sum(axis=1) / (norms[i:i + step] ** 2)
     k = min(shortlist, len(vf))
     short = vf[np.argpartition(sin2, k - 1)[:k]]

@@ -2,11 +2,12 @@
 
 The period engine integrates along each cut and leg of the layout that
 :func:`spectralcurves.curve.homology_cycles` lays out, continuing the
-square root with :func:`spectralcurves.curve.continue_sqrt`.  This module
+square root with :func:`spectralcurves.curve.track_sqrt`.  This module
 draws the same cycles as closed polylines (the racetrack A_j, the lasso
-B_j and the Sym detour gamma(lambda0)) and lifts them to the curve, so the
-tests can check the sheet behaviour the engine assumes and integrate along
-them with an independent rule.
+B_j and the Sym detour gamma(lambda0)) and lifts them to the curve with
+its own continuation, :func:`continue_sqrt`, so the tests can check the
+sheet behaviour the engine assumes and integrate along them with an
+independent rule.
 """
 
 import math
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spectralcurves.curve import continue_sqrt
 from spectralcurves.errors import ResolutionError, ValidationError
 
 
@@ -43,6 +43,24 @@ class SheetPath:
 
     def __len__(self):
         return len(self.points)
+
+
+def continue_sqrt(values, seed):
+    """Track a square root along samples of its square from ``seed``
+    (seed^2 ~ values[0]) by a running product of principal roots of ratios.
+    A zero or an argument step of pi/2 or more raises ResolutionError."""
+    values = np.asarray(values, dtype=complex)
+    if np.any(values == 0):
+        raise ResolutionError("square root tracking hit an exact zero")
+    ratio = values[1:] / values[:-1]
+    # |delta arg| < pi/2 puts each ratio in the right half plane, where the
+    # principal square root of the ratio is the continuous branch
+    if np.any(ratio.real <= 0):
+        raise ResolutionError("square root tracking under-resolved; increase node count")
+    out = np.empty_like(values)
+    out[0] = seed
+    out[1:] = seed * np.cumprod(np.sqrt(ratio))
+    return out
 
 
 def y_squared(curve, lam):

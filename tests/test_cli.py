@@ -97,6 +97,23 @@ def test_classify_refuses_proximity_flags_it_would_ignore(extra, flag, g1_spec,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("maxden", ["-3", "0", "40000"])
+def test_classify_refuses_probe_bounds_it_cannot_honour(maxden, g1_spec, tmp_path, capsys):
+    # -3 used to report pi/2, 0 to drop the report, 40000 to overflow int16
+    out = tmp_path / "rep.json"
+    assert main(["classify", "--spec", g1_spec, "--maxden", maxden, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError: ") and "max_denominator" in err
+    assert not out.exists()
+
+
+def test_classify_refuses_maxden_zero_with_csv(g1_spec, tmp_path, capsys):
+    out = tmp_path / "rep.csv"
+    assert main(["classify", "--spec", g1_spec, "--maxden", "0", "--format", "csv",
+                 "--out", str(out)]) == 2
+    assert "--maxden" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- scan
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from spectralcurves.curve import (
     build_curve,
-    continue_sqrt,
     curve_from_dict,
     curve_from_json,
     curve_to_dict,
@@ -21,7 +20,8 @@ from spectralcurves.errors import ResolutionError, ValidationError
 from spectralcurves.polyring import reality_check
 
 from conftest import sample_eta
-from sheets import a_cycle, a_loop, b_cycle, b_lasso, gamma, y_along, y_squared
+from sheets import (a_cycle, a_loop, b_cycle, b_lasso, continue_sqrt, gamma, y_along,
+                    y_squared)
 
 
 def polyline_winding(loop, z0):

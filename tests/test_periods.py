@@ -1,6 +1,7 @@
 """Period engine: kernel solve, independent quadrature oracles, sym map."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -27,7 +28,7 @@ from spectralcurves.polyring import CPoly, real_coords, reality_check, symmetriz
 from spectralcurves.whitham import attach_handle
 
 from conftest import random_curve
-from sheets import a_loop, gamma_path, y_along
+from sheets import a_loop, continue_sqrt, gamma_path, y_along
 
 # Magnitude of the A-period of the probe b = lambda on the curve with
 # eta = 1/2, computed from the real elliptic integral
@@ -302,6 +303,160 @@ def test_scan_op_on_a_clear_curve_takes_one_a_pass(monkeypatch):
     assert passes == [64]
 
 
+# ------------------------------------------ stacked B and gamma lassos
+
+
+def _fsum(values):
+    return complex(math.fsum(values.real), math.fsum(values.imag))
+
+
+def gauss_lasso_moments(curve, key, n):
+    """Moments of the lasso ``key`` (('B', j) or ('gamma', lambda0)) at n
+    leg points, one cycle on its own: the engine's Gauss rules, the root
+    continued by the running product of ``sheets.continue_sqrt`` (the
+    circle's from the leg's end value), powers by ``**`` and each sum by
+    math.fsum."""
+    hom = homology_cycles(curve)
+    kind, where = key
+    if kind == "B":
+        start, target = hom.b_leg(where)
+        angle = hom.leg_angles[where]
+        others = [z for k, z in enumerate(curve.branch_points) if k != where]
+
+        def sq(z):     # lambda * a / (lambda - eta_j) as a root product
+            return curve.lead * z * np.prod([z - r for r in others], axis=0)
+
+        x, w = _gauss_rule("jacobi", n)
+        jac, y_scale = np.sqrt((target - start) / 2.0), np.sqrt(target - start)
+    else:
+        start, target = hom.gamma_leg(where)
+        angle = float(np.angle(target))
+
+        def sq(z):
+            return z * curve.a(z)
+
+        x, w = _gauss_rule("legendre", n)
+        jac, y_scale = (target - start) / 2.0, 1.0
+    lam = start + (target - start) * (x + 1.0) / 2.0
+    path = np.concatenate([[start], lam, [target]])
+    root = continue_sqrt(sq(path), np.sqrt(sq(start)))
+    leg = [jac * _fsum(w * lam ** (k - 1.0) / root[1:-1]) for k in range(curve.genus + 2)]
+    xc, wc = _gauss_rule("legendre", max(n, 64))
+    theta = angle + np.pi * (np.concatenate([[-1.0], xc]) + 1.0)
+    u = continue_sqrt(curve.r0 * curve.a(curve.r0 * np.exp(1j * theta)),
+                      y_scale * root[-1] * np.exp(-0.5j * angle))[1:]
+    theta = theta[1:]
+    circle = [1j * np.pi * _fsum(wc * curve.r0 ** k * np.exp(1j * (k - 0.5) * theta) / u)
+              for k in range(curve.genus + 2)]
+    return 2.0 * np.array(leg) + np.array(circle)
+
+
+def _refine_nodes(monkeypatch):
+    """Record the keys and accepted rule sizes of every refinement."""
+    real = periods.PeriodEngine._refine
+    sizes = {}
+
+    def recording(self, keys, level, size, grow):
+        out, nodes = real(self, keys, level, size, grow)
+        sizes.update(zip(keys, nodes.tolist()))
+        return out, nodes
+
+    monkeypatch.setattr(periods.PeriodEngine, "_refine", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("genus, seed", [(1, 3), (2, 14), (3, 15), (2, 7), (3, 8)])
+def test_lasso_rows_match_independent_per_cycle_rules(monkeypatch, genus, seed):
+    curve = random_curve(genus, seed)
+    lam0 = complex(np.exp(1j * (np.pi + curve.cut_angles[0])))
+    sizes = _refine_nodes(monkeypatch)
+    eng = periods.PeriodEngine(curve, periods.DEFAULT_QUAD)
+    b_rows, gamma_row = eng.b_matrix(), eng.gamma_moments(lam0)
+    assert list(eng.b_nodes) == [sizes[("B", j)] for j in range(genus)]
+    for j in range(genus):
+        want = gauss_lasso_moments(curve, ("B", j), sizes[("B", j)])
+        assert _rel(b_rows[j], want) <= 1e-13
+    want = gauss_lasso_moments(curve, ("gamma", lam0), sizes[("gamma", lam0)])
+    assert _rel(gamma_row, want) <= 1e-13
+
+
+def _counting_lasso_passes(monkeypatch):
+    """Record (rule, rows, leg points) of every lasso pass, from an empty
+    engine memo."""
+    periods._engine.cache_clear()
+    real = periods.PeriodEngine._lasso
+    passes = []
+
+    def counted(self, todo, n, ends, kind):
+        passes.append((kind, len(todo), n))
+        return real(self, todo, n, ends, kind)
+
+    monkeypatch.setattr(periods.PeriodEngine, "_lasso", counted)
+    return passes
+
+
+@pytest.mark.parametrize("fault", ["untracked", "unmatched"])
+def test_lasso_tracking_failure_holds_back_only_its_own_row(monkeypatch, fault):
+    # the first leg pass cannot track B_0, or ends it off the value the
+    # circle continues; B_1 still settles at 128 points, and B_0, with no
+    # estimate at 64, compares 128 with 256
+    real = periods.track_sqrt
+    failed = []
+
+    def failing_first_row_once(values):
+        root, ok = real(values)
+        if not failed:
+            if fault == "untracked":
+                ok[0] = False
+            else:
+                root[0, -1] *= 1.01
+            failed.append(len(ok))
+        return root, ok
+
+    passes = _counting_lasso_passes(monkeypatch)
+    monkeypatch.setattr(periods, "track_sqrt", failing_first_row_once)
+    eng = periods.PeriodEngine(CURVE_G2, periods.DEFAULT_QUAD)
+    rows = eng.b_matrix()
+    assert failed == [2] and passes == [("jacobi", 2, 64), ("jacobi", 2, 128), ("jacobi", 1, 256)]
+    assert list(eng.b_nodes) == [256, 128]
+    for j, n in enumerate(eng.b_nodes):
+        assert _rel(rows[j], gauss_lasso_moments(CURVE_G2, ("B", j), n)) <= 1e-13
+
+
+def test_unreachable_tolerance_names_the_lasso():
+    eng = periods.PeriodEngine(CURVE_G2, QuadConfig(nodes=8, tol=1e-300))
+    with pytest.raises(ResolutionError, match=r"quadrature .* cycle \('B', 0\)"):
+        eng.b_matrix()
+    lam0 = complex(np.exp(2.1j))
+    with pytest.raises(ResolutionError, match=re.escape("cycle %s" % (("gamma", lam0),))):
+        eng.gamma_moments(lam0)
+
+
+def test_gamma_clearance_is_refused_before_any_quadrature(monkeypatch):
+    monkeypatch.setattr(periods, "_gauss_rule", None)
+    eng = periods.PeriodEngine(CURVE_G1, periods.DEFAULT_QUAD)
+    with pytest.raises(ValidationError, match="collides"):
+        eng.gamma_moments(1.0)
+
+
+def test_phi_map_on_a_clear_curve_stacks_the_b_rows(monkeypatch):
+    curve = build_curve([0.45, 0.5 * np.exp(2.1j), 0.55 * np.exp(-2.2j)])
+    basis = solve_Ba(curve)
+    passes = _counting_lasso_passes(monkeypatch)
+    phi_map(curve, basis, complex(np.exp(1.0j)))
+    assert passes == [("jacobi", 3, 64), ("jacobi", 3, 128),
+                      ("legendre", 1, 64), ("legendre", 1, 128)]
+
+
+def test_flow_step_takes_one_b_pass_per_level_for_each_curve(monkeypatch):
+    from spectralcurves.whitham import flow, rotation_selector
+
+    passes = _counting_lasso_passes(monkeypatch)
+    records = flow(CURVE_G2, rotation_selector, dt=1e-3, steps=1)
+    assert len(records) == 2
+    assert passes == [("jacobi", 2, 64), ("jacobi", 2, 128)] * 2
+
+
 def test_near_nodal_curve_stays_resolved():
     # short handle (t = 1e-3) puts two branch roots ~t^2 apart; the moment
     # engine must still deliver a clean kernel and imaginary B-periods
@@ -422,6 +577,25 @@ def test_rational_distance_matches_subspace_angles_loop(name, shortlist):
     got = rational_plane_distance(m, max_denominator=4, shortlist=shortlist)
     want = _pair_loop_distance(m, 4, shortlist)
     assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_denominator": 0}, {"max_denominator": -3}, {"shortlist": 1}, {"shortlist": 0},
+    {"shortlist": -2}, {"max_denominator": 40000}, {"max_denominator": 40000, "shortlist": 8},
+])
+def test_rational_distance_refuses_bounds_before_building_a_grid(monkeypatch, kwargs):
+    # refused values never reach the direction grid
+    monkeypatch.setattr(periods, "_integer_directions", None)
+    with pytest.raises(ValidationError, match="max_denominator"):
+        rational_plane_distance(np.array([[1.0, 0.2, -0.3], [0.1, 1.0, 0.7]]), **kwargs)
+
+
+def test_rational_distance_grid_cap_admits_genus_four_at_twelve(monkeypatch):
+    # (2*12+1)^5 = 9.8e6 points is under the cap, (2*13+1)^5 = 1.4e7 over
+    assert 25 ** 5 <= periods.MAX_DIRECTION_GRID < 27 ** 5
+    monkeypatch.setattr(periods, "_integer_directions", None)
+    with pytest.raises(ValidationError, match=r"\^5 <= 10000000"):
+        rational_plane_distance(np.eye(2, 5), max_denominator=13)
 
 
 def test_rational_distance_detects_integer_plane():
