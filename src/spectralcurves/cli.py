@@ -16,6 +16,7 @@ failure, 4 internal invariant violation (always a bug).
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -31,7 +32,7 @@ import numpy as np
 from .curve import build_curve, curve_from_dict, curve_to_dict
 from .errors import SpectralError, ValidationError
 from .grassmann import (B_map, gr_classify, plane_from_dict, plane_to_dict,
-                        probe_to_dict, stratum_dimension_probe)
+                        stratum_dimension_probe)
 from .invariants import GCD_TOL, classify
 from .periods import QuadConfig, phi_map, rational_plane_distance, solve_Ba
 from .polyring import CPoly
@@ -130,21 +131,6 @@ def _table(kind, genus, seed, cols, rows):
              "# columns: " + ",".join(cols), ",".join(cols)]
     lines += [",".join(row[c] for c in cols) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def _report_dict(rep):
-    return {
-        "genus": rep.genus,
-        "deg_f": rep.deg_f,
-        "gcd_degree": rep.gcd_degree,
-        "gcd_roots": _pairs(rep.gcd_roots),
-        "winding_arg": rep.winding_arg,
-        "winding_roots": rep.winding_roots,
-        "stratum": rep.stratum,
-        "v_index": rep.v_index,
-        "lambda0": _pairs(rep.lambda0),
-        "genus0_flags": list(rep.genus0_flags),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +248,8 @@ def cmd_classify(cfg):
     data = {"schema_version": SCHEMA_VERSION,
             "curve": curve_to_dict(curve),
             "kernel_gap": gap if np.isfinite(gap) else None}
-    data.update(_report_dict(rep))
+    data.update(dataclasses.asdict(rep), gcd_roots=_pairs(rep.gcd_roots),
+                lambda0=_pairs(rep.lambda0))
     if cfg.maxden is not None:
         angle = cfg.alpha_angle
         if angle is None:
@@ -521,18 +508,9 @@ def cmd_deform(cfg):
     alpha = complex(np.exp(1j * cfg.alpha_angle))
     check = handle_invariant_check(curve, alpha, cfg.t,
                                    tol=cfg.tol or GCD_TOL, quad=cfg.quad)
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "curve": curve_to_dict(curve),
-        "alpha": [alpha.real, alpha.imag],
-        "t": check.t,
-        "deg_f_before": check.deg_f_before,
-        "deg_f_after": check.deg_f_after,
-        "winding_before": check.winding_before,
-        "winding_after": check.winding_after,
-        "sign_slope": check.sign_slope,
-        "new_circle_critical_points": _pairs(check.new_circle_critical_points),
-    }
+    data = {"schema_version": SCHEMA_VERSION, "curve": curve_to_dict(curve)}
+    data.update(dataclasses.asdict(check), alpha=[alpha.real, alpha.imag],
+                new_circle_critical_points=_pairs(check.new_circle_critical_points))
     _write_json(cfg.out, data)
     return 0
 
@@ -560,7 +538,7 @@ def cmd_gr(cfg):
     if rep["gcd_degree"] > 0 and plane.genus > 0:
         probe = stratum_dimension_probe(plane, tol=cfg.tol or GCD_TOL,
                                         seed=cfg.seed)
-        out["probe"] = probe_to_dict(probe)
+        out["probe"] = dataclasses.asdict(probe)
     else:
         out["probe"] = None
     _write_json(cfg.out, out)

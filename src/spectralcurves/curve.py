@@ -65,10 +65,8 @@ class SpectralCurve:
         Top coefficient of ``a`` (unimodular).
     cut_angles : tuple of float
         arg(eta_j) for each radial cut.
-    base_angle : float
-        Direction of the radial cut joining 0 to infinity.
     r0 : float
-        Radius of the origin service circle.
+        Radius of the service circle around the branch point at 0.
     tol : float
         Validation/working tolerance attached to the curve.
     """
@@ -79,7 +77,6 @@ class SpectralCurve:
     a: CPoly
     lead: complex
     cut_angles: tuple
-    base_angle: float
     r0: float
     tol: float
 
@@ -100,34 +97,6 @@ def _angdist(x, y):
     elif d > math.pi:
         d -= 2.0 * math.pi
     return abs(d)
-
-
-def _pick_base_angle(cut_angles):
-    """Radial direction for the cut joining 0 to infinity.
-
-    Opposite the circular mean of the root directions when that mean is
-    defined; otherwise (and whenever the opposite ray crowds an existing
-    cut) the midpoint of the widest angular gap between cuts.
-    """
-    if not cut_angles:
-        return 0.0
-    mean_vec = sum(complex(math.cos(t), math.sin(t)) for t in cut_angles)
-    candidate = None
-    if abs(mean_vec) > 1e-9:
-        candidate = math.atan2(-mean_vec.imag, -mean_vec.real)
-    angles = sorted(a % (2.0 * math.pi) for a in cut_angles)
-    gaps = []
-    for i, a in enumerate(angles):
-        nxt = angles[(i + 1) % len(angles)] + (2.0 * math.pi if i + 1 == len(angles) else 0.0)
-        gaps.append((nxt - a, a, nxt))
-    width, lo, hi = max(gaps)
-    fallback = ((lo + hi) / 2.0) % (2.0 * math.pi)
-    if candidate is None:
-        return fallback
-    clearance = min(_angdist(candidate, t) for t in cut_angles)
-    if clearance < min(0.2, 0.25 * width):
-        return fallback
-    return candidate % (2.0 * math.pi)
 
 
 def build_curve(eta, tol=DEFAULT_TOL):
@@ -196,7 +165,6 @@ def build_curve(eta, tol=DEFAULT_TOL):
         raise ValidationError("lambda^(-g) a(lambda) is not positive on the unit circle")
 
     cut_angles = tuple(math.atan2(z.imag, z.real) for z in eta)
-    base_angle = _pick_base_angle(cut_angles)
     r0 = SERVICE_RADIUS_FACTOR * (min(abs(z) for z in eta) if eta else 1.0)
 
     return SpectralCurve(
@@ -206,7 +174,6 @@ def build_curve(eta, tol=DEFAULT_TOL):
         a=a,
         lead=lead,
         cut_angles=cut_angles,
-        base_angle=base_angle,
         r0=r0,
         tol=float(tol),
     )
@@ -290,12 +257,13 @@ class Homology:
     engine integrates it along the cut itself.  ``wedge_half_angle`` and
     ``radial_margin`` bound the wedge around the cut that no other branch
     point enters, which sizes the layout's refusals and B-leg nudges and
-    holds a racetrack loop around the cut.  B_j is a lasso: the leg :meth:`b_leg` from the branch
-    point eta_j to the origin service circle, once around that circle from
-    angle ``leg_angles[j]`` (crossing the base cut, hence switching
-    sheets), and back along the leg on the other sheet.  gamma(lambda0) is
-    the same detour launched along :meth:`gamma_leg` from a regular point
-    on the unit circle; it joins the two points of the curve over lambda0.
+    holds a racetrack loop around the cut.  B_j is a lasso: the leg
+    :meth:`b_leg` from the branch point eta_j to the origin service circle,
+    once around that circle from angle ``leg_angles[j]`` (around the
+    branch point at 0, hence switching sheets), and back along the leg on
+    the other sheet.  gamma(lambda0) is the same detour launched along
+    :meth:`gamma_leg` from a regular point on the unit circle; it joins
+    the two points of the curve over lambda0.
 
     Intersection numbers A_i . B_j = +/- delta_ij hold by construction of
     the layout; they are not recomputed numerically.
@@ -344,6 +312,8 @@ def _segment_distance(p, q, z):
 def homology_cycles(curve):
     """Lay out radial-cut homology representatives for the curve.
 
+    Every B-lasso changes sheet around the branch point at 0.
+
     Returns
     -------
     Homology
@@ -388,12 +358,6 @@ def homology_cycles(curve):
                         "the radial homology realization needs angular separation" % th
                     )
                 dlt = min(dlt, 0.45 * sep)
-        sepb = _angdist(c.base_angle, th)
-        if sepb < 1e-3:
-            raise ResolutionError("cut layout failed: a root ray coincides with the base cut")
-        dlt = min(dlt, 0.45 * sepb)
-        if dlt < 1e-4:
-            raise ResolutionError("cut layout failed: angular clearance below 1e-4 at cut %d" % j)
         half_angles.append(dlt)
         margins.append((rin, rout))
 

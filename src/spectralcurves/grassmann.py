@@ -54,7 +54,6 @@ __all__ = [
     "gr_classify",
     "ProbeReport",
     "stratum_dimension_probe",
-    "probe_to_dict",
     "B_map",
     "immersion_rank",
 ]
@@ -306,22 +305,6 @@ class ProbeReport:
     radius: float
     samples: int
     persistence_ratio: float
-
-
-def probe_to_dict(report):
-    return {
-        "genus": report.genus,
-        "gcd_degree": report.gcd_degree,
-        "case": report.case,
-        "dimension": report.dimension,
-        "singular": report.singular,
-        "sheets": report.sheets,
-        "sheet_dimensions": list(report.sheet_dimensions),
-        "normal_rank": report.normal_rank,
-        "radius": report.radius,
-        "samples": report.samples,
-        "persistence_ratio": report.persistence_ratio,
-    }
 
 
 def _directions(dim, samples, rng):

@@ -215,7 +215,9 @@ def classify(curve, basis=None, tol=GCD_TOL):
 
     Cross-checks the two winding algorithms, the parity and range bounds
     relating winding to deg(f), and the genus-zero equivalence flags; any
-    violation raises InvariantError.
+    violation raises InvariantError.  Flags broken by a nontrivial gcd raise
+    ResolutionError: with every root near S^1 (a near-nodal curve) the gcd
+    at ``tol`` swallows the pencil.
     """
     if basis is None:
         basis = solve_Ba(curve)
@@ -251,6 +253,10 @@ def classify(curve, basis=None, tol=GCD_TOL):
 
     flags = (g == 0, df == 1, w_arg == df)
     if len(set(flags)) != 1:
+        if gdeg > 0:
+            raise ResolutionError(
+                "gcd of degree %d at tolerance %g leaves deg f = %d at genus "
+                "%d: the curve is too close to nodal to classify" % (gdeg, tol, df, g))
         raise InvariantError(
             "genus-zero equivalence violated: flags %s for g=%d deg=%d winding=%d"
             % (flags, g, df, w_arg)

@@ -93,20 +93,12 @@ class CPoly:
         return np.polynomial.polynomial.polyval(lam, self.coeffs)
 
     def derivative(self):
-        if self.formal_degree == 0:
-            return CPoly([0.0])
-        k = np.arange(1, len(self.coeffs))
-        return CPoly(self.coeffs[1:] * k)
+        return CPoly(_der(self.coeffs))
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.zeros(n, dtype=np.complex128)
-        a[: len(self.coeffs)] = self.coeffs
-        a[: len(other.coeffs)] += other.coeffs
-        return CPoly(a)
+        return CPoly(_sum(self.coeffs, _as_poly(other).coeffs))
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -131,7 +123,7 @@ class CPoly:
 
     def times_lambda(self):
         """Multiply by the variable, raising the formal degree by one."""
-        return CPoly(np.concatenate([[0.0 + 0.0j], self.coeffs]))
+        return CPoly(_lam(self.coeffs))
 
     def trimmed(self, tol=1e-9):
         """Drop trailing coefficients below ``tol * max|coeffs|``."""
@@ -163,6 +155,28 @@ class CPoly:
 
     def __hash__(self):
         return hash((self.formal_degree, self.coeffs.tobytes()))
+
+
+def _der(c):
+    """Coefficients of the derivative."""
+    return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1, complex)
+
+
+def _lam(c):
+    """Coefficients times the variable."""
+    return np.concatenate([[0.0 + 0.0j], c])
+
+
+def _sum(*terms):
+    """Coefficients of terms[0] + terms[1] + ..., added left to right.  A
+    difference is the sum with the negation, as in ``CPoly.__sub__``; CPoly's
+    operators and the tangent algebra of ``whitham`` share these array forms,
+    and so their bits."""
+    out = np.zeros(max(len(t) for t in terms), dtype=complex)
+    out[: len(terms[0])] = terms[0]
+    for t in terms[1:]:
+        out[: len(t)] += t
+    return out
 
 
 def _as_poly(x):

@@ -41,7 +41,8 @@ from .curve import _segment_distance, build_curve
 from .errors import InvariantError, ResolutionError, ValidationError
 from .invariants import GCD_TOL, _deflated_pair, classify, pencil_gcd
 from .periods import PencilBasis, b_periods, solve_Ba
-from .polyring import CPoly, real_place, real_place_coeffs, reality_check
+from .polyring import (CPoly, _der, _lam, _sum, real_place, real_place_coeffs,
+                       reality_check)
 from .polyring import roots as poly_roots
 
 log = logging.getLogger(__name__)
@@ -80,27 +81,6 @@ def _times(p, degree, length):
 # ---------------------------------------------------------------------------
 # tangent algebra
 # ---------------------------------------------------------------------------
-
-def _der(c):
-    """Coefficients of CPoly(c).derivative()."""
-    return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1, complex)
-
-
-def _lam(c):
-    """Coefficients of CPoly(c).times_lambda()."""
-    return np.concatenate([[0.0 + 0.0j], c])
-
-
-def _sum(*terms):
-    """Coefficients of terms[0] + terms[1] + ... as chained CPoly additions
-    form them.  With np.convolve for products and a difference as the sum
-    with the negation, array algebra keeps the bits of CPoly's operators."""
-    out = np.zeros(max(len(t) for t in terms), dtype=complex)
-    out[: len(terms[0])] = terms[0]
-    for t in terms[1:]:
-        out[: len(t)] += t
-    return out
-
 
 def _driver(a, da, c, dc):
     """i (2 lambda a c' - a c - lambda a' c), the c-side of the derivative

@@ -422,6 +422,16 @@ def test_malformed_record_fields_exit_2(command, record, field, tmp_path, capsys
     assert "ValidationError" in err and field in err
 
 
+@pytest.mark.parametrize("command", [["classify"], ["deform", "--alpha-angle", "0.7"]])
+@pytest.mark.parametrize("eta", [[[0.9999, 0]], [[0.9999, 0], [0, 0.9999]]])
+def test_near_nodal_curve_exits_3(command, eta, tmp_path, capsys):
+    spec = tmp_path / "nodal.json"
+    spec.write_text(json.dumps({"eta": eta}))
+    assert main(command[:1] + ["--spec", str(spec)] + command[1:]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ResolutionError") and "gcd of degree" in err
+
+
 @pytest.mark.parametrize("command", ["gr", "classify"])
 @pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"x"'])
 def test_spec_that_is_not_a_json_object_exits_2(command, text, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Curve construction, validation, sheet tracking, homology layout."""
 
+import logging
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from spectralcurves.curve import (
 from spectralcurves.errors import ResolutionError, ValidationError
 from spectralcurves.polyring import reality_check
 
-from conftest import sample_eta
+from conftest import random_curve, sample_eta
 from sheets import (a_cycle, a_loop, b_cycle, b_lasso, continue_sqrt, gamma, y_along,
                     y_squared)
 
@@ -225,6 +226,28 @@ def test_a_loop_encircles_exactly_its_cut():
         other = 1 - j
         assert polyline_winding(loop, c.eta[other]) == 0
         assert polyline_winding(loop, c.partners[other]) == 0
+
+
+def test_wedge_is_bounded_by_the_other_branch_points_alone():
+    # the nearest other branch point is more than 0.35 / 0.45 rad from cut 2
+    assert homology_cycles(random_curve(3, 11)).wedge_half_angle[2] == 0.35
+
+
+@pytest.mark.parametrize("genus, seed, nudge, legs", [
+    (2, 145, 0.5, ["0x1.85ed9d9f88ddap+1", "0x1.703410631da2ap+1"]),
+    (4, 26, -0.5, ["0x1.18b6d8a5bd3e6p+1", "-0x1.155ef8f17fa48p-1",
+                   "0x1.308fd6d45251cp+1", "0x1.e77e2e17e63d0p+0"]),
+    # no nudge clears 5e-3: the clearest one is kept, with a warning
+    (2, 205, -1.5, ["0x1.2cbc7dcd2a9ebp+0", "0x1.2f67c05aedffcp+0"]),
+])
+def test_b_leg_nudges_are_frozen(genus, seed, nudge, legs, caplog):
+    c = random_curve(genus, seed)
+    with caplog.at_level(logging.WARNING, logger="spectralcurves.curve"):
+        hom = homology_cycles(c)
+    assert [a.hex() for a in hom.leg_angles] == legs
+    assert (hom.leg_angles[0] - c.cut_angles[0]) / hom.wedge_half_angle[0] == \
+        pytest.approx(nudge)
+    assert ("B-leg 0 clearance only" in caplog.text) == (nudge == -1.5)
 
 
 def test_b_leg_endpoints():

@@ -57,6 +57,19 @@ def test_genus_one_lands_in_central_stratum():
         assert rep.stratum == "V_0"
 
 
+@pytest.mark.parametrize("eta", [[0.9999], [0.9999, 0.9999j]])
+def test_near_nodal_curve_is_unresolved_not_a_bug(eta):
+    # every root within 1e-4 of S^1: the gcd at GCD_TOL swallows the pencil
+    # down to deg f = 1, which no curve of positive genus has
+    with pytest.raises(ResolutionError, match="gcd of degree %d at tolerance 1e-06"
+                       % len(eta)):
+        classify(build_curve(eta))
+
+
+def test_near_nodal_genus_one_resolves_at_3e_4():
+    assert classify(build_curve([np.exp(-3e-4)])).stratum == "V_0"
+
+
 def test_frozen_extreme_winding_curves():
     rep = classify(build_curve(FROZEN_MINUS))
     assert (rep.stratum, rep.deg_f, rep.winding_arg, rep.winding_roots) == ("V_-2", 4, -2, -2)
