@@ -26,7 +26,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import InvariantError, ResolutionError, ValidationError
 from .periods import solve_Ba
-from .polyring import CPoly, approx_gcd, roots
+from .polyring import CPoly, _der, approx_gcd, roots
 
 GCD_TOL = 1e-6
 
@@ -175,6 +175,14 @@ def _disc_count(p):
         if delta < 0:
             count, sign = count + sign * n, -sign
         a = [a0bar * a[k] - an * a[n - k].conjugate() for k in range(n)]
+
+
+def _circle_count(p):
+    """Zeros on S^1 of a self-inversive p of formal degree n (a constant has
+    none), root-free: p' has as many zeros outside the closed disc as p
+    (Cohn; Marden, Geometry of Polynomials, 45).  A p' zero near S^1 raises."""
+    n = p.formal_degree
+    return n - 2 * (n - 1 - _disc_count(CPoly(_der(p.coeffs)))) if n else 0
 
 
 def winding_arg(basis, tol=GCD_TOL):

@@ -207,12 +207,14 @@ class PeriodEngine:
         rule.  ``level(todo, m)`` gives, for the rows ``todo``, estimates at
         m // grow points (None: its own pass at m // 2) and at m, and a flag,
         False where one is missing.  Rows settle by :func:`_settle`; the rest
-        go on at grow * m points, up to nodes * 2**MAX_DOUBLINGS."""
+        go on at grow * m points, up to nodes * 2**MAX_DOUBLINGS, and are refused
+        once their change has not fallen for two tracked levels in a row."""
         tol, limit = self.quad.tol, self.quad.nodes << MAX_DOUBLINGS
         out = np.empty((len(keys), self.curve.genus + 2), dtype=complex)
         last, had, nodes = np.zeros_like(out), np.zeros(len(keys), bool), np.zeros(len(keys), int)
         prev_rel, todo = np.full(len(keys), np.inf), np.arange(len(keys))
-        while todo.size and size <= limit:
+        stalls = np.zeros(len(keys), int)
+        while todo.size:
             coarse, fine, ok = level(todo, size)
             if coarse is None:
                 coarse, ok, last[todo], had[todo] = last[todo], ok & had[todo], fine, ok
@@ -222,11 +224,12 @@ class PeriodEngine:
                 log.debug("cycle %s settled at roundoff floor", keys[i])
             out[todo[done]] = np.where(accept[:, None], fine, coarse)[done]
             nodes[todo[done]] = np.where(accept, size, size // grow)[done]
+            stalls[todo] = np.where(ok & (rel >= prev_rel[todo]), stalls[todo] + 1, 0)
             prev_rel[todo] = np.where(ok, rel, np.inf)
             todo, size = todo[~done], grow * size
-        if todo.size:
-            raise ResolutionError("quadrature failed to converge for cycle %s within %d nodes"
-                                  % (keys[todo[0]], limit))
+            if todo.size and (size > limit or stalls[todo].max() >= 2):
+                raise ResolutionError("quadrature failed to converge for cycle %s within %d "
+                                      "nodes" % (keys[todo[np.argmax(stalls[todo])]], size // grow))
         return out, nodes
 
     # -- A: Gauss-Chebyshev across the radial cut ----------------------------

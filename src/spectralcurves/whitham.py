@@ -39,7 +39,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .curve import _segment_distance, build_curve
 from .errors import InvariantError, ResolutionError, ValidationError
-from .invariants import GCD_TOL, _deflated_pair, classify, pencil_gcd
+from .invariants import GCD_TOL, _circle_count, _deflated_pair, classify, pencil_gcd
 from .periods import PencilBasis, b_periods, solve_Ba
 from .polyring import (CPoly, _der, _lam, _sum, real_place, real_place_coeffs,
                        reality_check)
@@ -514,68 +514,57 @@ def _critical_angles(num, den, block=None):
     On S^1, d/dtheta arg f~ = lam W / (num den) with W = num' den - num den'
     self-reciprocal (its formal top coefficient cancels; off-circle roots
     pair as r, 1/conj(r)), so the critical points are the unit-circle
-    roots of W.  A root is kept when closer to S^1 than its perturbation
-    bound under a backward error of 64 eps ||W||, then polished by three
-    Newton steps on the slope.  Each kept zero must be farther from its
-    neighbours than four times their errors (Newton step plus rounding);
-    else a near-circle pair is within rounding of a double root, which
-    raises InvariantError.  ``block`` is _slope_block(num, den), if known.
+    roots of W.  Their number comes from W's coefficients
+    (``_circle_count``); that many companion roots nearest S^1 are kept and
+    polished by three Newton steps on the slope.  Each kept zero must be
+    farther from its neighbours than four times their errors (Newton step
+    plus rounding), and W' must have no zero within rounding of S^1; else
+    a near-circle pair is within rounding of a double root, which raises
+    InvariantError.  ``block`` is _slope_block(num, den), if known.
     """
     block = _slope_block(num, den) if block is None else block
-    rounding = 64.0 * np.finfo(float).eps
+    unresolved = InvariantError(
+        "critical points of the circle map not resolved: a near-circle "
+        "root pair of W is within rounding of a double root")
     w = (num.derivative() * den - num * den.derivative()).coeffs[:-1]
+    try:
+        count = _circle_count(CPoly(w))
+    except ResolutionError:
+        raise unresolved from None
     r = np.roots(w[::-1])
-    # ||r| - 1| <= bound, multiplied through by |W'(r)|, which is 0 at a double root
-    near = (np.abs(np.abs(r) - 1.0) * np.abs(npoly.polyval(r, npoly.polyder(w)))
-            <= rounding * np.linalg.norm(w)
-            * np.linalg.norm(np.abs(r)[:, None] ** np.arange(len(w)), axis=1))
-    theta = np.angle(r[near])
+    theta = np.angle(r[np.argsort(np.abs(np.abs(r) - 1.0), kind="stable")[:count]])
     for _ in range(3):
         s, ds, _ = _angular_logslope(block, theta)
         theta = theta - s / ds
     theta = np.sort(theta % (2.0 * np.pi))
     s, ds, scale = _angular_logslope(block, theta)
-    err = 4.0 * (np.abs(s) + rounding * scale) / np.abs(ds)
+    err = 4.0 * (np.abs(s) + 64.0 * np.finfo(float).eps * scale) / np.abs(ds)
     gaps = np.diff(theta, append=theta[:1] + 2.0 * np.pi)
     if not np.all(gaps > err + np.roll(err, -1)):
-        raise InvariantError(
-            "critical points of the circle map not resolved: a near-circle "
-            "root pair of W is within rounding of a double root")
+        raise unresolved
     return theta
 
 
 def _new_critical_pair(crit0, crit1, psi, t_used):
-    """Window count of circle-map critical points: the deformed map must
-    have exactly two more than the base map near psi.  The window shrinks
-    until no critical point of either map sits within a margin of its
-    edges (they displace by O(t) under the deformation, so an edge one
-    would make the count ambiguous).  Angles are unwrapped to offsets from
-    psi in [-pi, pi), as psi +- width may cross +-pi."""
+    """The third handle law on the critical points of the base and the
+    deformed circle map: the deformed map has exactly two more, and each
+    base one has a successor within 0.05 + 2t (they displace by O(t)).
+    The new pair is the two deformed ones nearest psi.  Angles are
+    unwrapped to offsets from psi in [-pi, pi)."""
     off0, off1 = ((np.asarray(c) - psi + np.pi) % (2.0 * np.pi) - np.pi
                   for c in (crit0, crit1))
-    width = 0.45
-    margin = 0.05 + 2.0 * t_used
-    while True:
-        z0 = off0[np.abs(off0) <= width]
-        z1 = off1[np.abs(off1) <= width]
-        if np.all(width - np.abs(np.concatenate([z0, z1])) > margin):
-            break
-        width *= 0.93
-        if width < 0.12:
-            raise InvariantError(
-                "could not isolate a clean window around alpha for "
-                "critical-point counting")
-    if len(z1) != len(z0) + 2:
-        near = np.min(np.abs(z0), initial=np.inf)
-        hint = ""
-        if near < 6.0 * t_used:
-            hint = (" -- a base critical point lies %.3g from alpha, so the "
-                    "new pair only separates for t well below that" % near)
+    if len(off1) != len(off0) + 2:
         raise InvariantError(
-            "expected two new critical points of the deformed circle map "
-            "near alpha: window holds %d before and %d after (t=%g)%s"
-            % (len(z0), len(z1), t_used, hint))
-    return tuple(psi + z1[np.argsort(np.abs(z1), kind="stable")[:2]])
+            "expected two new critical points of the deformed circle map: %d before and "
+            "%d after (t=%g; the nearest base one lies %.3g from alpha)"
+            % (len(off0), len(off1), t_used, np.min(np.abs(off0), initial=np.inf)))
+    moved = np.abs((np.subtract.outer(off0, off1) + np.pi) % (2.0 * np.pi) - np.pi)
+    worst = moved.min(axis=1).max(initial=0.0)
+    if worst > 0.05 + 2.0 * t_used:
+        raise InvariantError(
+            "a critical point of the base circle map has no successor within "
+            "0.05 + 2t: the farthest moved %.3g (t=%g)" % (worst, t_used))
+    return tuple(psi + off1[np.argsort(np.abs(off1), kind="stable")[:2]])
 
 
 @functools.lru_cache(maxsize=32)
@@ -599,8 +588,8 @@ def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
     """Verify the degree/winding laws of a handle attachment.
 
     deg f gains one; the winding drops by the sign of the angular slope of
-    arg f~ at alpha; exactly two new simple critical points of the
-    deformed circle map appear on the unit circle near alpha.  All three
+    arg f~ at alpha; the deformed circle map has exactly two critical
+    points more, the pair nearest alpha (``_new_critical_pair``).  All three
     are small-t statements, so any failed check halves the handle
     parameter and retries (up to 12 times) before the last failure is
     raised, with both sides of the offending equality reported.

@@ -11,6 +11,19 @@ from spectralcurves.periods import solve_Ba
 from spectralcurves.polyring import CPoly, symmetrize_reality
 from spectralcurves.whitham import attach_handle, handle_invariant_check
 
+# Genus-3 curves whose solved pencil has a common root: (b1, b2)(z) = 0
+# solved by Gauss-Newton in (eta, z) to about 1e-14.  A and B share a
+# reflection pair off S^1, C a root on S^1.
+LOCUS_A = [-0.3292039286214081 - 0.6030539552794908j,
+           -0.45024626975212434 - 0.6616948731742897j,
+           -0.34269460177922884 - 0.1387985707481085j]
+LOCUS_B = [-0.21538490608642857 - 0.4758075699469921j,
+           0.27344688128583927 - 0.3763178733218319j,
+           0.023757636059541103 - 0.40289873353490424j]
+LOCUS_C = [0.5199317582234247 - 0.11405162392317623j,
+           -0.5231737391064448 + 0.5738056714145655j,
+           -0.6386139214376604 + 0.43594509816551386j]
+
 
 def sample_eta(genus, rng, annulus=ANNULUS, min_sep=MIN_SEPARATION):
     """Draw ``genus`` branch roots area-uniformly from the CLI scan's

@@ -359,6 +359,16 @@ def test_deform_rejects_invalid_handle_parameter(g1_spec, t, capsys):
     assert "ValidationError" in capsys.readouterr().err
 
 
+def test_deform_near_the_common_root_stratum_exits_3(tmp_path, capsys):
+    # the whitham benchmark input of test_handle_near_the_common_root_stratum_collapses
+    spec = tmp_path / "collapse.json"
+    spec.write_text(json.dumps({"eta": [[-0.16526390132706809, -0.21011795351346307],
+                                        [0.46555348358128235, -0.5148181138842565]]}))
+    assert main(["deform", "--spec", str(spec), "--alpha-angle", "-1.2372787010193307",
+                 "--t", "3e-3"]) == 3
+    assert capsys.readouterr().err.startswith("_StratumCollapse: deformed pencil")
+
+
 # ------------------------------------------------------------------- gr
 
 

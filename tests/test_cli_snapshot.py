@@ -1,11 +1,13 @@
-"""CLI outputs against a recorded snapshot, floats left out.
+"""CLI outputs against a recorded snapshot, exactly.
 
 ``data/cli_snapshot.json`` holds, for a fixed list of runs, the exit code
-and the output with every float replaced by ``"<float>"``: CSV comment
-and header lines, the non-float cells of each row, JSON key order and
-every value that is not a float.  A record that gains, loses or reorders
-a field, a changed stratum or a changed exit code fails here; a change in
-the last digits of a float does not.  To record the snapshot again:
+and every line the run writes to standard output, floats with all their
+digits.  A run must reproduce them byte for byte: a record that gains,
+loses or reorders a field, a changed stratum or exit code, and a change
+in the last digit of a float all fail here.  The structure is compared
+first, with every float replaced by ``"<float>"``, so a failure says
+whether the layout or only the digits moved.  A change that moves floats
+on purpose records the snapshot again, and says so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_cli_snapshot.py
 """
@@ -58,9 +60,12 @@ def _floats_out(value):
     return value
 
 
-def skeleton(text):
+def skeleton(lines):
     """The output with its floats replaced: a JSON value, or for CSV the
     list of lines with float cells replaced."""
+    if lines is None:
+        return None
+    text = "\n".join(lines)
     if text.startswith("{"):
         return _floats_out(json.loads(text))
     lines = text.splitlines()
@@ -76,12 +81,12 @@ def skeleton(text):
 
 
 def run(argv, spec_dir):
-    """(exit code, output skeleton) of one in-process run."""
+    """(exit code, output lines) of one in-process run."""
     argv = [os.path.join(spec_dir, a + ".json") if a in SPECS else a for a in argv]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
-    return code, skeleton(buf.getvalue()) if buf.getvalue() else None
+    return code, buf.getvalue().split("\n") if buf.getvalue() else None
 
 
 def _write_specs(spec_dir):
@@ -102,9 +107,9 @@ def test_cli_output_matches_snapshot(argv, recorded, tmp_path):
     want = recorded[" ".join(argv)]
     code, got = run(argv, str(tmp_path))
     assert code == want["exit"]
-    assert got == want["output"]
     # dict equality ignores order; the dumps compare key order too
-    assert json.dumps(got) == json.dumps(want["output"])
+    assert json.dumps(skeleton(got)) == json.dumps(skeleton(want["output"]))
+    assert got == want["output"]
 
 
 if __name__ == "__main__":

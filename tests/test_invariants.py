@@ -7,7 +7,9 @@ import pytest
 
 from spectralcurves.curve import build_curve, rotate_curve
 from spectralcurves.errors import InvariantError, ResolutionError, ValidationError
+from spectralcurves.grassmann import B_map, gr_classify
 from spectralcurves.invariants import (
+    _circle_count,
     circle_map,
     classify,
     deg_f,
@@ -19,7 +21,7 @@ from spectralcurves.periods import derived_pencil, solve_Ba
 from spectralcurves.polyring import CPoly, real_place, roots, symmetrize_reality
 from spectralcurves.whitham import attach_handle
 
-from conftest import counting_approx_gcd, random_curve
+from conftest import LOCUS_A, LOCUS_B, LOCUS_C, counting_approx_gcd, random_curve
 
 # classification is expensive enough to share across assertions
 FROZEN_MINUS = [-0.3967 - 0.5356j, -0.2717 - 0.7730j, -0.0925 + 0.3364j]
@@ -332,3 +334,85 @@ def test_classify_matches_standalone_windings_and_frozen_reports(genus):
         assert (rep.winding_arg, rep.winding_roots, rep.v_index) == (want, want, want)
         assert (rep.stratum, rep.lambda0) == ("V_%d" % want, ())
         assert rep.genus0_flags == (False, False, False)
+
+
+# ------------------------------------------------- cross-checks that must not fire
+
+
+@pytest.mark.parametrize("shift, match", [
+    (None, "winding algorithms disagree"),
+    (1, "different parity"),
+    (4, r"outside \(-deg, deg\]"),
+    (2, "deg-2 bound"),
+], ids=["disagree", "parity", "range", "deg-2"])
+def test_classify_cross_checks_raise_on_a_broken_count(shift, match, monkeypatch):
+    # genus 1, deg f = 2, winding 0: shifting the winding by 1 breaks parity,
+    # by 4 the range (-2, 2] and by 2 only the deg - 2 bound; shifting the
+    # root count alone makes the two algorithms disagree
+    import spectralcurves.invariants as inv
+
+    basis = solve_Ba(build_curve([0.5]))
+    assert classify(basis.curve, basis).winding_arg == 0
+    num, _ = inv._deflated_pair(basis)
+    real_disc, real_roots = inv._disc_count, inv._root_count
+    if shift is None:
+        monkeypatch.setattr(inv, "_root_count", lambda pair, tol: real_roots(pair, tol) + 1)
+    else:
+        monkeypatch.setattr(inv, "_disc_count", lambda p: real_disc(p) + shift * (p == num))
+        monkeypatch.setattr(inv, "_root_count", lambda pair, tol: real_roots(pair, tol) + shift)
+    with pytest.raises(InvariantError, match=match):
+        classify(basis.curve, basis)
+
+
+# ------------------------------------------------- zeros on S^1 by Cohn's rule
+
+
+def test_circle_count_matches_the_root_placement():
+    # self-inversive p of degree n: k reflected pairs and n - 2k zeros on S^1
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        k = int(rng.integers(0, n // 2 + 1))
+        inside = rng.uniform(0.1, 0.95, k) * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
+        rts = np.concatenate([inside, 1.0 / np.conj(inside),
+                              np.exp(1j * rng.uniform(-np.pi, np.pi, n - 2 * k))])
+        p = CPoly.from_roots(rts, lead=np.exp(1j * rng.uniform(-np.pi, np.pi)))
+        assert _circle_count(p) == n - 2 * k
+
+
+def test_circle_count_of_a_constant_is_zero():
+    # W of a genus-zero circle map, lambda -> lambda, is a constant
+    assert _circle_count(CPoly([-1.0])) == 0
+
+
+def test_circle_count_refuses_a_double_zero_on_the_circle():
+    p = CPoly.from_roots([np.exp(0.4j), np.exp(0.4j), np.exp(2.0j)])
+    with pytest.raises(ResolutionError, match="not resolved"):
+        _circle_count(p)
+
+
+# ------------------------------------------------- curves on the common-root locus
+
+
+@pytest.mark.parametrize("eta, mu", [(LOCUS_A, -0.4706 - 0.7174j),
+                                     (LOCUS_B, 0.0530 - 0.8925j)], ids=["A", "B"])
+def test_shared_pair_off_the_circle_is_R_only(eta, mu):
+    curve = build_curve(eta)
+    rep = classify(curve)
+    assert (rep.stratum, rep.gcd_degree, rep.v_index, rep.lambda0) == ("R_only", 2, None, ())
+    inner = min(rep.gcd_roots, key=abs)
+    assert abs(inner - mu) < 1e-4
+    assert max(abs(r - 1.0 / np.conj(inner)) for r in rep.gcd_roots if r != inner) < 1e-10
+    assert gr_classify(B_map(curve)) == {"gcd_degree": 2, "in_R": True, "S1_roots": []}
+
+
+def test_shared_root_on_the_circle_is_S():
+    curve = build_curve(LOCUS_C)
+    rep = classify(curve)
+    assert (rep.stratum, rep.gcd_degree, rep.v_index) == ("S", 1, None)
+    (lam0,) = rep.lambda0
+    assert rep.gcd_roots == (lam0,)
+    assert abs(lam0 - (-0.752823 + 0.658223j)) < 1e-6
+    gr = gr_classify(B_map(curve))
+    assert (gr["gcd_degree"], gr["in_R"], len(gr["S1_roots"])) == (1, True, 1)
+    assert abs(gr["S1_roots"][0] - lam0) <= 1e-10

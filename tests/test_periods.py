@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 import warnings
 
 import mpmath
@@ -430,6 +431,25 @@ def test_unreachable_tolerance_names_the_lasso():
     lam0 = complex(np.exp(2.1j))
     with pytest.raises(ResolutionError, match=re.escape("cycle %s" % (("gamma", lam0),))):
         eng.gamma_moments(lam0)
+
+
+def test_unreachable_tolerance_is_refused_once_the_change_stops_falling(monkeypatch):
+    # at the default 64 nodes, cold rules: the B-rows reach the rounding
+    # floor by 256 points and stop falling, so no rule past 1024 is built
+    built = []
+
+    def counting_rule(kind, n):
+        built.append(n)
+        return _gauss_rule(kind, n)
+
+    _gauss_rule.cache_clear()
+    monkeypatch.setattr(periods, "_gauss_rule", counting_rule)
+    eng = periods.PeriodEngine(CURVE_G2, QuadConfig(tol=1e-300))
+    t0 = time.perf_counter()
+    with pytest.raises(ResolutionError, match=r"cycle \('B', \d\) within 1024 nodes"):
+        eng.b_matrix()
+    assert time.perf_counter() - t0 < 0.5
+    assert max(built) == 1024
 
 
 def test_gamma_clearance_is_refused_before_any_quadrature(monkeypatch):

@@ -6,15 +6,17 @@ import pytest
 from spectralcurves import whitham
 from spectralcurves.curve import build_curve
 from spectralcurves.errors import InvariantError, ResolutionError, ValidationError
-from spectralcurves.invariants import _deflated_pair, classify
+from spectralcurves.invariants import _deflated_pair, classify, pencil_gcd
 from spectralcurves.periods import solve_Ba
 from spectralcurves.polyring import CPoly, real_place, reality_check
 from spectralcurves.whitham import (
     FlowAbort,
+    _StratumCollapse,
     _angular_logslope,
     _critical_angles,
     _der,
     _driver,
+    _new_critical_pair,
     _rows,
     _slope_block,
     _times,
@@ -28,7 +30,7 @@ from spectralcurves.whitham import (
     whitham_tangent,
 )
 
-from conftest import grow_to_genus3, random_curve
+from conftest import LOCUS_B, grow_to_genus3, random_curve
 
 # reflection-real quadratic Q used by the generic-direction tests
 Q_GENERIC = CPoly([0.4 + 0.25j, -0.3, 0.4 - 0.25j])
@@ -159,6 +161,21 @@ def test_bezout_identity():
     c1, c2 = bezout_solve(curve.a, basis.b1, basis.b2, Q_GENERIC)
     res = c1 * basis.b2 - c2 * basis.b1 - Q_GENERIC * curve.a
     assert res.norm_inf() < 1e-9 * max(1.0, curve.a.norm_inf())
+
+
+def test_tangent_on_the_common_root_locus_needs_a_divisible_Q():
+    # curve B shares a reflection pair: c1 b2 - c2 b1 vanishes there, so
+    # Q a must too, and a does not
+    curve = build_curve(LOCUS_B)
+    basis = solve_Ba(curve)
+    with pytest.raises(ValidationError, match="not divisible by the pencil gcd"):
+        whitham_tangent(curve, basis, CPoly([0.1, 0.0, 0.1]))
+    # the gcd itself, turned reversal-real, is divisible
+    gcd = pencil_gcd(basis.b1, basis.b2)
+    Q = gcd * complex(np.exp(-0.5j * np.angle(gcd.coeffs[0])))
+    tan = whitham_tangent(curve, basis, Q)
+    assert tan.scale() > 100.0
+    assert max(tan.residuals().values()) <= 1e-13 * tan.scale()
 
 
 # ----------------------------------------------------------------- flow
@@ -432,6 +449,22 @@ def test_unresolvable_near_circle_pair_raises():
     assert _reference_slope_zeros(_slope(pair), np.linspace(-np.pi, np.pi, 16001)) == []
 
 
+def test_critical_points_closer_than_their_errors_are_refused(monkeypatch):
+    # the gap check behind the count: with the slope's rounding scale
+    # inflated, every polished zero's error bound exceeds its gaps
+    pair = _deflated_pair(solve_Ba(build_curve([0.5])))
+    assert len(_critical_angles(*pair)) == 2
+    real = _angular_logslope
+
+    def inflated(block, theta):
+        s, ds, scale = real(block, theta)
+        return s, ds, 1e16 * scale
+
+    monkeypatch.setattr(whitham, "_angular_logslope", inflated)
+    with pytest.raises(InvariantError, match="not resolved"):
+        _critical_angles(*pair)
+
+
 def test_handle_check_classifies_its_base_curve_once(monkeypatch):
     # the base map's report, deflated pair and critical angles depend on
     # (basis, tol) alone, so a second alpha on one curve reuses them
@@ -505,6 +538,97 @@ def test_handle_check_laws_on_one_triple():
     for z in chk.new_circle_critical_points:
         assert abs(abs(z) - 1.0) < 1e-9
         assert abs(z - alpha) < 0.1
+
+
+def test_handle_check_on_the_genus_zero_curve():
+    # the base map lambda -> lambda has no critical point: the pair is new
+    chk = handle_invariant_check(build_curve([]), complex(np.exp(0.9j)), 1e-2)
+    assert (chk.t, chk.deg_f_before, chk.deg_f_after) == (1e-2, 1, 2)
+    assert (chk.winding_before, chk.winding_after, chk.sign_slope) == (1, 0, 1)
+    got = np.angle(np.asarray(chk.new_circle_critical_points))
+    assert np.all(np.abs(got - 0.9) < 1e-2)
+
+
+def test_handle_check_verifies_where_its_margin_is_wide():
+    # at t = 0.1 the successor margin 0.05 + 2t is 0.25: the base critical
+    # point 0.27 from alpha moves by 0.03, and the pair verifies at 0.1
+    curve, psi, t = build_curve([0.5]), 0.2, 0.1
+    chk = handle_invariant_check(curve, complex(np.exp(1j * psi)), t)
+    assert chk.t == t
+    assert (chk.deg_f_before, chk.deg_f_after) == (2, 3)
+    deformed = attach_handle(curve, None, complex(np.exp(1j * psi)), t)
+    zeros = _reference_slope_zeros(_slope(_deflated_pair(deformed.basis)),
+                                   np.linspace(-np.pi, np.pi, 16001))
+    assert len(zeros) == 4
+    want = sorted(zeros, key=lambda z: abs(z - psi))[:2]
+    got = np.angle(np.asarray(chk.new_circle_critical_points))
+    assert _angle_mismatch(got, want) <= 1e-11
+
+
+def _one_check_angles():
+    """Base and deformed critical angles of build_curve([0.5]) with a
+    handle at e^{0.9i}, t = 1e-2: (-0.427, -1.373) and (-0.427, -0.007,
+    0.007, -1.373) as offsets from 0.9."""
+    curve, psi, t = build_curve([0.5]), 0.9, 1e-2
+    crit0 = _critical_angles(*_deflated_pair(solve_Ba(curve)))
+    deformed = attach_handle(curve, None, complex(np.exp(1j * psi)), t)
+    return crit0, _critical_angles(*_deflated_pair(deformed.basis)), psi, t
+
+
+def test_third_law_takes_the_pair_nearest_alpha_and_refuses_broken_counts():
+    crit0, crit1, psi, t = _one_check_angles()
+    pair = _new_critical_pair(crit0, crit1, psi, t)
+    assert sorted(abs(p - psi) for p in pair) == pytest.approx([0.00703, 0.00711], abs=1e-5)
+    with pytest.raises(InvariantError, match="2 before and 3 after"):
+        _new_critical_pair(crit0, crit1[1:], psi, t)
+    # a successor moved past 0.05 + 2t = 0.07 is refused, one within it not
+    far = np.argmin(np.abs(np.angle(np.exp(1j * (crit1 - (psi - 1.373))))))
+    for move, ok in ((0.069, True), (0.071, False)):
+        moved = crit1.copy()
+        moved[far] -= move
+        if ok:
+            assert _new_critical_pair(crit0, moved, psi, t) == pair
+        else:
+            with pytest.raises(InvariantError, match="no successor within 0.05 \\+ 2t"):
+                _new_critical_pair(crit0, moved, psi, t)
+
+
+def test_handle_check_applies_the_third_law_to_its_own_counts(monkeypatch):
+    # a deformed map that lost one critical point fails the third law at
+    # the requested t, and the check goes on to halve t
+    curve = build_curve([0.5])
+    whitham._base_map.cache_clear()
+    real_angles, real_pair, refused = _critical_angles, _new_critical_pair, []
+
+    def losing_one(num, den, block=None):
+        theta = real_angles(num, den, block)
+        return theta if block is not None else theta[1:]    # the base map passes a block
+
+    def spying(*args):
+        try:
+            return real_pair(*args)
+        except InvariantError as exc:
+            refused.append(str(exc))
+            raise
+
+    monkeypatch.setattr(whitham, "_critical_angles", losing_one)
+    monkeypatch.setattr(whitham, "_new_critical_pair", spying)
+    with pytest.raises((InvariantError, ResolutionError)):
+        handle_invariant_check(curve, complex(np.exp(0.9j)), 1e-2)
+    whitham._base_map.cache_clear()
+    assert refused[0] == ("expected two new critical points of the deformed circle map: "
+                          "2 before and 3 after (t=0.01; the nearest base one lies 0.427 "
+                          "from alpha)")
+
+
+def test_handle_near_the_common_root_stratum_collapses():
+    # a whitham benchmark input (seed 95, op 1051): at t = 3e-3 the
+    # deformed pencil is within gcd tolerance of a common root
+    eta = [-0.16526390132706809 - 0.21011795351346307j,
+           0.46555348358128235 - 0.5148181138842565j]
+    alpha = complex(np.exp(-1.2372787010193307j))
+    with pytest.raises(_StratumCollapse, match="common-root stratum at t=0.003"):
+        handle_invariant_check(build_curve(eta), alpha, 3e-3)
 
 
 def test_flow_solves_accepted_states_and_retries_without_k1(monkeypatch):
