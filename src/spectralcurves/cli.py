@@ -607,7 +607,7 @@ def _build_parser():
     p.add_argument("--alpha-angle", type=float, required=True,
                    help="angle of the attachment point on the unit circle")
     p.add_argument("--t", type=float, default=1e-2,
-                   help="smoothing parameter (halved on retry)")
+                   help="smoothing parameter (halved when a handle law fails)")
 
     p = sub.add_parser("gr", parents=[_common_parser()],
                        help="classify a plane and probe its stratum")

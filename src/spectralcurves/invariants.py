@@ -221,11 +221,12 @@ def _root_count(pair, tol):
 def classify(curve, basis=None, tol=GCD_TOL):
     """Full invariant report for a curve (basis solved on demand).
 
-    Cross-checks the two winding algorithms, the parity and range bounds
-    relating winding to deg(f), and the genus-zero equivalence flags; any
-    violation raises InvariantError.  Flags broken by a nontrivial gcd raise
-    ResolutionError: with every root near S^1 (a near-nodal curve) the gcd
-    at ``tol`` swallows the pencil.
+    Cross-checks the two winding algorithms and the parity and range bounds
+    relating winding to deg(f); any violation raises InvariantError.  With
+    a trivial gcd those bounds force the genus-zero equivalence flags to
+    agree, so flags broken by a nontrivial gcd raise ResolutionError: with
+    every root near S^1 (a near-nodal curve) the gcd at ``tol`` swallows
+    the pencil.
     """
     if basis is None:
         basis = solve_Ba(curve)
@@ -260,15 +261,10 @@ def classify(curve, basis=None, tol=GCD_TOL):
         stratum, v_index, lam0 = "R_only", None, ()
 
     flags = (g == 0, df == 1, w_arg == df)
-    if len(set(flags)) != 1:
-        if gdeg > 0:
-            raise ResolutionError(
-                "gcd of degree %d at tolerance %g leaves deg f = %d at genus "
-                "%d: the curve is too close to nodal to classify" % (gdeg, tol, df, g))
-        raise InvariantError(
-            "genus-zero equivalence violated: flags %s for g=%d deg=%d winding=%d"
-            % (flags, g, df, w_arg)
-        )
+    if len(set(flags)) != 1:        # only a nontrivial gcd can break them
+        raise ResolutionError(
+            "gcd of degree %d at tolerance %g leaves deg f = %d at genus "
+            "%d: the curve is too close to nodal to classify" % (gdeg, tol, df, g))
 
     return InvariantReport(
         genus=g,

@@ -178,9 +178,6 @@ class PeriodEngine:
     def a_moments(self, j):
         return self.a_matrix()[j]
 
-    def b_moments(self, j):
-        return self.b_matrix()[j]
-
     def gamma_moments(self, lam0):
         lam0 = complex(lam0)
         if lam0 not in self._gamma:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .curve import _segment_distance, build_curve
+from .curve import build_curve
 from .errors import InvariantError, ResolutionError, ValidationError
 from .invariants import GCD_TOL, _circle_count, _deflated_pair, classify, pencil_gcd
 from .periods import PencilBasis, b_periods, solve_Ba
@@ -54,11 +54,6 @@ class FlowAbort(ResolutionError):
     def __init__(self, message, trajectory):
         super().__init__(message)
         self.trajectory = trajectory
-
-
-class _StratumCollapse(ResolutionError):
-    """Deformed pencil fell within gcd tolerance of the common-root
-    stratum; shrinking the handle parameter cannot recover from this."""
 
 
 def _rows(p, length):
@@ -547,24 +542,25 @@ def _critical_angles(num, den, block=None):
 
 def _new_critical_pair(crit0, crit1, psi, t_used):
     """The third handle law on the critical points of the base and the
-    deformed circle map: the deformed map has exactly two more, and each
-    base one has a successor within 0.05 + 2t (they displace by O(t)).
-    The new pair is the two deformed ones nearest psi.  Angles are
-    unwrapped to offsets from psi in [-pi, pi)."""
+    deformed circle map.  Each base one claims its nearest deformed one,
+    within 0.05 + 2t (they displace by O(t)); the claims must be distinct
+    and leave exactly two deformed ones unclaimed, the new pair, both
+    within 0.05 + 2t of psi.  Angles are unwrapped to offsets from psi in
+    [-pi, pi)."""
     off0, off1 = ((np.asarray(c) - psi + np.pi) % (2.0 * np.pi) - np.pi
                   for c in (crit0, crit1))
-    if len(off1) != len(off0) + 2:
-        raise InvariantError(
-            "expected two new critical points of the deformed circle map: %d before and "
-            "%d after (t=%g; the nearest base one lies %.3g from alpha)"
-            % (len(off0), len(off1), t_used, np.min(np.abs(off0), initial=np.inf)))
     moved = np.abs((np.subtract.outer(off0, off1) + np.pi) % (2.0 * np.pi) - np.pi)
-    worst = moved.min(axis=1).max(initial=0.0)
-    if worst > 0.05 + 2.0 * t_used:
+    new = np.delete(off1, moved.argmin(axis=1) if len(off1) else [])
+    worst = max(moved.min(axis=1, initial=np.inf).max(initial=0.0),
+                np.abs(new).max(initial=0.0))
+    if len(off1) != len(off0) + 2 or len(new) != 2 or worst > 0.05 + 2.0 * t_used:
         raise InvariantError(
-            "a critical point of the base circle map has no successor within "
-            "0.05 + 2t: the farthest moved %.3g (t=%g)" % (worst, t_used))
-    return tuple(psi + off1[np.argsort(np.abs(off1), kind="stable")[:2]])
+            "critical-point law failed: expected each base critical point of the "
+            "circle map to keep a successor of its own and two new ones near alpha, "
+            "all within 0.05 + 2t: %d before and %d after, the farthest %.3g away "
+            "(t=%g)"
+            % (len(off0), len(off1), worst, t_used))
+    return tuple(psi + new)
 
 
 @functools.lru_cache(maxsize=32)
@@ -585,14 +581,16 @@ def _base_map(basis, tol):
 
 
 def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
-    """Verify the degree/winding laws of a handle attachment.
+    """Verify the winding and critical-point laws of a handle attachment.
 
-    deg f gains one; the winding drops by the sign of the angular slope of
-    arg f~ at alpha; the deformed circle map has exactly two critical
-    points more, the pair nearest alpha (``_new_critical_pair``).  All three
-    are small-t statements, so any failed check halves the handle
-    parameter and retries (up to 12 times) before the last failure is
-    raised, with both sides of the offending equality reported.
+    The winding drops by the sign of the angular slope of arg f~ at alpha;
+    the deformed circle map has exactly two critical points more, the pair
+    near alpha (``_new_critical_pair``).  Both are small-t statements, so
+    only a failed law halves the handle parameter and retries (up to 12
+    times) before the last failure is raised, with both sides of the
+    offending equality reported; every other refusal is raised at once
+    with its own type.  deg f gains one: the deformed pencil must be
+    coprime, as the base one is, and the handle adds one root.
     """
     alpha = complex(alpha)
     t_used = _handle_parameter(t)
@@ -608,29 +606,28 @@ def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
 
     last_exc = None
     for _ in range(12):
+        deformed = attach_handle(curve, basis.b1, alpha, t_used, quad=quad)
+        report1 = classify(deformed.curve, deformed.basis, tol=tol)
+        if report1.gcd_degree != 0:
+            raise ResolutionError(
+                "deformed pencil sits within gcd tolerance of the "
+                "common-root stratum at t=%g; the laws cannot be "
+                "verified at this resolution (try a larger handle "
+                "parameter or an alpha farther from the base map's "
+                "critical points)" % t_used)
+        crit1 = _critical_angles(*_deflated_pair(deformed.basis, tol))
         try:
-            deformed = attach_handle(curve, basis.b1, alpha, t_used, quad=quad)
-            report1 = classify(deformed.curve, deformed.basis, tol=tol)
-            if report1.gcd_degree != 0:
-                raise _StratumCollapse(
-                    "deformed pencil sits within gcd tolerance of the "
-                    "common-root stratum at t=%g; the laws cannot be "
-                    "verified at this resolution (try a larger handle "
-                    "parameter or an alpha farther from the base map's "
-                    "critical points)" % t_used)
-            if report1.deg_f != report0.deg_f + 1:
-                raise InvariantError(
-                    "handle degree law failed: deg f %d -> %d, expected %d"
-                    % (report0.deg_f, report1.deg_f, report0.deg_f + 1))
             if report1.winding != report0.winding - sign:
                 raise InvariantError(
                     "handle winding law failed: %d -> %d, expected %d "
                     "(slope sign %+d at alpha)"
                     % (report0.winding, report1.winding,
                        report0.winding - sign, sign))
-            pair = _new_critical_pair(
-                crit0, _critical_angles(*_deflated_pair(deformed.basis, tol)),
-                psi, t_used)
+            pair = _new_critical_pair(crit0, crit1, psi, t_used)
+        except InvariantError as exc:
+            last_exc = exc
+            t_used *= 0.5
+        else:
             return HandleCheck(alpha=alpha, t=t_used,
                                deg_f_before=report0.deg_f,
                                deg_f_after=report1.deg_f,
@@ -639,14 +636,5 @@ def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
                                sign_slope=sign,
                                new_circle_critical_points=tuple(
                                    np.exp(1j * np.array(sorted(pair)))))
-        except _StratumCollapse:
-            raise
-        except (ValidationError, ResolutionError, InvariantError) as exc:
-            if isinstance(exc, ResolutionError) and any(
-                    _segment_distance(e, p, alpha) < 1e-3
-                    for e, p in zip(curve.eta, curve.partners)):
-                raise   # a cut crowds alpha: halving t moves the handle toward it
-            last_exc = exc
-            t_used *= 0.5
     raise InvariantError(
         "handle laws not verified down to t=%g: %s" % (2.0 * t_used, last_exc))

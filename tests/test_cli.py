@@ -74,6 +74,22 @@ def test_classify_names_missing_field(tmp_path, capsys):
     assert "eta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("missing", "cannot read --spec"),
+    ("directory", "cannot read --spec"),
+    ("broken", "is not JSON"),
+])
+def test_classify_unreadable_spec_exits_2(kind, message, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    if kind == "directory":
+        spec.mkdir()
+    elif kind == "broken":
+        spec.write_text("{not json")
+    assert main(["classify", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError: ") and message in err
+
+
 def test_classify_rational_proximity(g1_spec, tmp_path):
     out = tmp_path / "rep.json"
     rc = main(["classify", "--spec", g1_spec, "--maxden", "6", "--out", str(out)])
@@ -81,6 +97,20 @@ def test_classify_rational_proximity(g1_spec, tmp_path):
     data = json.loads(out.read_text())
     assert "rational_plane_angle" in data
     assert data["rational_plane_angle"] >= 0.0
+
+
+def test_classify_proximity_marks_pi_when_no_cut_crosses(tmp_path):
+    # genus 0 has no cut: the default marker is the angle pi
+    spec = tmp_path / "g0.json"
+    spec.write_text(json.dumps({"eta": []}))
+    reports = []
+    for extra in ([], ["--alpha-angle", repr(np.pi)], ["--alpha-angle", "0.5"]):
+        out = tmp_path / "rep.json"
+        assert main(["classify", "--spec", str(spec), "--maxden", "3", "--format", "json",
+                     "--out", str(out)] + extra) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0] == reports[1]
+    assert reports[0]["phi"] != reports[2]["phi"]
 
 
 @pytest.mark.parametrize("extra, flag", [
@@ -283,6 +313,16 @@ def test_flow_rejects_invalid_step_and_count(g1_spec, arg, capsys):
     assert "ValidationError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q, message", [
+    ("abc", "cannot parse --q"),
+    ("1,2,3,4", "at most three coefficients"),
+])
+def test_flow_rejects_unparsable_q(g1_spec, q, message, capsys):
+    assert main(["flow", "--spec", g1_spec, "--q", q]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError: ") and message in err
+
+
 # -------------------------------------------------------------- figures
 
 
@@ -366,7 +406,7 @@ def test_deform_near_the_common_root_stratum_exits_3(tmp_path, capsys):
                                         [0.46555348358128235, -0.5148181138842565]]}))
     assert main(["deform", "--spec", str(spec), "--alpha-angle", "-1.2372787010193307",
                  "--t", "3e-3"]) == 3
-    assert capsys.readouterr().err.startswith("_StratumCollapse: deformed pencil")
+    assert capsys.readouterr().err.startswith("ResolutionError: deformed pencil")
 
 
 # ------------------------------------------------------------------- gr

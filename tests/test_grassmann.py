@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spectralcurves.curve import build_curve, rotate_curve
-from spectralcurves.errors import ValidationError
+from spectralcurves.errors import ResolutionError, ValidationError
 from spectralcurves.grassmann import (
     B_map,
     GrPlane,
@@ -170,6 +170,22 @@ def test_probe_detects_two_sheet_crossing():
     assert rep.sheets == 2
     assert rep.sheet_dimensions == (3, 3)
     assert rep.dimension == 3
+
+
+def test_probe_refuses_first_order_leakage():
+    # a genus-2 pair at |mu| = 0.97 is split as two arc clusters, and at
+    # radius 3e-4 its tangent moves do not persist
+    plane = shared_plane([], [0.97 * np.exp(2j)], [0.2 - 0.3j])
+    with pytest.raises(ResolutionError, match="persistence ratio 52.5 < 200"):
+        stratum_dimension_probe(plane, 3e-4)
+
+
+def test_probe_refuses_a_deeper_stratum():
+    # a circle root and a reflection pair: gcd degree 3
+    plane = shared_plane([np.exp(0.3j)], [0.5 * np.exp(1j)], [0.2 - 0.1j])
+    assert gr_classify(plane)["gcd_degree"] == 3
+    with pytest.raises(ResolutionError, match="degree 3 is a deeper stratum"):
+        stratum_dimension_probe(plane)
 
 
 @pytest.mark.parametrize("radius", [0.0, np.inf, np.nan, -1e-3])

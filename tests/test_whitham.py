@@ -11,7 +11,6 @@ from spectralcurves.periods import solve_Ba
 from spectralcurves.polyring import CPoly, real_place, reality_check
 from spectralcurves.whitham import (
     FlowAbort,
-    _StratumCollapse,
     _angular_logslope,
     _critical_angles,
     _der,
@@ -589,8 +588,23 @@ def test_third_law_takes_the_pair_nearest_alpha_and_refuses_broken_counts():
         if ok:
             assert _new_critical_pair(crit0, moved, psi, t) == pair
         else:
-            with pytest.raises(InvariantError, match="no successor within 0.05 \\+ 2t"):
+            with pytest.raises(InvariantError, match="2 before and 4 after, the farthest 0.07"):
                 _new_critical_pair(crit0, moved, psi, t)
+
+
+def test_third_law_leaves_each_base_point_its_own_successor():
+    # the base point at psi + t moved to psi + 0.9t: it is no half of the
+    # new pair, though it lies nearer alpha than psi + 1.5t
+    psi, t = 0.9, 1e-2
+    pair = _new_critical_pair([psi + t], [psi - 0.5 * t, psi + 0.9 * t, psi + 1.5 * t], psi, t)
+    assert sorted(pair) == pytest.approx([psi - 0.5 * t, psi + 1.5 * t], abs=1e-15)
+    # two base points claiming one successor leave three unclaimed
+    with pytest.raises(InvariantError, match="2 before and 4 after"):
+        _new_critical_pair([psi + t, psi + 1.1 * t],
+                           [psi - 0.5 * t, psi + 0.9 * t, psi + 1.5 * t, psi + 3 * t], psi, t)
+    # and a new point farther than 0.05 + 2t from alpha is refused
+    with pytest.raises(InvariantError, match="the farthest 0.08 away"):
+        _new_critical_pair([psi + 1.0], [psi - 0.08, psi + 0.01, psi + 1.0], psi, t)
 
 
 def test_handle_check_applies_the_third_law_to_its_own_counts(monkeypatch):
@@ -616,9 +630,10 @@ def test_handle_check_applies_the_third_law_to_its_own_counts(monkeypatch):
     with pytest.raises((InvariantError, ResolutionError)):
         handle_invariant_check(curve, complex(np.exp(0.9j)), 1e-2)
     whitham._base_map.cache_clear()
-    assert refused[0] == ("expected two new critical points of the deformed circle map: "
-                          "2 before and 3 after (t=0.01; the nearest base one lies 0.427 "
-                          "from alpha)")
+    assert refused[0] == ("critical-point law failed: expected each base critical point "
+                          "of the circle map to keep a successor of its own and two new "
+                          "ones near alpha, all within 0.05 + 2t: 2 before and 3 after, "
+                          "the farthest 0.42 away (t=0.01)")
 
 
 def test_handle_near_the_common_root_stratum_collapses():
@@ -627,8 +642,57 @@ def test_handle_near_the_common_root_stratum_collapses():
     eta = [-0.16526390132706809 - 0.21011795351346307j,
            0.46555348358128235 - 0.5148181138842565j]
     alpha = complex(np.exp(-1.2372787010193307j))
-    with pytest.raises(_StratumCollapse, match="common-root stratum at t=0.003"):
+    with pytest.raises(ResolutionError, match="common-root stratum at t=0.003"):
         handle_invariant_check(build_curve(eta), alpha, 3e-3)
+
+
+def counting_attach(monkeypatch):
+    calls = []
+    real = whitham.attach_handle
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(whitham, "attach_handle", counted)
+    return calls
+
+
+def test_handle_check_refuses_an_alpha_off_the_circle_at_once(monkeypatch):
+    calls = counting_attach(monkeypatch)
+    with pytest.raises(ValidationError, match="must lie on the unit circle"):
+        handle_invariant_check(build_curve([0.5]), 1.01 * np.exp(0.9j), 1e-2)
+    assert calls == [1e-2]
+
+
+def test_handle_check_keeps_the_type_of_a_resolution_error(monkeypatch):
+    # only a failed law halves t: a refusal of the deformed curve's
+    # classification propagates from the first attempt
+    curve = build_curve([0.5])
+    handle_invariant_check(curve, complex(np.exp(0.9j)), 1e-2)     # base map cached
+    calls = counting_attach(monkeypatch)
+
+    def refusing(curve, basis=None, tol=None):
+        raise ResolutionError("winding not resolved; refine or deflate gcd")
+
+    monkeypatch.setattr(whitham, "classify", refusing)
+    with pytest.raises(ResolutionError, match="winding not resolved"):
+        handle_invariant_check(curve, complex(np.exp(0.9j)), 1e-2)
+    assert calls == [1e-2]
+
+
+def test_handle_check_raises_the_last_failed_law_after_twelve_halvings(monkeypatch):
+    calls = counting_attach(monkeypatch)
+
+    def refusing(crit0, crit1, psi, t_used):
+        raise InvariantError("refused at t=%g" % t_used)
+
+    monkeypatch.setattr(whitham, "_new_critical_pair", refusing)
+    # from t = 2 the last attempt, 2 / 2^11, stays clear of the stratum
+    with pytest.raises(InvariantError, match="not verified down to t=0.000976562: "
+                                             "refused at t=0.000976562"):
+        handle_invariant_check(build_curve([0.5]), complex(np.exp(0.9j)), 2.0)
+    assert calls == [2.0 * 0.5 ** k for k in range(12)]
 
 
 def test_flow_solves_accepted_states_and_retries_without_k1(monkeypatch):
