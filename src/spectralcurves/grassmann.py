@@ -172,57 +172,61 @@ def _half_angle_weights(g):
     return w
 
 
-def _windowed_circle_min(c1, c2, psi0, width):
-    """Row-wise min over the circle arc |theta - psi0| <= width of
-    f = |b1|^2 + |b2|^2, for coefficient rows c1, c2 of shape (n, g+2).
+def _windowed_circle_min(c1, c2, psis, width):
+    """Row-wise min over each circle arc |theta - psi| <= width, psi in
+    psis, of f = |b1|^2 + |b2|^2, for coefficient rows c1, c2 of shape
+    (n, g+2); returns shape (n, len(psis)).
 
     On the circle f = sum_k t_k e^{ik theta} with t_k = sum_j c_{j+k}
     conj(c_j) over both rows, and graph form cancels t_{g+1}.  With
-    s = tan((theta - psi0) / 2), (1 + s^2)^g f' is the real polynomial
-    2 Re sum_k i k t_k e^{ik psi0} w_k(s) of degree 2g, so every interior
-    minimiser is a real root of it: an eigenvalue of one stacked companion
-    matrix (Edelman & Murakami, Math. Comp. 1995).  f is evaluated at each
-    root's angle, clipped into the window, and at the arc ends, so a
-    spurious candidate cannot undercut the true minimum.  A top
-    coefficient of rounding size (a root at psi0 + pi) is raised to that
+    s = tan((theta - psi) / 2), (1 + s^2)^g f' is the real polynomial
+    2 Re sum_k i k t_k e^{ik psi} w_k(s) of degree 2g, so every interior
+    minimiser is a real root of it: an eigenvalue of a companion matrix
+    (Edelman & Murakami, Math. Comp. 1995), one per row and arc, all
+    solved in one stacked call from sums t_k formed once.  f is evaluated
+    at each root's angle, clipped into the window, and at the arc ends,
+    so a spurious candidate cannot undercut the true minimum.  A top
+    coefficient of rounding size (a root at psi + pi) is raised to that
     size to keep the companion matrix finite.  Per-row arithmetic is
     real, so a row's value does not depend on the rest of the stack.
     """
     n, g = len(c1), c1.shape[1] - 2
+    psis = np.asarray(psis, dtype=float)
     k = np.arange(1, g + 1)
-    w = (1j * k * np.exp(1j * k * psi0))[:, None] * _half_angle_weights(g)
+    w = (1j * k * np.exp(1j * k * psis[:, None]))[..., None] * _half_angle_weights(g)
     c = np.stack([c1, c2], axis=1)
-    poly = np.zeros((n, 2 * g + 1))
-    for h, wh in zip(k, w):
+    poly = np.zeros((n, len(psis), 2 * g + 1))
+    for h in k:
         lo, hi = c[..., :-h], c[..., h:]
-        tr = np.sum(hi.real * lo.real + hi.imag * lo.imag, axis=(1, 2))
-        ti = np.sum(hi.imag * lo.real - hi.real * lo.imag, axis=(1, 2))
-        poly += 2.0 * (tr[:, None] * wh.real - ti[:, None] * wh.imag)
-    tiny = np.finfo(float).eps * np.abs(poly).max(axis=1) + np.finfo(float).tiny
-    top = poly[:, 0]
-    poly[:, 0] = np.where(np.abs(top) > tiny, top, np.copysign(tiny, top))
-    comp = np.zeros((n, 2 * g, 2 * g))
-    comp[:, 0] = -poly[:, 1:] / poly[:, :1]
-    comp[:, 1:, :-1] = np.eye(2 * g - 1)
+        tr = np.sum(hi.real * lo.real + hi.imag * lo.imag, axis=(1, 2))[:, None, None]
+        ti = np.sum(hi.imag * lo.real - hi.real * lo.imag, axis=(1, 2))[:, None, None]
+        poly += 2.0 * (tr * w[:, h - 1].real - ti * w[:, h - 1].imag)
+    tiny = np.finfo(float).eps * np.abs(poly).max(axis=2) + np.finfo(float).tiny
+    top = poly[..., 0]
+    poly[..., 0] = np.where(np.abs(top) > tiny, top, np.copysign(tiny, top))
+    comp = np.zeros((n, len(psis), 2 * g, 2 * g))
+    comp[:, :, 0] = -poly[..., 1:] / poly[..., :1]
+    comp[:, :, 1:, :-1] = np.eye(2 * g - 1)
     phi = np.concatenate([2.0 * np.arctan(np.linalg.eigvals(comp).real),
-                          np.broadcast_to([-width, width], (n, 2))], axis=1)
-    return _circle_values(c1, c2, psi0 + np.clip(phi, -width, width)).min(axis=1)
+                          np.broadcast_to([-width, width], (n, len(psis), 2))], axis=2)
+    theta = psis[:, None] + np.clip(phi, -width, width)
+    return _circle_values(c1, c2, theta.reshape(n, -1)).reshape(theta.shape).min(axis=2)
 
 
 def _membership_residuals(plane, tol):
-    """Per-stratum residuals rho: a stack of M-matrices, shape (n, g, 2),
-    to their residuals, shape (n,), each >= 0.
+    """Per-stratum residual map rho: a stack of M-matrices, shape
+    (n, g, 2), to their residuals, shape (n, clusters), each >= 0.
 
     Unit-circle common roots contribute a windowed minimum of
     |b1|^2 + |b2|^2 over the nearby arc (one window per root: the
-    "clusters").  An off-circle reflection pair contributes the
-    normalized |resultant|.  Either way the residual vanishes on the
-    stratum and grows *quadratically* in the normal displacement, which
-    is what the quadratic-form fit downstream expects.  Every row is
-    computed on its own, so a row's residual does not depend on the
-    rest of the stack.
+    "clusters", all arcs from one stacked evaluation).  An off-circle
+    reflection pair contributes the normalized |resultant|.  Either way
+    the residual vanishes on the stratum and grows *quadratically* in the
+    normal displacement, which is what the quadratic-form fit downstream
+    expects.  Every row is computed on its own, so a row's residuals do
+    not depend on the rest of the stack.
 
-    Returns (case, clusters) where clusters is a list of (label, rho).
+    Returns (case, labels, rho), one label per column of rho.
     """
     g = plane.genus
     gcd = pencil_gcd(*plane_basis(plane), tol)
@@ -234,35 +238,32 @@ def _membership_residuals(plane, tol):
               default=float("inf"))
     width = min(0.3, sep / 3.0) if np.isfinite(sep) else 0.3
 
-    def arc_cluster(z0):
-        psi0 = float(np.angle(z0))
+    def arcs(zs):
+        psis = [float(np.angle(z)) for z in zs]
 
         def rho(mats):
-            return _windowed_circle_min(*_basis_coeffs(g, mats), psi0, width)
+            return _windowed_circle_min(*_basis_coeffs(g, mats), psis, width)
 
-        return ("arc@%.4f" % psi0, rho)
+        return ["arc@%.4f" % psi for psi in psis], rho
 
-    def resultant_cluster():
-        def rho(mats):
-            c1, c2 = _basis_coeffs(g, mats)
-            n1, n2 = np.abs(c1).max(axis=1), np.abs(c2).max(axis=1)
-            # Sylvester determinants at the full degree g+1.  Graph form
-            # keeps both top coefficients at modulus one, so the 1e-9
-            # trimming of polyring.resultant could only drop one beside a
-            # coefficient near 1e9; such a plane is refused, not trimmed.
-            kept = ((np.abs(c1[:, -1]) > 1e-9 * n1)
-                    & (np.abs(c2[:, -1]) > 1e-9 * n2))
-            if not kept.all():
-                raise ValidationError(
-                    "resultant residual needs plane coefficients below 1e9 "
-                    "in modulus (largest %.3g)" % float(np.max([n1, n2])))
-            det = np.linalg.det(_sylvester(c1, c2))
-            # hypot and Python's float power, as abs(complex) and
-            # float ** int compute them
-            scale = np.array([s ** (g + 1) for s in (n1 * n2).tolist()])
-            return np.hypot(det.real, det.imag) / np.maximum(scale, 1e-300)
-
-        return ("resultant", rho)
+    def resultant_rho(mats):
+        c1, c2 = _basis_coeffs(g, mats)
+        n1, n2 = np.abs(c1).max(axis=1), np.abs(c2).max(axis=1)
+        # Sylvester determinants at the full degree g+1.  Graph form
+        # keeps both top coefficients at modulus one, so the 1e-9
+        # trimming of polyring.resultant could only drop one beside a
+        # coefficient near 1e9; such a plane is refused, not trimmed.
+        kept = ((np.abs(c1[:, -1]) > 1e-9 * n1)
+                & (np.abs(c2[:, -1]) > 1e-9 * n2))
+        if not kept.all():
+            raise ValidationError(
+                "resultant residual needs plane coefficients below 1e9 "
+                "in modulus (largest %.3g)" % float(np.max([n1, n2])))
+        det = np.linalg.det(_sylvester(c1, c2))
+        # hypot and Python's float power, as abs(complex) and
+        # float ** int compute them
+        scale = np.array([s ** (g + 1) for s in (n1 * n2).tolist()])
+        return (np.hypot(det.real, det.imag) / np.maximum(scale, 1e-300))[:, None]
 
     if deg == 1:
         z0 = rts[0]
@@ -271,10 +272,10 @@ def _membership_residuals(plane, tol):
                 "gcd of degree one with root %.4g%+.4gj off the unit circle "
                 "contradicts reversal symmetry; gcd tolerance artifact"
                 % (z0.real, z0.imag))
-        return "S1_simple", [arc_cluster(z0)]
+        return ("S1_simple", *arcs(rts))
     if deg == 2:
         if len(on) == 2 and abs(rts[0] - rts[1]) > 10.0 * band:
-            return "S1_double", [arc_cluster(z) for z in rts]
+            return ("S1_double", *arcs(rts))
         inside = [z for z in rts if abs(z) < 1.0 - band]
         outside = [z for z in rts if abs(z) > 1.0 + band]
         if len(inside) == 1 and len(outside) == 1:
@@ -283,7 +284,7 @@ def _membership_residuals(plane, tol):
                 raise InvariantError(
                     "degree-2 gcd roots are not a reflection pair; "
                     "gcd tolerance artifact")
-            return "pair_off_circle", [resultant_cluster()]
+            return "pair_off_circle", ["resultant"], resultant_rho
         raise ResolutionError(
             "degree-2 gcd root layout not resolved (roots %s)" %
             np.round(rts, 5))
@@ -318,52 +319,56 @@ def _directions(dim, samples, rng):
     return np.concatenate([axes, extra])
 
 
-def _quadratic_normals(rho, rho0, mat0, dirs, radius):
-    """Fit rho(M + r v) ~ c + l.v + v^T A v and read normals off A.
-
-    The residual vanishes on the stratum and is quadratic in the normal
-    displacement, so the positive eigenvalues of the fitted form A span
-    the normal space; the linear term only mops up any tiny off-stratum
-    bias of the base point.  There is deliberately no constant feature:
-    on the unit sphere it would coincide with the sum of the diagonal
-    quadratic features and leave the trace of A underdetermined, and the
-    rho0 subtraction cancels it exactly anyway.  Returns (rank, normal
-    rows, eigenvalues).
-    """
-    d = dirs.shape[1]
-    iu = np.triu_indices(d)
-    ys = (rho(mat0 + radius * dirs.reshape(-1, *mat0.shape)) - rho0) / radius**2
+@functools.lru_cache(maxsize=16)
+def _fit_design(dim, samples, seed):
+    """Read-only sample directions v and the pseudo-inverse of their fit
+    features: the linear terms v, then the upper-triangular products
+    v_i v_j.  There is deliberately no constant feature: on the unit
+    sphere it would coincide with the sum of the diagonal quadratic
+    features and leave the trace of the fitted form underdetermined, and
+    the probe's subtraction of the base residual cancels it exactly."""
+    dirs = _directions(dim, samples, np.random.default_rng(seed))
+    iu = np.triu_indices(dim)
     outer = dirs[:, :, None] * dirs[:, None, :]
-    rows = np.concatenate([dirs, outer[:, iu[0], iu[1]]], axis=1)
-    sol, _, _, _ = np.linalg.lstsq(rows, ys, rcond=None)
-    A = np.zeros((d, d))
-    A[iu] = sol[d:]
-    A = 0.5 * (A + A.T)
-    w, vecs = np.linalg.eigh(A)
-    w, vecs = w[::-1], vecs[:, ::-1]
-    top = max(w[0], 0.0)
-    if top <= 0.0:
-        return 0, np.zeros((0, d)), w
-    rank = int(np.sum(w > 0.05 * top))
-    return rank, vecs[:, :rank].T, w
+    pinv = np.linalg.pinv(np.concatenate([dirs, outer[:, iu[0], iu[1]]], axis=1))
+    dirs.setflags(write=False)
+    pinv.setflags(write=False)
+    return dirs, pinv
+
+
+def _quadratic_normals(ys, pinv, dim):
+    """Fit rho(M + r v) ~ c + l.v + v^T A v to each column of ys; the
+    eigenvalues and eigenvectors of every A, largest first.  The residual
+    is quadratic in the normal displacement, so the positive eigenvalues
+    span the normal space; the linear term mops up any tiny off-stratum
+    bias of the base point."""
+    sol = (pinv @ ys).T
+    iu = np.triu_indices(dim)
+    A = np.zeros((len(sol), dim, dim))
+    A[:, iu[0], iu[1]] = sol[:, dim:]
+    w, vecs = np.linalg.eigh(0.5 * (A + np.swapaxes(A, 1, 2)))
+    return w[:, ::-1], vecs[:, :, ::-1]
 
 
 def stratum_dimension_probe(plane, radius=1e-3, tol=GCD_TOL, seed=11):
     """Estimate the local dimension of the common-root stratum at a plane.
 
     Perturbation matrices are sampled at the given radius in the
-    2g-dimensional parameter space (exhaustively over angles when g = 1),
-    a quadratic form is fit to the membership residuals, and its
+    2g-dimensional parameter space (exhaustively over angles when g = 1;
+    otherwise the coordinate axes and directions drawn from the integer
+    seed), a quadratic form is fit to the membership residuals, and its
     significant eigenvectors give the normal space.  The fit is rerun at
     radius/10 and must reproduce the same rank and normal subspace;
     tangency is then validated by second-order persistence (the residual
     along tangent directions must drop like the fourth power of the
     radius, so the r -> r/10 ratio has to clear 200, well above the 100
-    a first-order leak would give).  A plane off the stratum is a
-    precondition error; reports carry the estimated dimension, detected
-    sheet structure, and the smallest persistence ratio.  That ratio is
-    inf when every tangent move stays at or below 1e-13: the moves are at
-    the rounding floor, and the persistence test was not applied.
+    a first-order leak would give).  Each stage evaluates every cluster
+    of the plane in one stacked residual call.  A plane off the stratum
+    is a precondition error; reports carry the estimated dimension,
+    detected sheet structure, and the smallest persistence ratio.  That
+    ratio is inf when every tangent move stays at or below 1e-13: the
+    moves are at the rounding floor, and the persistence test was not
+    applied.
     """
     g = plane.genus
     dim = 2 * g
@@ -371,6 +376,8 @@ def stratum_dimension_probe(plane, radius=1e-3, tol=GCD_TOL, seed=11):
         raise ValidationError("genus-0 planes have no parameters to probe")
     if not (np.isfinite(radius) and radius > 0.0):
         raise ValidationError("radius %r must be finite and positive" % radius)
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError("probe seed must be a nonnegative integer, got %r" % (seed,))
     rep = gr_classify(plane, tol)
     if rep["gcd_degree"] == 0:
         raise ValidationError(
@@ -378,39 +385,45 @@ def stratum_dimension_probe(plane, radius=1e-3, tol=GCD_TOL, seed=11):
             "(gcd degree 0 at tol %.1e)" % tol)
     # three samples per feature of the quadratic fit (constant, linear, quadratic)
     samples = 64 if dim == 2 else max(3 * (1 + dim + dim * (dim + 1) // 2), 8 * g)
-    rng = np.random.default_rng(seed)
-    case, clusters = _membership_residuals(plane, tol)
+    case, labels, rho = _membership_residuals(plane, tol)
     mat0 = np.asarray(plane.M, dtype=float)
-    dirs = _directions(dim, samples, rng)
+    dirs, pinv = _fit_design(dim, samples, int(seed))
 
-    sheet_normals, rho0s = [], []
-    for label, rho in clusters:
-        rho0 = rho(mat0[None])[0]
-        rho0s.append(rho0)
-        rank_r, n_r, _ = _quadratic_normals(rho, rho0, mat0, dirs, radius)
-        rank_c, n_c, _ = _quadratic_normals(rho, rho0, mat0, dirs,
-                                            radius / 10.0)
+    # the base point and both fit radii in one stack
+    radii = (radius, radius / 10.0)
+    stack = np.concatenate([mat0[None]] + [mat0 + r * dirs.reshape(-1, *mat0.shape)
+                                           for r in radii])
+    rho0, *fits = np.split(rho(stack), [1, 1 + len(dirs)])
+    ys = np.concatenate([(f - rho0) / r**2 for f, r in zip(fits, radii)], axis=1)
+    w, vecs = _quadratic_normals(ys, pinv, dim)
+    ranks = np.sum(w > 0.05 * w[:, :1], axis=1)
+    if not ranks.all():     # no fitted eigenvalue is positive
+        j = int(np.argmin(ranks))
+        raise ResolutionError(
+            "no normal direction resolved for %s at radius %.0e; the residual "
+            "moves sit at the rounding floor" % (labels[j % len(labels)], radii[j // len(labels)]))
+    sheet_normals = []
+    for j, label in enumerate(labels):
+        rank_r, rank_c = ranks[j], ranks[j + len(labels)]
         if rank_r != rank_c:
             raise ResolutionError(
                 "normal rank for %s inconsistent across radii (%d at %.0e, "
                 "%d at %.0e)" % (label, rank_r, radius, rank_c, radius / 10))
-        if rank_c:
-            align = np.linalg.svd(n_r @ n_c.T, compute_uv=False)
-            if align.min() < 0.95:
-                raise ResolutionError(
-                    "normal subspace for %s inconsistent across radii "
-                    "(alignment %.3f)" % (label, float(align.min())))
+        n_r, n_c = vecs[j][:, :rank_r].T, vecs[j + len(labels)][:, :rank_c].T
+        align = np.linalg.svd(n_r @ n_c.T, compute_uv=False)
+        if align.min() < 0.95:
+            raise ResolutionError(
+                "normal subspace for %s inconsistent across radii "
+                "(alignment %.3f)" % (label, float(align.min())))
         sheet_normals.append(n_c)
 
-    _, sv, vt = np.linalg.svd(np.vstack([n for n in sheet_normals if n.size]))
+    _, sv, vt = np.linalg.svd(np.vstack(sheet_normals))
     normal_rank = int(np.sum(sv > 0.05 * sv[0]))
 
     # second-order persistence along the estimated tangent space
     tangent = vt[normal_rank:normal_rank + 3]
     steps = np.concatenate([radius * tangent, 0.1 * radius * tangent])
-    stack = mat0 + steps.reshape(-1, *mat0.shape)
-    moves = np.max([np.abs(rho(stack) - rho0)
-                    for (_, rho), rho0 in zip(clusters, rho0s)], axis=0)
+    moves = np.abs(rho(mat0 + steps.reshape(-1, *mat0.shape)) - rho0).max(axis=1)
     big, small = moves[:len(tangent)], moves[len(tangent):]
     ratios = [hi / max(lo, 1e-300) for hi, lo in zip(big, small) if hi > 1e-13]
     persistence = float(min(ratios)) if ratios else float("inf")

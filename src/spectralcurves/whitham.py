@@ -609,12 +609,14 @@ def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
         deformed = attach_handle(curve, basis.b1, alpha, t_used, quad=quad)
         report1 = classify(deformed.curve, deformed.basis, tol=tol)
         if report1.gcd_degree != 0:
+            # once a law has failed at a larger t, a larger t is no way out
+            advice = "" if last_exc else "a larger handle parameter or "
+            failed = "; last law failure: %s" % last_exc if last_exc else ""
             raise ResolutionError(
                 "deformed pencil sits within gcd tolerance of the "
                 "common-root stratum at t=%g; the laws cannot be "
-                "verified at this resolution (try a larger handle "
-                "parameter or an alpha farther from the base map's "
-                "critical points)" % t_used)
+                "verified at this resolution (try %san alpha farther "
+                "from the base map's critical points)%s" % (t_used, advice, failed))
         crit1 = _critical_angles(*_deflated_pair(deformed.basis, tol))
         try:
             if report1.winding != report0.winding - sign:

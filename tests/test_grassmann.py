@@ -5,12 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+from spectralcurves import grassmann
 from spectralcurves.curve import build_curve, rotate_curve
-from spectralcurves.errors import ResolutionError, ValidationError
+from spectralcurves.errors import InvariantError, ResolutionError, ValidationError
 from spectralcurves.grassmann import (
     B_map,
     GrPlane,
     _basis_coeffs,
+    _fit_design,
     _membership_residuals,
     _windowed_circle_min,
     gr_classify,
@@ -25,7 +27,7 @@ from spectralcurves.grassmann import (
 )
 from spectralcurves.invariants import GCD_TOL, classify, pencil_gcd
 from spectralcurves.periods import solve_Ba
-from spectralcurves.polyring import resultant
+from spectralcurves.polyring import CPoly, resultant
 
 from conftest import counting_approx_gcd, random_curve, shared_plane
 
@@ -58,6 +60,12 @@ def test_plane_without_graph_form_is_rejected():
     # forces an element vanishing at the origin: no graph coordinates
     with pytest.raises(ValidationError, match="graph"):
         shared_plane([], [0.5 + 0.1j], [])
+
+
+@pytest.mark.parametrize("genus, M", [(-1, []), (1, [[np.nan, 0.0]])])
+def test_plane_rejects_negative_genus_and_non_finite_entries(genus, M):
+    with pytest.raises(ValidationError, match="nonnegative|non-finite"):
+        GrPlane(genus, M)
 
 
 def test_plane_serialization_roundtrip():
@@ -134,6 +142,24 @@ def test_immersion_rank_rotation_invariant():
 # --------------------------------------------------------- stratum probe
 
 
+E = np.exp
+# (circle roots, reflection-pair roots, fill roots) of shared planes
+ARC_PLANES = [
+    ([E(0.4j)], [], [0.35]),
+    ([E(-2.2j)], [], [-0.3 + 0.2j]),
+    ([E(0.4j)], [], [0.35, -0.2 + 0.3j]),
+    ([E(1.2j), E(-1.4j)], [], [0.3]),
+    ([E(-1.1j)], [], [0.3, -0.4j, 0.2 + 0.45j]),
+    ([E(2.0j), E(3.1j)], [], [0.4, -0.3j]),
+]
+PAIR_PLANES = [
+    ([], [0.55 + 0.2j], [-0.3j]),
+    ([], [-0.4 + 0.35j], [0.25]),
+    ([], [0.3 - 0.5j], [0.2, -0.45 + 0.1j]),
+    ([], [-0.6j], [0.35 + 0.3j, -0.2]),
+]
+
+
 def test_probe_requires_stratum_membership():
     with pytest.raises(ValidationError, match="gcd degree 0"):
         stratum_dimension_probe(GrPlane(genus=1, M=np.array([[0.4, 0.6]])))
@@ -195,6 +221,46 @@ def test_probe_rejects_radius_that_is_not_finite_and_positive(radius):
                                 radius=radius)
 
 
+@pytest.mark.parametrize("spec", [ARC_PLANES[0], PAIR_PLANES[0], ARC_PLANES[3],
+                                  ARC_PLANES[4]])
+def test_probe_refuses_a_fit_that_resolves_no_normal_direction(spec):
+    # at radius 1e-17 the residual moves sit at the rounding floor, so no
+    # fitted form has a positive eigenvalue; a sheet has codimension >= 1
+    with pytest.raises(ResolutionError,
+                       match="no normal direction resolved for .* at radius 1e-17"):
+        stratum_dimension_probe(shared_plane(*spec), radius=1e-17)
+
+
+@pytest.mark.parametrize("spec, radius, message", [
+    (ARC_PLANES[2], 1.0,
+     r"normal rank for arc@0.4000 inconsistent across radii \(2 at 1e\+00, 1 at 1e-01\)"),
+    (ARC_PLANES[4], 2.0,
+     r"normal subspace for arc@-1.1000 inconsistent across radii \(alignment 0.307\)"),
+])
+def test_probe_refuses_normals_that_disagree_across_radii(spec, radius, message):
+    with pytest.raises(ResolutionError, match=message):
+        stratum_dimension_probe(shared_plane(*spec), radius=radius)
+
+
+@pytest.mark.parametrize("roots, error, message", [
+    ([0.5], InvariantError, "degree one with root 0.5"),
+    ([0.5, 3.0], InvariantError, "not a reflection pair"),
+    ([0.5, 0.6], ResolutionError, "layout not resolved"),
+])
+def test_probe_case_split_refuses_gcd_roots_it_cannot_place(monkeypatch, roots, error,
+                                                             message):
+    plane = shared_plane(*ARC_PLANES[2])
+    monkeypatch.setattr(grassmann, "pencil_gcd", lambda *args: CPoly.from_roots(roots))
+    with pytest.raises(error, match=message):
+        stratum_dimension_probe(plane)
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, -1, np.random.default_rng(1)])
+def test_probe_seed_must_be_a_nonnegative_integer(seed):
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+        stratum_dimension_probe(shared_plane(*ARC_PLANES[0]), seed=seed)
+
+
 def test_probe_is_deterministic():
     plane = shared_plane([np.exp(0.4j)], [], [0.35])
     a = stratum_dimension_probe(plane, seed=7)
@@ -231,24 +297,6 @@ def _scalar_resultant_residual(plane):
     return abs(resultant(q1, q2)) / max(scale, 1e-300)
 
 
-E = np.exp
-# (circle roots, reflection-pair roots, fill roots) of shared planes
-ARC_PLANES = [
-    ([E(0.4j)], [], [0.35]),
-    ([E(-2.2j)], [], [-0.3 + 0.2j]),
-    ([E(0.4j)], [], [0.35, -0.2 + 0.3j]),
-    ([E(1.2j), E(-1.4j)], [], [0.3]),
-    ([E(-1.1j)], [], [0.3, -0.4j, 0.2 + 0.45j]),
-    ([E(2.0j), E(3.1j)], [], [0.4, -0.3j]),
-]
-PAIR_PLANES = [
-    ([], [0.55 + 0.2j], [-0.3j]),
-    ([], [-0.4 + 0.35j], [0.25]),
-    ([], [0.3 - 0.5j], [0.2, -0.45 + 0.1j]),
-    ([], [-0.6j], [0.35 + 0.3j, -0.2]),
-]
-
-
 def _perturbations(plane, n, scale, seed):
     rng = np.random.default_rng(seed)
     return plane.M[None] + scale * rng.standard_normal((n, plane.genus, 2))
@@ -262,7 +310,7 @@ def test_windowed_minimum_matches_scipy_brent(spec):
     c1, c2 = _basis_coeffs(g, stack)
     for z in spec[0]:
         psi0 = float(np.angle(z))
-        got = _windowed_circle_min(c1, c2, psi0, 0.3)
+        got = _windowed_circle_min(c1, c2, [psi0], 0.3)[:, 0]
         want = [_scalar_windowed_circle_min(*plane_basis(GrPlane(g, m)),
                                             psi0, 0.3) for m in stack]
         assert got.shape == (len(stack),)
@@ -280,7 +328,7 @@ def test_windowed_minimum_is_below_a_fine_grid(spec, scale):
     for z in spec[0]:
         psi0 = float(np.angle(z))
         lam = np.exp(1j * (psi0 + np.linspace(-0.3, 0.3, 200_001)))
-        got = _windowed_circle_min(c1, c2, psi0, 0.3)
+        got = _windowed_circle_min(c1, c2, [psi0], 0.3)[:, 0]
         for m, value in zip(stack, got):
             b1, b2 = plane_basis(GrPlane(g, m))
             grid = np.min(np.abs(b1(lam)) ** 2 + np.abs(b2(lam)) ** 2)
@@ -298,7 +346,7 @@ def test_windowed_minimum_at_an_arc_end_no_critical_angle_reaches():
     for psi0 in (np.pi, 3.0, -3.0, 0.5):
         lam = np.exp(1j * (psi0 + np.linspace(-0.3, 0.3, 200_001)))
         grid = np.min(np.abs(b1(lam)) ** 2 + np.abs(b2(lam)) ** 2)
-        got = _windowed_circle_min(c1, c2, psi0, 0.3)[0]
+        got = _windowed_circle_min(c1, c2, [psi0], 0.3)[0, 0]
         assert grid * (1.0 - 1e-9) <= got <= grid * (1.0 + 1e-13)
 
 
@@ -326,7 +374,7 @@ def test_windowed_minimum_with_vanishing_top_coefficient(plane, psi0, mask):
     assert not c1.imag.any() and not c2.real.any()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _windowed_circle_min(c1, c2, psi0, 0.3)
+        got = _windowed_circle_min(c1, c2, [psi0], 0.3)[:, 0]
     want = [_scalar_windowed_circle_min(*plane_basis(GrPlane(g, m)), psi0, 0.3)
             for m in stack]
     assert np.all(np.isfinite(got))
@@ -337,30 +385,35 @@ def test_windowed_minimum_with_vanishing_top_coefficient(plane, psi0, mask):
 def test_residual_rows_do_not_depend_on_the_stack(spec):
     plane = shared_plane(*spec)
     stack = _perturbations(plane, 17, 1e-3, seed=5)
-    _, clusters = _membership_residuals(plane, GCD_TOL)
-    for _, rho in clusters:
-        whole = rho(stack)
-        rows = np.concatenate([rho(stack[i:i + 1]) for i in range(len(stack))])
-        assert whole.tobytes() == rows.tobytes()
-        assert rho(stack[::-1]).tobytes() == whole[::-1].tobytes()
+    _, labels, rho = _membership_residuals(plane, GCD_TOL)
+    whole = rho(stack)
+    assert whole.shape == (len(stack), len(labels))
+    rows = np.concatenate([rho(stack[i:i + 1]) for i in range(len(stack))])
+    assert whole.tobytes() == rows.tobytes()
+    assert rho(stack[::-1]).tobytes() == whole[::-1].tobytes()
+    # nor does an arc's column depend on the other arcs of the plane
+    psis = [float(np.angle(z)) for z in spec[0]]
+    both = _windowed_circle_min(*_basis_coeffs(plane.genus, stack), psis, 0.3)
+    for j, psi in enumerate(psis):
+        one = _windowed_circle_min(*_basis_coeffs(plane.genus, stack), [psi], 0.3)
+        assert both[:, j].tobytes() == one[:, 0].tobytes()
 
 
 @pytest.mark.parametrize("spec", PAIR_PLANES)
 def test_resultant_residual_is_the_scalar_resultant_bit_for_bit(spec):
     plane = shared_plane(*spec)
-    case, clusters = _membership_residuals(plane, GCD_TOL)
-    assert case == "pair_off_circle" and len(clusters) == 1
-    rho = clusters[0][1]
+    case, labels, rho = _membership_residuals(plane, GCD_TOL)
+    assert case == "pair_off_circle" and len(labels) == 1
     stack = np.concatenate([plane.M[None],
                             _perturbations(plane, 12, 1e-3, seed=1),
                             _perturbations(plane, 12, 1e-1, seed=2)])
     want = [_scalar_resultant_residual(GrPlane(plane.genus, m)) for m in stack]
-    assert np.array_equal(rho(stack), want)
+    assert np.array_equal(rho(stack)[:, 0], want)
 
 
 def test_resultant_residual_refuses_coefficients_it_would_trim():
     plane = shared_plane(*PAIR_PLANES[0])
-    _, [(_, rho)] = _membership_residuals(plane, GCD_TOL)
+    _, [_], rho = _membership_residuals(plane, GCD_TOL)
     huge = np.stack([plane.M, plane.M])
     huge[1, 0, 0] = 2e9
     with pytest.raises(ValidationError, match="below 1e9"):
@@ -403,3 +456,52 @@ def test_probe_discrete_fields_frozen(spec, want):
            rep.sheets, rep.sheet_dimensions, rep.normal_rank, rep.samples)
     assert got == want
     assert rep.persistence_ratio > 200.0
+
+
+def test_probe_makes_one_fit_pass_and_one_persistence_pass(monkeypatch):
+    # the base point and both fit radii go to the residual map as one
+    # stack, the persistence moves as a second, and no lstsq is solved
+    calls = []
+    real = grassmann._membership_residuals
+
+    def counted(plane, tol):
+        case, labels, rho = real(plane, tol)
+
+        def rho_counted(mats):
+            calls.append(len(mats))
+            return rho(mats)
+
+        return case, labels, rho_counted
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("lstsq called")
+
+    planes = [shared_plane(*spec) for spec in (ARC_PLANES[2], PAIR_PLANES[0],
+                                               ARC_PLANES[3], ARC_PLANES[5])]
+    monkeypatch.setattr(grassmann, "_membership_residuals", counted)
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    for plane in planes:
+        calls.clear()
+        rep = stratum_dimension_probe(plane)
+        tangent = min(3, 2 * plane.genus - rep.normal_rank)
+        assert calls == [2 * rep.samples + 1, 2 * tangent]
+
+
+@pytest.mark.parametrize("radius", [1e-3, 3e-4, 1e-4, 3e-5])
+@pytest.mark.parametrize("spec", ARC_PLANES + PAIR_PLANES)
+def test_cached_fit_matches_lstsq(spec, radius):
+    # the pseudo-inverse fixed per (dim, samples, seed) against lstsq on
+    # features rebuilt from the directions, on the probe's own residuals
+    plane = shared_plane(*spec)
+    dim = 2 * plane.genus
+    rep = stratum_dimension_probe(plane, radius)
+    dirs, pinv = _fit_design(dim, rep.samples, 11)
+    assert not dirs.flags.writeable and not pinv.flags.writeable
+    _, _, rho = _membership_residuals(plane, GCD_TOL)
+    rho0 = rho(plane.M[None])[0]
+    ys = (rho(plane.M + radius * dirs.reshape(-1, *plane.M.shape)) - rho0) / radius**2
+    iu = np.triu_indices(dim)
+    features = np.concatenate([dirs, [np.outer(v, v)[iu] for v in dirs]], axis=1)
+    for y in ys.T:
+        want = np.linalg.lstsq(features, y, rcond=None)[0]
+        assert np.linalg.norm(pinv @ y - want) <= 1e-13 * np.linalg.norm(want)

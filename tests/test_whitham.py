@@ -646,6 +646,30 @@ def test_handle_near_the_common_root_stratum_collapses():
         handle_invariant_check(build_curve(eta), alpha, 3e-3)
 
 
+@pytest.mark.parametrize("genus, seed, psi", [(2, 5, -0.0698), (3, 11, 1.6755)])
+def test_stratum_refusal_after_halvings_names_the_law_failure(genus, seed, psi):
+    # alpha this close to a base critical point fails the critical-point
+    # law at every t until the deformed pencil meets the stratum: the
+    # refusal carries that failure and does not advise a larger t
+    with pytest.raises(ResolutionError) as info:
+        handle_invariant_check(random_curve(genus, seed), complex(np.exp(1j * psi)), 0.1)
+    message = str(info.value)
+    assert "common-root stratum at t=0.0015625" in message
+    assert "; last law failure: critical-point law failed" in message
+    assert "larger handle parameter" not in message
+
+
+def test_first_attempt_stratum_refusal_advises_a_larger_handle_parameter():
+    eta = [-0.16526390132706809 - 0.21011795351346307j,
+           0.46555348358128235 - 0.5148181138842565j]
+    alpha = complex(np.exp(-1.2372787010193307j))
+    with pytest.raises(ResolutionError) as info:
+        handle_invariant_check(build_curve(eta), alpha, 3e-3)
+    assert str(info.value).endswith(
+        "(try a larger handle parameter or an alpha farther from the base "
+        "map's critical points)")
+
+
 def counting_attach(monkeypatch):
     calls = []
     real = whitham.attach_handle
