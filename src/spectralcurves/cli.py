@@ -407,7 +407,7 @@ def _parse_Q(text):
         raise ValidationError("cannot parse --q %r: %s" % (text, exc))
     if len(coeffs) > 3:
         raise ValidationError("--q takes at most three coefficients")
-    if not any(abs(c) > 0 for c in coeffs):
+    if not any(coeffs):             # only exact zeros mean "no Q"; NaN is truthy
         return None
     return CPoly(coeffs, degree=2)
 

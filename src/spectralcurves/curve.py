@@ -287,7 +287,7 @@ class Homology:
 
     def _check_gamma_clearance(self, lam0):
         c = self.curve
-        if abs(abs(lam0) - 1.0) > 1e-8:
+        if not abs(abs(lam0) - 1.0) <= 1e-8:       # NaN fails too
             raise ValidationError("gamma base point must lie on the unit circle, got |lambda0|=%g" % abs(lam0))
         target = c.r0 * lam0 / abs(lam0)
         for z in c.branch_points:

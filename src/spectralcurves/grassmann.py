@@ -29,19 +29,15 @@ by finite differences over the 2g real root coordinates.
 
 import functools
 import json
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curve import build_curve
 from .errors import InvariantError, ResolutionError, ValidationError
-from .invariants import GCD_TOL, _circle_band, pencil_gcd
+from .invariants import GCD_TOL, _circle_band, _common_roots
 from .periods import graph_form, solve_Ba
 from .polyring import CPoly, _sylvester, real_coords, real_place_coeffs
-from .polyring import roots as poly_roots
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "GrPlane",
@@ -141,13 +137,9 @@ def plane_from_json(text):
 def gr_classify(plane, tol=GCD_TOL):
     """Common-root data of the plane: validated gcd degree, membership in
     the common-root stratum, and the gcd roots on the unit circle."""
-    gcd = pencil_gcd(*plane_basis(plane), tol)
-    deg = gcd.formal_degree
-    s1 = []
-    if deg > 0:
-        band = _circle_band(tol)
-        s1 = [complex(z) for z in poly_roots(gcd) if abs(abs(z) - 1.0) <= band]
-    return {"gcd_degree": deg, "in_R": deg > 0, "S1_roots": s1}
+    _, rts = _common_roots(*plane_basis(plane), tol)
+    s1 = [complex(z) for z in rts if abs(abs(z) - 1.0) <= _circle_band(tol)]
+    return {"gcd_degree": len(rts), "in_R": len(rts) > 0, "S1_roots": s1}
 
 
 def _circle_values(c1, c2, theta):
@@ -213,9 +205,10 @@ def _windowed_circle_min(c1, c2, psis, width):
     return _circle_values(c1, c2, theta.reshape(n, -1)).reshape(theta.shape).min(axis=2)
 
 
-def _membership_residuals(plane, tol):
-    """Per-stratum residual map rho: a stack of M-matrices, shape
-    (n, g, 2), to their residuals, shape (n, clusters), each >= 0.
+def _membership_residuals(g, roots, tol):
+    """Per-stratum residual map rho of genus-g planes near the common roots
+    ``roots``: a stack of M-matrices, shape (n, g, 2), to their residuals,
+    shape (n, clusters), each >= 0.
 
     Unit-circle common roots contribute a windowed minimum of
     |b1|^2 + |b2|^2 over the nearby arc (one window per root: the
@@ -228,10 +221,7 @@ def _membership_residuals(plane, tol):
 
     Returns (case, labels, rho), one label per column of rho.
     """
-    g = plane.genus
-    gcd = pencil_gcd(*plane_basis(plane), tol)
-    deg = gcd.formal_degree
-    rts = sorted((complex(z) for z in poly_roots(gcd)), key=lambda z: z.real)
+    rts = sorted((complex(z) for z in roots), key=lambda z: z.real)
     band = _circle_band(tol)
     on = [z for z in rts if abs(abs(z) - 1.0) <= max(band, 0.05)]
     sep = min((abs(u - v) for u in rts for v in rts if u is not v),
@@ -265,7 +255,7 @@ def _membership_residuals(plane, tol):
         scale = np.array([s ** (g + 1) for s in (n1 * n2).tolist()])
         return (np.hypot(det.real, det.imag) / np.maximum(scale, 1e-300))[:, None]
 
-    if deg == 1:
+    if len(rts) == 1:
         z0 = rts[0]
         if abs(abs(z0) - 1.0) > 0.05:
             raise InvariantError(
@@ -273,7 +263,7 @@ def _membership_residuals(plane, tol):
                 "contradicts reversal symmetry; gcd tolerance artifact"
                 % (z0.real, z0.imag))
         return ("S1_simple", *arcs(rts))
-    if deg == 2:
+    if len(rts) == 2:
         if len(on) == 2 and abs(rts[0] - rts[1]) > 10.0 * band:
             return ("S1_double", *arcs(rts))
         inside = [z for z in rts if abs(z) < 1.0 - band]
@@ -290,7 +280,7 @@ def _membership_residuals(plane, tol):
             np.round(rts, 5))
     raise ResolutionError(
         "dimension probe supports gcd degree 1 or 2; degree %d is a deeper "
-        "stratum" % deg)
+        "stratum" % len(rts))
 
 
 @dataclass(frozen=True)
@@ -378,14 +368,14 @@ def stratum_dimension_probe(plane, radius=1e-3, tol=GCD_TOL, seed=11):
         raise ValidationError("radius %r must be finite and positive" % radius)
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError("probe seed must be a nonnegative integer, got %r" % (seed,))
-    rep = gr_classify(plane, tol)
-    if rep["gcd_degree"] == 0:
+    _, rts = _common_roots(*plane_basis(plane), tol)
+    if not len(rts):
         raise ValidationError(
             "probe undefined off the common-root stratum "
             "(gcd degree 0 at tol %.1e)" % tol)
     # three samples per feature of the quadratic fit (constant, linear, quadratic)
     samples = 64 if dim == 2 else max(3 * (1 + dim + dim * (dim + 1) // 2), 8 * g)
-    case, labels, rho = _membership_residuals(plane, tol)
+    case, labels, rho = _membership_residuals(g, rts, tol)
     mat0 = np.asarray(plane.M, dtype=float)
     dirs, pinv = _fit_design(dim, samples, int(seed))
 
@@ -443,7 +433,7 @@ def stratum_dimension_probe(plane, radius=1e-3, tol=GCD_TOL, seed=11):
         sheet_dims = (dim - normal_rank,)
         singular = False
         dimension = dim - normal_rank
-    return ProbeReport(genus=g, gcd_degree=rep["gcd_degree"], case=case,
+    return ProbeReport(genus=g, gcd_degree=len(rts), case=case,
                        dimension=dimension, singular=singular, sheets=sheets,
                        sheet_dimensions=sheet_dims, normal_rank=normal_rank,
                        radius=radius, samples=len(dirs),

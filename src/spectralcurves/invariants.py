@@ -75,7 +75,8 @@ def _deflate(p, gcd):
 
 
 def _refine_gcd(gcd, b1, b2):
-    """Newton-polish each candidate root on the better-conditioned element.
+    """Roots of the candidate gcd, each Newton-polished on the
+    better-conditioned element, read-only.
 
     A root that one element carries with multiplicity is only known to
     ~sqrt(eps) from that element alone; the other element usually sees it
@@ -97,34 +98,44 @@ def _refine_gcd(gcd, b1, b2):
         if not np.isfinite(z) or abs(z - r) > 0.05:
             z = complex(r)
         refined.append(z)
-    return CPoly.from_roots(refined)
+    refined = np.array(refined, dtype=np.complex128)
+    refined.setflags(write=False)
+    return refined
+
+
+_NO_ROOTS = np.zeros(0, dtype=np.complex128)      # a trivial gcd's; empty, so safe to share
 
 
 @functools.lru_cache(maxsize=128)
-def pencil_gcd(b1, b2, tol=GCD_TOL):
-    """Approximate gcd of the pencil (b1, b2), validated by test division.
+def _common_roots(b1, b2, tol=GCD_TOL):
+    """``pencil_gcd`` and the polished roots it is built from
+    (``_refine_gcd``): the one reading of a pencil's common roots, memoised
+    per (b1, b2, tol), as CPoly is immutable and hashes its coefficients.
 
     A curve close to (but not on) the common-root stratum can fool the
     singular-value criterion; if dividing b1 and b2 by the candidate gcd
     leaves a visible residue, the tolerance is tightened until the
     candidate is consistent (possibly trivial).
-
-    Memoised per (b1, b2, tol): CPoly is immutable and hashes its
-    coefficients, so one classification reuses one gcd.
     """
     t = tol
     for _ in range(8):
         gcd = approx_gcd(b1, b2, tol=t)
         if gcd.formal_degree == 0:
-            return gcd
-        gcd = _refine_gcd(gcd, b1, b2)
+            return gcd, _NO_ROOTS
+        rts = _refine_gcd(gcd, b1, b2)
+        gcd = CPoly.from_roots(rts)
         try:
             _deflate(b1, gcd)
             _deflate(b2, gcd)
-            return gcd
+            return gcd, rts
         except ResolutionError:
             t /= 10.0
     raise ResolutionError("gcd estimate failed to stabilize under tolerance tightening")
+
+
+def pencil_gcd(b1, b2, tol=GCD_TOL):
+    """Approximate gcd of the pencil (b1, b2), validated by test division."""
+    return _common_roots(b1, b2, tol)[0]
 
 
 def deg_f(basis, tol=GCD_TOL):
@@ -231,9 +242,8 @@ def classify(curve, basis=None, tol=GCD_TOL):
     if basis is None:
         basis = solve_Ba(curve)
     g = curve.genus
-    gcd = pencil_gcd(basis.b1, basis.b2, tol)
-    gdeg = gcd.formal_degree
-    groots = tuple(roots(gcd, tol=curve.tol)) if gdeg > 0 else ()
+    groots = tuple(_common_roots(basis.b1, basis.b2, tol)[1])
+    gdeg = len(groots)
     df = g + 1 - gdeg
 
     num, den = _deflated_pair(basis, tol)

@@ -39,11 +39,10 @@ from numpy.polynomial import polynomial as npoly
 
 from .curve import build_curve
 from .errors import InvariantError, ResolutionError, ValidationError
-from .invariants import GCD_TOL, _circle_count, _deflated_pair, classify, pencil_gcd
+from .invariants import GCD_TOL, _circle_count, _common_roots, _deflated_pair, classify, pencil_gcd
 from .periods import PencilBasis, b_periods, solve_Ba
 from .polyring import (CPoly, _der, _lam, _sum, real_place, real_place_coeffs,
                        reality_check)
-from .polyring import roots as poly_roots
 
 log = logging.getLogger(__name__)
 
@@ -141,6 +140,8 @@ def _coerce_Q(Q):
     if q.formal_degree > 2:
         raise ValidationError("Q must have formal degree at most 2")
     q = CPoly(q.coeffs, degree=2)
+    if not np.all(np.isfinite(q.coeffs)):
+        raise ValidationError("Q has non-finite coefficients %s" % q.coeffs.tolist())
     ok, defect = reality_check(q, tol=1e-9)
     if not ok:
         raise ValidationError("Q is not reversal-real (defect %.3e)" % defect)
@@ -197,12 +198,10 @@ def whitham_tangent(curve, basis, Q):
     a = curve.a
     g = curve.genus
 
-    gcd = pencil_gcd(b1, b2, GCD_TOL)
-    if gcd.formal_degree > 0:
-        for r in poly_roots(gcd, tol=curve.tol):
-            if abs(a(r)) < 1e-6 * max(1.0, a.norm_inf()):
-                raise ValidationError(
-                    "nonunique tangent: a, b1, b2 share the root %s" % r)
+    for r in _common_roots(b1, b2, GCD_TOL)[1]:
+        if abs(a(r)) < 1e-6 * max(1.0, a.norm_inf()):
+            raise ValidationError(
+                "nonunique tangent: a, b1, b2 share the root %s" % r)
 
     Q = _coerce_Q(Q)
     c1, c2 = bezout_solve(a, b1, b2, Q, tol=max(curve.tol, 1e-9))
@@ -270,7 +269,8 @@ rotation_selector = rotation_tangent
 
 
 def constant_Q_selector(Q):
-    """Flow selector re-solving the tangent system with a fixed Q."""
+    """Flow selector re-solving the tangent system with a fixed Q, checked once."""
+    Q = _coerce_Q(Q)
 
     def select(curve, basis):
         return whitham_tangent(curve, basis, Q)
@@ -447,7 +447,7 @@ def attach_handle(curve, b, alpha, t, quad=None):
     the principal square root; the other branch only negates b_t.
     """
     alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > 1e-12:
+    if not abs(abs(alpha) - 1.0) <= 1e-12:         # NaN fails too
         raise ValidationError(
             "handle point must lie on the unit circle, got |alpha| = %.12g"
             % abs(alpha))

@@ -1,5 +1,7 @@
 """Shared fixtures and curve factories for the test suite."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,26 @@ def counting_approx_gcd(monkeypatch):
 
     counted.calls = 0
     monkeypatch.setattr(inv, "approx_gcd", counted)
+    return counted
+
+
+def counting_roots(monkeypatch):
+    """Count companion-matrix root solves (``polyring.roots``), wherever a
+    module of the package holds the function."""
+    import spectralcurves.polyring as polyring
+
+    real = polyring.roots
+
+    def counted(*args, **kwargs):
+        counted.calls += 1
+        return real(*args, **kwargs)
+
+    counted.calls = 0
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spectralcurves"):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
     return counted
 
 

@@ -113,6 +113,19 @@ def test_classify_proximity_marks_pi_when_no_cut_crosses(tmp_path):
     assert reports[0]["phi"] != reports[2]["phi"]
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf"])
+def test_classify_refuses_a_non_finite_alpha_angle_at_once(angle, g2_spec, tmp_path,
+                                                           capsys):
+    # the marker exp(i angle) is NaN, which must fail the unit-circle check
+    # of the gamma leg, not reach quadrature
+    out = tmp_path / "rep.json"
+    with np.errstate(invalid="ignore"):         # exp(i inf) warns as it makes NaN
+        assert main(["classify", "--spec", g2_spec, "--maxden", "12", "--format", "json",
+                     "--alpha-angle", angle, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError: ") and "unit circle" in err
+
+
 @pytest.mark.parametrize("extra, flag", [
     (["--maxden", "12", "--format", "csv"], "--maxden"),
     (["--alpha-angle", "0.9"], "--alpha-angle"),
@@ -316,6 +329,10 @@ def test_flow_rejects_invalid_step_and_count(g1_spec, arg, capsys):
 @pytest.mark.parametrize("q, message", [
     ("abc", "cannot parse --q"),
     ("1,2,3,4", "at most three coefficients"),
+    # a NaN Q is not the zero Q, and a Q that is not reversal-real is an
+    # input error, refused before any step rather than retried as one
+    ("nan,0,nan", "non-finite coefficients"),
+    ("1,2,3", "not reversal-real"),
 ])
 def test_flow_rejects_unparsable_q(g1_spec, q, message, capsys):
     assert main(["flow", "--spec", g1_spec, "--q", q]) == 2

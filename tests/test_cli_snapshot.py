@@ -22,6 +22,8 @@ import pytest
 
 from spectralcurves.cli import main
 
+from conftest import LOCUS_A, LOCUS_B, LOCUS_C
+
 SNAPSHOT = os.path.join(os.path.dirname(__file__), "data", "cli_snapshot.json")
 FLOAT = "<float>"
 # CSV columns written with "%.17g": root coordinates, kernel gap, flow
@@ -36,6 +38,10 @@ SPECS = {
                    [0.05253503112156976, -0.3379061468715635],
                    [0.22634037513192742, 0.37637671242840465]]},
     "plane": {"genus": 1, "M": [[-2.0, 0.0]]},
+    # the common-root curves of conftest: gcd degree 2 off S^1 (A, B), a
+    # root on S^1 (C)
+    **{name: {"eta": [[z.real, z.imag] for z in eta]}
+       for name, eta in (("locus_a", LOCUS_A), ("locus_b", LOCUS_B), ("locus_c", LOCUS_C))},
 }
 
 RUNS = (
@@ -43,9 +49,10 @@ RUNS = (
      for g in range(1, 5) for fmt in ([], ["--format", "json"])]
     + [["classify", "--spec", k] + extra for k in ("g1", "g2", "g3")
        for extra in ([], ["--maxden", "12", "--format", "json"])]
+    + [["classify", "--spec", k] for k in ("locus_a", "locus_c")]
     + [["deform", "--spec", k, "--alpha-angle", a] for k in ("g1", "g2", "g3")
        for a in ("0.7", "2.2")]
-    + [["gr", "--spec", k] for k in ("g2", "plane")]
+    + [["gr", "--spec", k] for k in ("g2", "plane", "locus_b")]
     + [["flow", "--spec", "g2", "--dt", "1e-2", "--steps", "10"]]
 )
 

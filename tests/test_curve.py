@@ -205,6 +205,9 @@ def test_gamma_clearance_guard():
     hom = homology_cycles(c)
     with pytest.raises(ValidationError, match="unit circle"):
         hom.gamma_leg(0.5 + 0.0j)
+    for nan in (complex(np.nan, np.nan), complex(np.nan, 0.0)):
+        with pytest.raises(ValidationError, match="unit circle"):
+            hom.gamma_leg(nan)
     # base point radially aligned with the cut crossing
     with pytest.raises(ValidationError, match="collides"):
         hom.gamma_leg(1.0 + 0.0j)

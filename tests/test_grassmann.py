@@ -25,11 +25,11 @@ from spectralcurves.grassmann import (
     plane_to_json,
     stratum_dimension_probe,
 )
-from spectralcurves.invariants import GCD_TOL, classify, pencil_gcd
+from spectralcurves.invariants import GCD_TOL, _common_roots, classify
 from spectralcurves.periods import solve_Ba
-from spectralcurves.polyring import CPoly, resultant
+from spectralcurves.polyring import resultant
 
-from conftest import counting_approx_gcd, random_curve, shared_plane
+from conftest import counting_approx_gcd, counting_roots, random_curve, shared_plane
 
 
 # ------------------------------------------------------------ chart layer
@@ -91,7 +91,7 @@ def test_period_map_plane_holds_the_solved_basis_and_its_gcd(genus, monkeypatch)
         b1, b2 = plane_basis(B_map(curve))
         assert (b1, b2) == (basis.b1, basis.b2)
         assert (hash(b1), hash(b2)) == (hash(basis.b1), hash(basis.b2))
-        pencil_gcd.cache_clear()
+        _common_roots.cache_clear()
         counted.calls = 0
         classify(curve, basis)
         gr_classify(B_map(curve))
@@ -200,10 +200,23 @@ def test_probe_detects_two_sheet_crossing():
 
 def test_probe_refuses_first_order_leakage():
     # a genus-2 pair at |mu| = 0.97 is split as two arc clusters, and at
-    # radius 3e-4 its tangent moves do not persist
+    # radius 3e-4 its tangent moves do not persist.  The ratio sits at the
+    # rounding floor, so its value follows the last digits of the arc
+    # centres, the angles of the polished gcd roots
     plane = shared_plane([], [0.97 * np.exp(2j)], [0.2 - 0.3j])
-    with pytest.raises(ResolutionError, match="persistence ratio 52.5 < 200"):
+    with pytest.raises(ResolutionError, match="persistence ratio 10.1 < 200"):
         stratum_dimension_probe(plane, 3e-4)
+
+
+def test_probe_reads_its_plane_once(monkeypatch):
+    # two companion solves in approx_gcd and one in _refine_gcd give the gcd
+    # and its polished roots; the case split and the report reuse them
+    plane = shared_plane(*ARC_PLANES[3])
+    _common_roots.cache_clear()
+    counted = counting_roots(monkeypatch)
+    rep = stratum_dimension_probe(plane)
+    assert rep.case == "S1_double"
+    assert counted.calls == 3
 
 
 def test_probe_refuses_a_deeper_stratum():
@@ -247,12 +260,9 @@ def test_probe_refuses_normals_that_disagree_across_radii(spec, radius, message)
     ([0.5, 3.0], InvariantError, "not a reflection pair"),
     ([0.5, 0.6], ResolutionError, "layout not resolved"),
 ])
-def test_probe_case_split_refuses_gcd_roots_it_cannot_place(monkeypatch, roots, error,
-                                                             message):
-    plane = shared_plane(*ARC_PLANES[2])
-    monkeypatch.setattr(grassmann, "pencil_gcd", lambda *args: CPoly.from_roots(roots))
+def test_probe_case_split_refuses_gcd_roots_it_cannot_place(roots, error, message):
     with pytest.raises(error, match=message):
-        stratum_dimension_probe(plane)
+        _membership_residuals(2, roots, GCD_TOL)
 
 
 @pytest.mark.parametrize("seed", [None, 1.5, -1, np.random.default_rng(1)])
@@ -269,6 +279,12 @@ def test_probe_is_deterministic():
 
 
 # ------------------------------------------------ batched residuals
+
+
+def _residuals(plane):
+    """The probe's residual map of a plane, read from its memoised gcd roots."""
+    roots = _common_roots(*plane_basis(plane), GCD_TOL)[1]
+    return _membership_residuals(plane.genus, roots, GCD_TOL)
 
 
 def _scalar_windowed_circle_min(b1, b2, psi0, width, coarse=96):
@@ -385,7 +401,7 @@ def test_windowed_minimum_with_vanishing_top_coefficient(plane, psi0, mask):
 def test_residual_rows_do_not_depend_on_the_stack(spec):
     plane = shared_plane(*spec)
     stack = _perturbations(plane, 17, 1e-3, seed=5)
-    _, labels, rho = _membership_residuals(plane, GCD_TOL)
+    _, labels, rho = _residuals(plane)
     whole = rho(stack)
     assert whole.shape == (len(stack), len(labels))
     rows = np.concatenate([rho(stack[i:i + 1]) for i in range(len(stack))])
@@ -402,7 +418,7 @@ def test_residual_rows_do_not_depend_on_the_stack(spec):
 @pytest.mark.parametrize("spec", PAIR_PLANES)
 def test_resultant_residual_is_the_scalar_resultant_bit_for_bit(spec):
     plane = shared_plane(*spec)
-    case, labels, rho = _membership_residuals(plane, GCD_TOL)
+    case, labels, rho = _residuals(plane)
     assert case == "pair_off_circle" and len(labels) == 1
     stack = np.concatenate([plane.M[None],
                             _perturbations(plane, 12, 1e-3, seed=1),
@@ -413,7 +429,7 @@ def test_resultant_residual_is_the_scalar_resultant_bit_for_bit(spec):
 
 def test_resultant_residual_refuses_coefficients_it_would_trim():
     plane = shared_plane(*PAIR_PLANES[0])
-    _, [_], rho = _membership_residuals(plane, GCD_TOL)
+    _, [_], rho = _residuals(plane)
     huge = np.stack([plane.M, plane.M])
     huge[1, 0, 0] = 2e9
     with pytest.raises(ValidationError, match="below 1e9"):
@@ -464,8 +480,8 @@ def test_probe_makes_one_fit_pass_and_one_persistence_pass(monkeypatch):
     calls = []
     real = grassmann._membership_residuals
 
-    def counted(plane, tol):
-        case, labels, rho = real(plane, tol)
+    def counted(genus, roots, tol):
+        case, labels, rho = real(genus, roots, tol)
 
         def rho_counted(mats):
             calls.append(len(mats))
@@ -497,7 +513,7 @@ def test_cached_fit_matches_lstsq(spec, radius):
     rep = stratum_dimension_probe(plane, radius)
     dirs, pinv = _fit_design(dim, rep.samples, 11)
     assert not dirs.flags.writeable and not pinv.flags.writeable
-    _, _, rho = _membership_residuals(plane, GCD_TOL)
+    _, _, rho = _residuals(plane)
     rho0 = rho(plane.M[None])[0]
     ys = (rho(plane.M + radius * dirs.reshape(-1, *plane.M.shape)) - rho0) / radius**2
     iu = np.triu_indices(dim)

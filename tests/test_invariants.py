@@ -9,7 +9,9 @@ from spectralcurves.curve import build_curve, rotate_curve
 from spectralcurves.errors import InvariantError, ResolutionError, ValidationError
 from spectralcurves.grassmann import B_map, gr_classify
 from spectralcurves.invariants import (
+    GCD_TOL,
     _circle_count,
+    _common_roots,
     circle_map,
     classify,
     deg_f,
@@ -21,7 +23,8 @@ from spectralcurves.periods import derived_pencil, solve_Ba
 from spectralcurves.polyring import CPoly, real_place, roots, symmetrize_reality
 from spectralcurves.whitham import attach_handle
 
-from conftest import LOCUS_A, LOCUS_B, LOCUS_C, counting_approx_gcd, random_curve
+from conftest import (LOCUS_A, LOCUS_B, LOCUS_C, counting_approx_gcd, counting_roots,
+                      random_curve)
 
 # classification is expensive enough to share across assertions
 FROZEN_MINUS = [-0.3967 - 0.5356j, -0.2717 - 0.7730j, -0.0925 + 0.3364j]
@@ -168,14 +171,16 @@ def test_gcd_memo_is_bitwise_equal_cold_warm_and_cleared():
     pencils = [(coprime.b1, coprime.b2), shared]
 
     def run(order):
-        return {i: pencil_gcd(*pencils[i]).coeffs.tobytes() for i in order}
+        return {i: (pencil_gcd(*pencils[i]).coeffs.tobytes(),
+                    _common_roots(*pencils[i])[1].tobytes()) for i in order}
 
-    pencil_gcd.cache_clear()
+    _common_roots.cache_clear()
     cold = run((0, 1))
+    assert len(_common_roots(*shared)[1]) == 2
     assert run((0, 1)) == cold                      # warm
-    pencil_gcd.cache_clear()
+    _common_roots.cache_clear()
     assert run((1, 0)) == cold                      # cleared, other order
-    pencil_gcd.cache_clear()
+    _common_roots.cache_clear()
     assert run((0, 1)) == cold
 
 
@@ -190,7 +195,7 @@ def test_gcd_memo_does_not_cache_errors(monkeypatch):
 
 def test_classify_computes_one_gcd_per_basis(monkeypatch):
     basis = solve_Ba(random_curve(2, 22))
-    pencil_gcd.cache_clear()
+    _common_roots.cache_clear()
     counted = counting_approx_gcd(monkeypatch)
     rep = classify(basis.curve, basis)
     assert rep.gcd_degree == 0
@@ -404,6 +409,20 @@ def test_shared_pair_off_the_circle_is_R_only(eta, mu):
     assert abs(inner - mu) < 1e-4
     assert max(abs(r - 1.0 / np.conj(inner)) for r in rep.gcd_roots if r != inner) < 1e-10
     assert gr_classify(B_map(curve)) == {"gcd_degree": 2, "in_R": True, "S1_roots": []}
+
+
+def test_classify_and_gr_classify_read_the_memoised_roots(monkeypatch):
+    # the polished roots that build the gcd are the report's gcd roots, bit
+    # for bit, and the plane of the same pencil solves no root again
+    curve = build_curve(LOCUS_A)
+    basis = solve_Ba(curve)
+    rep = classify(curve, basis)
+    rts = _common_roots(basis.b1, basis.b2, GCD_TOL)[1]
+    assert len(rts) == 2
+    assert np.array(rep.gcd_roots).tobytes() == rts.tobytes()
+    counted = counting_roots(monkeypatch)
+    assert gr_classify(B_map(curve))["gcd_degree"] == 2
+    assert counted.calls == 0
 
 
 def test_shared_root_on_the_circle_is_S():

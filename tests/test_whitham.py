@@ -1,13 +1,16 @@
 """Isoperiodic tangents, flow integration, handle attachment."""
 
+import math
+
 import numpy as np
 import pytest
 
 from spectralcurves import whitham
 from spectralcurves.curve import build_curve
 from spectralcurves.errors import InvariantError, ResolutionError, ValidationError
-from spectralcurves.invariants import _deflated_pair, classify, pencil_gcd
-from spectralcurves.periods import solve_Ba
+from spectralcurves.grassmann import plane_basis
+from spectralcurves.invariants import GCD_TOL, _deflated_pair, classify, pencil_gcd
+from spectralcurves.periods import PencilBasis, solve_Ba
 from spectralcurves.polyring import CPoly, real_place, reality_check
 from spectralcurves.whitham import (
     FlowAbort,
@@ -29,7 +32,7 @@ from spectralcurves.whitham import (
     whitham_tangent,
 )
 
-from conftest import LOCUS_B, grow_to_genus3, random_curve
+from conftest import LOCUS_B, LOCUS_C, grow_to_genus3, random_curve, shared_plane
 
 # reflection-real quadratic Q used by the generic-direction tests
 Q_GENERIC = CPoly([0.4 + 0.25j, -0.3, 0.4 - 0.25j])
@@ -177,6 +180,26 @@ def test_tangent_on_the_common_root_locus_needs_a_divisible_Q():
     assert max(tan.residuals().values()) <= 1e-13 * tan.scale()
 
 
+def test_tangent_refuses_a_root_shared_by_a_and_the_pencil():
+    # a pencil sharing the reflection pair of the curve's root 0.41 + 0.2i:
+    # a, b1 and b2 vanish together there, so the tangent is not unique
+    curve = build_curve([0.41 + 0.2j, -0.33 - 0.41j])
+    b1, b2 = plane_basis(shared_plane([], [0.41 + 0.2j], [0.2 - 0.3j]))
+    basis = PencilBasis(curve, b1, b2, kernel_gap=math.nan)
+    with pytest.raises(ValidationError, match="nonunique tangent: a, b1, b2 share the root"):
+        whitham_tangent(curve, basis, Q_GENERIC)
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ([1.0, 2.0, 3.0], "not reversal-real"),
+    ([np.nan, 0.0, np.nan], "non-finite coefficients"),
+    ([1.0, 0.0, 0.0, 1.0], "formal degree at most 2"),
+])
+def test_constant_Q_selector_checks_Q_when_it_is_built(coeffs, message):
+    with pytest.raises(ValidationError, match=message):
+        constant_Q_selector(CPoly(coeffs))
+
+
 # ----------------------------------------------------------------- flow
 
 
@@ -293,6 +316,9 @@ def test_attach_handle_rejects_degenerate_parameters():
             attach_handle(curve, b, complex(np.exp(0.9j)), t)
     with pytest.raises(ValidationError, match="unit circle"):
         attach_handle(curve, b, 0.9 * np.exp(0.9j), 1e-2)
+    for alpha in (complex(np.nan, np.nan), complex(np.nan, 0.0)):
+        with pytest.raises(ValidationError, match="handle point must lie on the unit circle"):
+            attach_handle(curve, b, alpha, 1e-2)
 
 
 # ------------------------------------------- circle-map critical points
@@ -680,6 +706,20 @@ def counting_attach(monkeypatch):
 
     monkeypatch.setattr(whitham, "attach_handle", counted)
     return calls
+
+
+def test_handle_check_refuses_a_base_pencil_with_a_common_root():
+    # curve C's pencil shares a root on S^1: its circle map has no handle laws
+    with pytest.raises(ValidationError,
+                       match=r"requires a coprime pencil \(gcd degree 0\), got 1"):
+        handle_invariant_check(build_curve(LOCUS_C), complex(np.exp(0.3j)), 1e-2)
+
+
+def test_handle_check_refuses_alpha_at_a_critical_point_of_the_base_map():
+    curve = build_curve([0.41 + 0.2j, -0.33 - 0.41j])
+    crit = whitham._base_map(solve_Ba(curve), GCD_TOL)[2]
+    with pytest.raises(ValidationError, match=r"alpha is \(numerically\) a critical point"):
+        handle_invariant_check(curve, complex(np.exp(1j * crit[0])), 1e-2)
 
 
 def test_handle_check_refuses_an_alpha_off_the_circle_at_once(monkeypatch):
