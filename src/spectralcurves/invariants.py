@@ -26,7 +26,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import InvariantError, ResolutionError, ValidationError
 from .periods import solve_Ba
-from .polyring import CPoly, _der, approx_gcd, roots
+from .polyring import CPoly, _der, _gcd_candidates, roots
 
 GCD_TOL = 1e-6
 
@@ -74,9 +74,9 @@ def _deflate(p, gcd):
     return CPoly(q)
 
 
-def _refine_gcd(gcd, b1, b2):
+def _refine_gcd(gcd, b1, d1, b2, d2):
     """Roots of the candidate gcd, each Newton-polished on the
-    better-conditioned element, read-only.
+    better-conditioned of b1 and b2 (with derivatives d1, d2), read-only.
 
     A root that one element carries with multiplicity is only known to
     ~sqrt(eps) from that element alone; the other element usually sees it
@@ -85,8 +85,7 @@ def _refine_gcd(gcd, b1, b2):
     refined = []
     for r in roots(gcd):
         z = complex(r)
-        p = b1 if abs(b1.derivative()(z)) >= abs(b2.derivative()(z)) else b2
-        dp = p.derivative()
+        p, dp = (b1, d1) if abs(d1(z)) >= abs(d2(z)) else (b2, d2)
         for _ in range(6):
             d = dp(z)
             if abs(d) == 0.0:
@@ -113,23 +112,23 @@ def _common_roots(b1, b2, tol=GCD_TOL):
     per (b1, b2, tol), as CPoly is immutable and hashes its coefficients.
 
     A curve close to (but not on) the common-root stratum can fool the
-    singular-value criterion; if dividing b1 and b2 by the candidate gcd
-    leaves a visible residue, the tolerance is tightened until the
-    candidate is consistent (possibly trivial).
+    singular-value criterion; if dividing b1 and b2 by a candidate gcd
+    leaves a visible residue, the tolerance is tightened: the one gcd solve
+    yields its next candidate, until one is consistent (possibly trivial).
     """
-    t = tol
-    for _ in range(8):
-        gcd = approx_gcd(b1, b2, tol=t)
+    elements = None
+    for gcd in _gcd_candidates(b1, b2, tol):
         if gcd.formal_degree == 0:
             return gcd, _NO_ROOTS
-        rts = _refine_gcd(gcd, b1, b2)
+        elements = elements or (b1, b1.derivative(), b2, b2.derivative())
+        rts = _refine_gcd(gcd, *elements)
         gcd = CPoly.from_roots(rts)
         try:
             _deflate(b1, gcd)
             _deflate(b2, gcd)
-            return gcd, rts
         except ResolutionError:
-            t /= 10.0
+            continue
+        return gcd, rts
     raise ResolutionError("gcd estimate failed to stabilize under tolerance tightening")
 
 

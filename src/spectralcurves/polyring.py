@@ -286,46 +286,45 @@ def _sylvester(cp, cq):
 
 
 def approx_gcd(p: CPoly, q: CPoly, tol=1e-9) -> CPoly:
-    """Monic approximate greatest common divisor of two polynomials.
+    """Monic approximate greatest common divisor of two polynomials: the
+    first candidate of :func:`_gcd_candidates`."""
+    return next(_gcd_candidates(p, q, tol))
 
-    The gcd degree is the rank deficiency of the Sylvester matrix at the
-    effective degrees, read off from the singular values against the
-    threshold ``tol * (|p| + |q|)``.  The divisor itself is then built by
-    pairing nearby roots of the two polynomials, which at the scales this
-    package works at (degrees below ~10) is far better conditioned than
-    extracting it from the subresultant system directly.
+
+def _gcd_candidates(p, q, tol=1e-9):
+    """Monic approximate gcds of p and q from one solve, largest degree first.
+
+    One trim and one Sylvester SVD at ``tol``: each distinct rank deficiency
+    at the thresholds ``t * (|p| + |q|)``, t = tol / 10**i for i = 0..7, is a
+    candidate degree, and a trivial candidate ends them.  Divisors pair nearby
+    roots of p and q, far better conditioned at degrees below ~10 than the
+    subresultant system.  Greedy pairing is sequential, so degree k takes the
+    first k pairs: the pairing and its two companion solves run once, if at all.
     """
-    pt = p.trimmed(tol)
-    qt = q.trimmed(tol)
+    pt, qt = p.trimmed(tol), q.trimmed(tol)
     pz, qz = pt.is_zero(tol), qt.is_zero(tol)
     if pz and qz:
         raise ValidationError("gcd of two zero polynomials is undefined")
-    if pz:
-        return qt.monic(tol)
-    if qz:
-        return pt.monic(tol)
+    if pz or qz:
+        yield (qt if pz else pt).monic(tol)
+        return
     n, m = pt.formal_degree, qt.formal_degree
-    if n == 0 or m == 0:
-        return CPoly([1.0])
-
     scale = float(np.linalg.norm(pt.coeffs) + np.linalg.norm(qt.coeffs))
     sigma = np.linalg.svd(_sylvester(pt.coeffs, qt.coeffs), compute_uv=False)
-    k = int(np.count_nonzero(sigma <= tol * scale))
-    if k == 0:
-        return CPoly([1.0])
-    k = min(k, min(n, m))
-
-    rp = roots(pt, tol)
-    rq = roots(qt, tol)
-    # greedy matching of the k closest root pairs
-    dist = np.abs(rp[:, None] - rq[None, :])
-    pairs = []
-    for _ in range(k):
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        pairs.append(0.5 * (rp[i] + rq[j]))
-        dist[i, :] = np.inf
-        dist[:, j] = np.inf
-    return CPoly.from_roots(np.asarray(pairs))
+    pairs, last, t = [], None, tol
+    for _ in range(8):
+        k = min(int(np.count_nonzero(sigma <= t * scale)), n, m)
+        t /= 10.0
+        if k and not pairs:
+            rp, rq = roots(pt, tol), roots(qt, tol)
+            dist = np.abs(rp[:, None] - rq[None, :])
+            for _ in range(k):
+                i, j = np.unravel_index(np.argmin(dist), dist.shape)
+                pairs.append(0.5 * (rp[i] + rq[j]))
+                dist[i, :] = dist[:, j] = np.inf
+        if k != last:
+            yield CPoly.from_roots(np.asarray(pairs[:k])) if k else CPoly([1.0])
+        last = k
 
 
 def resultant(p: CPoly, q: CPoly, tol=1e-9) -> complex:

@@ -594,6 +594,8 @@ def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
     """
     alpha = complex(alpha)
     t_used = _handle_parameter(t)
+    if not 0.05 + 2.0 * t_used < np.pi:     # the critical-point law's window would be S^1
+        raise ValidationError("handle check needs 0.05 + 2t < pi, got t = %g" % t_used)
     basis = solve_Ba(curve, quad=quad)
     report0, block0, crit0 = _base_map(basis, tol)
     psi = float(np.angle(alpha))

@@ -71,27 +71,8 @@ def grow_to_genus3(target_jumps, handle_t=0.1):
     return curve
 
 
-def counting_approx_gcd(monkeypatch):
-    """Count the approximate-gcd solves behind ``pencil_gcd``."""
-    import spectralcurves.invariants as inv
-
-    real = inv.approx_gcd
-
-    def counted(p, q, tol=1e-9):
-        counted.calls += 1
-        return real(p, q, tol=tol)
-
-    counted.calls = 0
-    monkeypatch.setattr(inv, "approx_gcd", counted)
-    return counted
-
-
-def counting_roots(monkeypatch):
-    """Count companion-matrix root solves (``polyring.roots``), wherever a
-    module of the package holds the function."""
-    import spectralcurves.polyring as polyring
-
-    real = polyring.roots
+def _counting(monkeypatch, real):
+    """Count calls of ``real`` wherever a module of the package holds it."""
 
     def counted(*args, **kwargs):
         counted.calls += 1
@@ -104,6 +85,23 @@ def counting_roots(monkeypatch):
                 if value is real:
                     monkeypatch.setattr(module, attr, counted)
     return counted
+
+
+def counting_approx_gcd(monkeypatch):
+    """Count the gcd solves (``polyring._gcd_candidates``): one per pencil
+    behind ``pencil_gcd``, however many candidates it tries, and one per
+    ``approx_gcd`` call."""
+    import spectralcurves.polyring as polyring
+
+    return _counting(monkeypatch, polyring._gcd_candidates)
+
+
+def counting_roots(monkeypatch):
+    """Count companion-matrix root solves (``polyring.roots``), wherever a
+    module of the package holds the function."""
+    import spectralcurves.polyring as polyring
+
+    return _counting(monkeypatch, polyring.roots)
 
 
 def shared_plane(roots_circle, roots_pair, fill):

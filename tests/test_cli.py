@@ -78,6 +78,7 @@ def test_classify_names_missing_field(tmp_path, capsys):
     ("missing", "cannot read --spec"),
     ("directory", "cannot read --spec"),
     ("broken", "is not JSON"),
+    ("empty", "missing --spec: a curve record file is needed"),
 ])
 def test_classify_unreadable_spec_exits_2(kind, message, tmp_path, capsys):
     spec = tmp_path / "spec.json"
@@ -85,7 +86,7 @@ def test_classify_unreadable_spec_exits_2(kind, message, tmp_path, capsys):
         spec.mkdir()
     elif kind == "broken":
         spec.write_text("{not json")
-    assert main(["classify", "--spec", str(spec)]) == 2
+    assert main(["classify", "--spec", "" if kind == "empty" else str(spec)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ValidationError: ") and message in err
 
@@ -340,6 +341,15 @@ def test_flow_rejects_unparsable_q(g1_spec, q, message, capsys):
     assert err.startswith("ValidationError: ") and message in err
 
 
+def test_flow_with_the_zero_q_is_the_rotation_flow(g1_spec, capsys):
+    # --q 0,0,0 means no Q: the rotation flow, written byte for byte as without --q
+    outs = []
+    for extra in ([], ["--q", "0,0,0"]):
+        assert main(["flow", "--spec", g1_spec, "--steps", "2", "--out", "-"] + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].startswith("# spectral-flow v1 genus=1")
+
+
 # -------------------------------------------------------------- figures
 
 
@@ -409,7 +419,7 @@ def test_deform_report(g1_spec, tmp_path):
         assert np.hypot(re, im) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("t", ["0", "nan", "inf", "-1e-2"])
+@pytest.mark.parametrize("t", ["0", "nan", "inf", "-1e-2", "1.6", "3"])
 def test_deform_rejects_invalid_handle_parameter(g1_spec, t, capsys):
     assert main(["deform", "--spec", g1_spec, "--alpha-angle", "0.9",
                  "--t=" + t]) == 2

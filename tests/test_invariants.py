@@ -1,17 +1,23 @@
 """Winding invariants, gcd validation, stratum classification."""
 
+import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spectralcurves.curve import build_curve, rotate_curve
-from spectralcurves.errors import InvariantError, ResolutionError, ValidationError
+from spectralcurves.errors import (InvariantError, ResolutionError, SpectralError,
+                                   ValidationError)
 from spectralcurves.grassmann import B_map, gr_classify
 from spectralcurves.invariants import (
     GCD_TOL,
     _circle_count,
     _common_roots,
+    _deflated_pair,
+    _disc_count,
+    _refine_gcd,
     circle_map,
     classify,
     deg_f,
@@ -20,8 +26,8 @@ from spectralcurves.invariants import (
     winding_roots,
 )
 from spectralcurves.periods import derived_pencil, solve_Ba
-from spectralcurves.polyring import CPoly, real_place, roots, symmetrize_reality
-from spectralcurves.whitham import attach_handle
+from spectralcurves.polyring import CPoly, _der, real_place, roots, symmetrize_reality
+from spectralcurves.whitham import attach_handle, handle_invariant_check
 
 from conftest import (LOCUS_A, LOCUS_B, LOCUS_C, counting_approx_gcd, counting_roots,
                       random_curve)
@@ -159,6 +165,80 @@ def test_gcd_two_circle_roots():
     assert gcd.formal_degree == 2
     got = roots(gcd)
     assert np.max(np.abs(np.abs(got) - 1.0)) < 1e-9
+
+
+def test_refine_gcd_keeps_the_candidate_root_where_newton_cannot_polish():
+    # lam^2 has derivative 0 at its root, which stops Newton at once; lam - 2
+    # pulls a candidate root at 0.5 farther than 0.05, which is not kept
+    sq, far = CPoly([0.0, 0.0, 1.0]), CPoly([-2.0, 1.0])
+    for gcd, p, want in ((CPoly([0.0, 1.0]), sq, [0]), (CPoly([-0.5, 1.0]), far, [0.5])):
+        assert _refine_gcd(gcd, p, p.derivative(), p, p.derivative()).tolist() == want
+
+
+def _candidate_recorder(monkeypatch):
+    """Record the degree of each candidate the gcd solve hands _common_roots,
+    and count the candidates it refines."""
+    import spectralcurves.invariants as inv
+    import spectralcurves.polyring as polyring
+
+    real_solve, real_refine = polyring._gcd_candidates, inv._refine_gcd
+    built, refined = [], []
+
+    def recording(p, q, tol):
+        for gcd in real_solve(p, q, tol):
+            built.append(gcd.formal_degree)
+            yield gcd
+
+    def refining(gcd, *elements):
+        refined.append(gcd.formal_degree)
+        return real_refine(gcd, *elements)
+
+    monkeypatch.setattr(inv, "_gcd_candidates", recording)
+    monkeypatch.setattr(inv, "_refine_gcd", refining)
+    return built, refined
+
+
+def test_gcd_solve_walks_the_candidates_of_a_handle_pencil(monkeypatch):
+    # at t = 1e-3 the handle's nearly-common root pair passes the first
+    # threshold and fails deflation, and the next distinct degree is 0: one
+    # SVD and two companion solves, plus the one candidate's re-solve
+    h = attach_handle(build_curve([0.5]), None, complex(np.exp(0.9j)), 1e-3)
+    _common_roots.cache_clear()
+    solves = counting_approx_gcd(monkeypatch)
+    built, refined = _candidate_recorder(monkeypatch)
+    solved = counting_roots(monkeypatch)
+    svds, real_svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or real_svd(*a, **k))
+    gcd, rts = _common_roots(h.basis.b1, h.basis.b2, GCD_TOL)
+    assert (gcd.formal_degree, len(rts)) == (0, 0)
+    assert (built, refined) == ([1, 0], [1])
+    assert (solves.calls, len(svds), solved.calls) == (1, 1, 2 + len(refined))
+
+
+@pytest.mark.parametrize("pencil, degrees, paired", [
+    ((CPoly.from_roots([0.6 + 0.2j, -0.5j, 0.3]),
+      CPoly.from_roots([0.6 + 0.2j, -0.5j + 1e-9, 0.2 - 0.7j])), [2, 1], True),
+    ((CPoly([0.0]), CPoly.from_roots([0.6 + 0.2j, -0.5j])), [2], False),
+], ids=["split-pair", "zero-element"])
+def test_gcd_refusal_builds_each_distinct_candidate_once(pencil, degrees, paired, monkeypatch):
+    # one shared root and one pair 1e-9 apart leave a common factor at every
+    # threshold, of degree 2 and then 1; gcd(0, q) is q, unpaired.  With
+    # deflation refusing, each candidate is built and refined once before
+    # the refusal
+    import spectralcurves.invariants as inv
+
+    def refuse(p, gcd):
+        raise ResolutionError("gcd deflation refused")
+
+    _common_roots.cache_clear()
+    built, refined = _candidate_recorder(monkeypatch)
+    solved = counting_roots(monkeypatch)
+    monkeypatch.setattr(inv, "_deflate", refuse)
+    with pytest.raises(ResolutionError, match="^gcd estimate failed to stabilize under "
+                                              "tolerance tightening$"):
+        _common_roots(*pencil, GCD_TOL)
+    assert built == refined == degrees
+    assert solved.calls == 2 * paired + len(refined)
 
 
 # ------------------------------------------------------------ gcd memo
@@ -394,6 +474,90 @@ def test_circle_count_refuses_a_double_zero_on_the_circle():
     p = CPoly.from_roots([np.exp(0.4j), np.exp(0.4j), np.exp(2.0j)])
     with pytest.raises(ResolutionError, match="not resolved"):
         _circle_count(p)
+
+
+def _exact_disc_count(coeffs):
+    """Zeros in the open unit disc of the polynomial with exactly these
+    (double) coefficients: the Schur-Cohn recursion of ``_disc_count`` in
+    exact arithmetic, or None where an exact |a0|^2 = |an|^2 leaves it
+    undecided.  Doubles are dyadic rationals, so one power of two makes the
+    coefficients Gaussian integers, and the recursion stays in integers."""
+    parts = [Fraction(x) for c in map(complex, coeffs) for x in (c.real, c.imag)]
+    den = max(f.denominator for f in parts)
+    a = [(int(parts[k] * den), int(parts[k + 1] * den)) for k in range(0, len(parts), 2)]
+    count, sign = 0, 1
+    while True:
+        while a[-1] == (0, 0):
+            a.pop()
+        n = len(a) - 1
+        if n == 0:
+            return count
+        (x0, y0), (xn, yn) = a[0], a[-1]
+        delta = x0 * x0 + y0 * y0 - xn * xn - yn * yn
+        if delta == 0:
+            return None
+        if delta < 0:
+            count, sign = count + sign * n, -sign
+        # conj(a0) a[k] - an conj(a[n-k]), divided by the coefficients' content
+        a = [(x0 * x + y0 * y - xn * u - yn * v, x0 * y - y0 * x - yn * u + xn * v)
+             for (x, y), (u, v) in zip(a[:n], a[n:0:-1])]
+        g = math.gcd(*(c for z in a for c in z))
+        a = [(x // g, y // g) for x, y in a]
+
+
+def _answer(count, p):
+    """The count, or None where it refuses."""
+    try:
+        return count(p)
+    except ResolutionError:
+        return None
+
+
+def test_exact_disc_count_oracle_on_known_placements():
+    # zeros at 0.5, 3 and -0.25 + 0.5i: two in the disc; with one exactly on
+    # S^1 the exact recursion meets |a0|^2 = |an|^2
+    assert _exact_disc_count(CPoly.from_roots([0.5, 3.0, -0.25 + 0.5j]).coeffs) == 2
+    assert _exact_disc_count(CPoly.from_roots([1.0, 0.5]).coeffs) is None
+
+
+def test_disc_and_circle_counts_are_the_exact_counts_wherever_they_answer(monkeypatch):
+    # the deflated pairs of the locus curves and of 200 random pencils of
+    # genus 1-4, and W' of handle checks at t = 1e-2 and 1e-3 (base and
+    # deformed maps), each against the exact recursion on the same doubles
+    import spectralcurves.whitham as whitham
+
+    bases = [solve_Ba(build_curve(eta)) for eta in (LOCUS_A, LOCUS_B, LOCUS_C)]
+    bases += [solve_Ba(random_curve(1 + k % 4, 900 + k)) for k in range(200)]
+    disc = [p for basis in bases for p in _deflated_pair(basis)]
+    ws = []
+
+    def recording(w):
+        ws.append(w)
+        return _circle_count(w)
+
+    monkeypatch.setattr(whitham, "_circle_count", recording)
+    whitham._base_map.cache_clear()
+    for curve, psi in ((build_curve([0.5]), 0.9), (build_curve([0.41 + 0.2j, -0.33 - 0.41j]), 2.0),
+                       (random_curve(2, 5), 1.2)):
+        for t in (1e-2, 1e-3):
+            try:
+                handle_invariant_check(curve, complex(np.exp(1j * psi)), t)
+            except SpectralError:
+                pass
+    answered = 0
+    for p in disc:
+        got = _answer(_disc_count, p)
+        if got is not None:
+            answered += 1
+            assert got == _exact_disc_count(p.coeffs)
+    for w in ws:
+        got = _answer(_circle_count, w)
+        if got is not None:
+            answered += 1
+            n, exact = w.formal_degree, _exact_disc_count(_der(w.coeffs))
+            assert got == (n - 2 * (n - 1 - exact) if n else 0)
+    assert (len(disc), answered) == (406, 406 + len(ws))
+    assert len(ws) == 9
 
 
 # ------------------------------------------------- curves on the common-root locus

@@ -217,6 +217,18 @@ def test_approx_gcd_recovers_common_factor():
     assert np.allclose(np.sort_complex(roots(g)), np.sort_complex(common), atol=1e-8)
 
 
+def test_approx_gcd_of_zero_and_constant_inputs():
+    # gcd(0, p) is p made monic, a constant shares no factor, and gcd(0, 0)
+    # is refused
+    p = CPoly.from_roots([0.3, 0.9j], lead=2.0 - 1.0j)
+    zero = CPoly([0.0, 0.0])
+    assert approx_gcd(zero, p) == approx_gcd(p, zero) == p.monic()
+    assert approx_gcd(CPoly([3.0, 0.0]), p) == approx_gcd(p, CPoly([-2j])) == CPoly([1.0])
+    assert approx_gcd(CPoly([2.0]), CPoly([3.0])) == CPoly([1.0])
+    with pytest.raises(ValidationError, match="gcd of two zero polynomials is undefined"):
+        approx_gcd(zero, CPoly([0.0]))
+
+
 def test_resultant_root_product_identity():
     pr = [0.3 + 0.1j, -0.5j]
     p = CPoly.from_roots(pr, lead=1.7 - 0.2j)

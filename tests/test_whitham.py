@@ -729,6 +729,20 @@ def test_handle_check_refuses_an_alpha_off_the_circle_at_once(monkeypatch):
     assert calls == [1e-2]
 
 
+def test_handle_check_refuses_a_t_whose_law_window_covers_the_circle(monkeypatch):
+    # from t = (pi - 0.05) / 2 the third law's window 0.05 + 2t is all of
+    # S^1: such t are refused before any work; attach_handle takes them
+    curve, alpha = build_curve([0.5]), complex(np.exp(0.9j))
+    calls = counting_attach(monkeypatch)
+    for t in (1.6, 3.0):
+        with pytest.raises(ValidationError, match=r"needs 0.05 \+ 2t < pi, got t = %g$" % t):
+            handle_invariant_check(curve, alpha, t)
+    assert calls == []
+    assert attach_handle(curve, None, alpha, 3.0).curve.genus == 2
+    chk = handle_invariant_check(curve, alpha, 1.5)
+    assert (chk.t, chk.deg_f_after) == (1.5 / 8, 3)
+
+
 def test_handle_check_keeps_the_type_of_a_resolution_error(monkeypatch):
     # only a failed law halves t: a refusal of the deformed curve's
     # classification propagates from the first attempt
@@ -752,11 +766,11 @@ def test_handle_check_raises_the_last_failed_law_after_twelve_halvings(monkeypat
         raise InvariantError("refused at t=%g" % t_used)
 
     monkeypatch.setattr(whitham, "_new_critical_pair", refusing)
-    # from t = 2 the last attempt, 2 / 2^11, stays clear of the stratum
-    with pytest.raises(InvariantError, match="not verified down to t=0.000976562: "
-                                             "refused at t=0.000976562"):
-        handle_invariant_check(build_curve([0.5]), complex(np.exp(0.9j)), 2.0)
-    assert calls == [2.0 * 0.5 ** k for k in range(12)]
+    # from t = 1.5 the last attempt, 1.5 / 2^11, stays clear of the stratum
+    with pytest.raises(InvariantError, match="not verified down to t=0.000732422: "
+                                             "refused at t=0.000732422"):
+        handle_invariant_check(build_curve([0.5]), complex(np.exp(0.9j)), 1.5)
+    assert calls == [1.5 * 0.5 ** k for k in range(12)]
 
 
 def test_flow_solves_accepted_states_and_retries_without_k1(monkeypatch):
