@@ -6,12 +6,13 @@ The solved pencil (b1, b2) determines a circle map
 
 (-b0/binf of ``periods.derived_pencil`` for a graph-form basis), whose
 degree deg(f) = g+1 - deg gcd(b1, b2) and winding number n classify the
-curve.  The winding is computed twice from the deflated u and v, and the
-two counts must agree; a disagreement is raised, never reported.  The
-Schur-Cohn recursion counts disc zeros from the coefficients alone
-(``winding_arg``); companion-matrix roots are counted inside S^1
-(``winding_roots``).  They share the two polynomials and nothing else.
-Strata:
+curve.  Reflection-real b1, b2 (any other pencil is refused) make v the
+circle reflection rho*(conj u) of u, so the gcd-deflated u' and v' have
+N(u') + N(v') = deg f zeros in the open disc, and each winding method reads
+one polynomial: Schur-Cohn the coefficients of v', n = deg f - 2 N(v')
+(``winding_arg``), the companion roots of u', n = 2 N(u') - deg f
+(``winding_roots``).  They share only the pencil, so their agreement also
+checks the reflection; a disagreement is raised, never reported.  Strata:
 
 * V_j    : coprime pencil, winding j;
 * S      : gcd root on the unit circle (all pencil elements vanish there);
@@ -26,7 +27,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import InvariantError, ResolutionError, ValidationError
 from .periods import solve_Ba
-from .polyring import CPoly, _der, _gcd_candidates, roots
+from .polyring import CPoly, _der, _gcd_candidates, reality_check, roots
 
 GCD_TOL = 1e-6
 
@@ -116,6 +117,8 @@ def _common_roots(b1, b2, tol=GCD_TOL):
     leaves a visible residue, the tolerance is tightened: the one gcd solve
     yields its next candidate, until one is consistent (possibly trivial).
     """
+    if not 0.0 < tol < np.inf:
+        raise ValidationError("gcd tol must be finite and positive, got %r" % tol)
     elements = None
     for gcd in _gcd_candidates(b1, b2, tol):
         if gcd.formal_degree == 0:
@@ -144,7 +147,11 @@ def deg_f(basis, tol=GCD_TOL):
 
 
 def _deflated_pair(basis, tol=GCD_TOL):
-    """u = b1 + i b2 and v = b1 - i b2, gcd deflated: f~ = u/v."""
+    """u = b1 + i b2 and v = b1 - i b2, gcd deflated: f~ = u/v.  The winding
+    counts need v = rho*(conj u), so b1 and b2 must be reflection-real."""
+    defects = [d for real, d in map(reality_check, (basis.b1, basis.b2)) if not real]
+    if defects:
+        raise ValidationError("pencil element is not reflection-real (defect %.3e)" % defects[0])
     gcd = pencil_gcd(basis.b1, basis.b2, tol)
     return tuple(_deflate(basis.b1 + basis.b2 * s, gcd) for s in (1j, -1j))
 
@@ -195,48 +202,44 @@ def _circle_count(p):
     return n - 2 * (n - 1 - _disc_count(CPoly(_der(p.coeffs)))) if n else 0
 
 
+def _arg_winding(den, deg):
+    """deg - 2 N(v'), the Schur-Cohn count of v' alone."""
+    return deg - 2 * _disc_count(den)
+
+
+def _root_winding(num, deg, tol):
+    """2 N(u') - deg from the companion roots of u' alone; a top coefficient
+    ``roots`` drops is a zero at infinity, which the formal degree counts.
+    A root within ``_BOUNDARY_TOL`` of S^1 makes the count ill-posed and
+    raises: a few decades above root-location accuracy (~1e-12 for a solved
+    pencil), below the ~t^2 circle clearance a handle with t = 1e-3 leaves.
+    """
+    rts = roots(num, tol=tol) if num.effective_degree() else np.zeros(0)
+    if np.any(np.abs(np.abs(rts) - 1.0) <= _BOUNDARY_TOL):
+        raise InvariantError("boundary root: stratum boundary case")
+    return 2 * int(np.sum(np.abs(rts) < 1.0)) - deg
+
+
 def winding_arg(basis, tol=GCD_TOL):
-    """Winding number of f~ = u/v over the unit circle: the Schur-Cohn
-    disc count of u minus that of v, after gcd deflation.  It solves no
-    roots, so it shares only u and v with ``winding_roots``."""
-    num, den = _deflated_pair(basis, tol)
-    return _disc_count(num) - _disc_count(den)
+    """Winding number of f~ = u/v on S^1 from the Schur-Cohn count of v'."""
+    return _arg_winding(_deflated_pair(basis, tol)[1], deg_f(basis, tol))
 
 
 def winding_roots(basis, tol=GCD_TOL):
-    """Winding number by the argument principle: disc-root count of
-    u = b1 + i b2 minus that of v = b1 - i b2, after gcd deflation, from
-    their companion-matrix roots.
-
-    Roots remaining within ``_BOUNDARY_TOL`` of the unit circle after
-    deflation make the count ill-posed and raise.  The guard sits a few
-    decades above root-location accuracy (~1e-12 for a solved pencil)
-    but below the ~t^2 circle clearance a handle smoothed with t = 1e-3
-    leaves behind, so near-boundary curves still count cleanly.
-    """
-    return _root_count(_deflated_pair(basis, tol), basis.curve.tol)
-
-
-def _root_count(pair, tol):
-    counts = []
-    for p in pair:
-        rts = roots(p, tol=tol) if p.effective_degree() else np.zeros(0)
-        dist = np.abs(np.abs(rts) - 1.0)
-        if np.any(dist <= _BOUNDARY_TOL):
-            raise InvariantError("boundary root: stratum boundary case")
-        counts.append(int(np.sum(np.abs(rts) < 1.0)))
-    return counts[0] - counts[1]
+    """Winding number of f~ = u/v on S^1 from the companion roots of u'."""
+    return _root_winding(_deflated_pair(basis, tol)[0], deg_f(basis, tol), basis.curve.tol)
 
 
 def classify(curve, basis=None, tol=GCD_TOL):
     """Full invariant report for a curve (basis solved on demand).
 
-    Cross-checks the two winding algorithms and the parity and range bounds
-    relating winding to deg(f); any violation raises InvariantError.  With
-    a trivial gcd those bounds force the genus-zero equivalence flags to
-    agree, so flags broken by a nontrivial gcd raise ResolutionError: with
-    every root near S^1 (a near-nodal curve) the gcd at ``tol`` swallows
-    the pencil.
+    Cross-checks the two winding algorithms and a coprime pencil's deg(f) - 2
+    bound at positive genus, raising InvariantError.  Their winding
+    deg f - 2 N(v') has deg f's parity and lies in (-deg f, deg f], as a
+    graph-form v' has degree below deg f; with a trivial gcd these bounds
+    force the genus-zero equivalence flags to agree, so flags broken by a
+    nontrivial gcd raise ResolutionError: with every root near S^1 (a
+    near-nodal curve) the gcd at ``tol`` swallows the pencil.
     """
     if basis is None:
         basis = solve_Ba(curve)
@@ -246,16 +249,11 @@ def classify(curve, basis=None, tol=GCD_TOL):
     df = g + 1 - gdeg
 
     num, den = _deflated_pair(basis, tol)
-    w_arg = _disc_count(num) - _disc_count(den)
-    w_roots = _root_count((num, den), curve.tol)
+    w_arg = _arg_winding(den, df)
+    w_roots = _root_winding(num, df, curve.tol)
     if w_arg != w_roots:
         raise InvariantError("winding algorithms disagree: Schur-Cohn count %d "
                              "vs root count %d" % (w_arg, w_roots))
-
-    if (w_arg - df) % 2 != 0:
-        raise InvariantError("winding %d and degree %d have different parity" % (w_arg, df))
-    if not (-df < w_arg <= df):
-        raise InvariantError("winding %d outside (-deg, deg] for deg %d" % (w_arg, df))
     if g >= 1 and gdeg == 0 and abs(w_arg) > df - 2:
         raise InvariantError(
             "winding %d exceeds deg-2 bound for a coprime positive-genus pencil" % w_arg

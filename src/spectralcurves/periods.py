@@ -486,16 +486,18 @@ def rational_plane_distance(matrix, max_denominator=12, shortlist=256):
     A desk-scale probe: integer directions are scored by their angle to the
     row span, a shortlist is paired exhaustively, and the minimal largest
     principal angle is returned.  Not a decision procedure.  Raises
-    ValidationError for max_denominator < 1, shortlist < 2 (no pair), or a
-    direction grid of more than MAX_DIRECTION_GRID points.
+    ValidationError for a matrix that is not finite, bounds that are not
+    integers, max_denominator < 1, shortlist < 2 (no pair), or a direction
+    grid of more than MAX_DIRECTION_GRID points.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     dim = m.shape[1]
-    if (max_denominator < 1 or shortlist < 2
+    integers = all(isinstance(k, (int, np.integer)) for k in (max_denominator, shortlist))
+    if (not np.all(np.isfinite(m)) or not integers or max_denominator < 1 or shortlist < 2
             or (2 * max_denominator + 1) ** dim > MAX_DIRECTION_GRID):
-        raise ValidationError("the rational probe needs max_denominator >= 1, shortlist >= 2 and "
-                              "(2 max_denominator + 1)^%d <= %d, got %r and %r"
-                              % (dim, MAX_DIRECTION_GRID, max_denominator, shortlist))
+        raise ValidationError("the rational probe needs a finite matrix, integers max_denominator"
+                              " >= 1 and shortlist >= 2, and (2 max_denominator + 1)^%d <= %d, got"
+                              " %r and %r" % (dim, MAX_DIRECTION_GRID, max_denominator, shortlist))
     if dim < 2:
         return 0.0
     q, r = np.linalg.qr(m.T)

@@ -325,10 +325,10 @@ def flow(curve, selector, dt, steps, quad=None, tol=None):
 
     Returns the list of FlowRecord, including the initial state: steps + 1
     of them when no step is rejected.  dt must be finite and positive and
-    steps at least one.
+    steps an integer, at least one.
     """
-    if not 0.0 < dt < math.inf or steps < 1:
-        raise ValidationError("flow needs a finite dt > 0 and steps >= 1, "
+    if not 0.0 < dt < math.inf or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValidationError("flow needs a finite dt > 0 and steps >= 1, an integer, "
                               "got dt=%r, steps=%r" % (dt, steps))
     tol = tol if tol is not None else curve.tol
     basis0 = solve_Ba(curve, quad=quad)

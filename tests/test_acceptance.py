@@ -97,13 +97,14 @@ def test_c04_winding_algorithms_agree_and_boundary_is_loud(suite):
     for genus in SUITE_GENERA:
         for _curve, _basis, rep in suite.rows[genus]:
             assert rep.winding_arg == rep.winding_roots
-    # a non-shared root 2e-10 off the unit circle must refuse, not guess
+    # a root of u 2e-10 off the unit circle, its reflection in v = rho*(conj u)
+    # and a gcd tol below their split, so not shared: refuse, not guess
     u = CPoly.from_roots([(1.0 + 2e-10) * np.exp(1.1j), 0.3])
-    v = CPoly.from_roots([0.7, 1.6])
+    v = CPoly(np.conj(u.coeffs[::-1]))
     pencil = SimpleNamespace(b1=(u + v) * 0.5, b2=(u - v) * (-0.5j),
                              curve=build_curve([0.5]))
     with pytest.raises(InvariantError, match="boundary"):
-        winding_roots(pencil)
+        winding_roots(pencil, 1e-12)
 
 
 def test_c05_genus_one_moduli_are_uniform():

@@ -320,6 +320,26 @@ def test_flow_abort_exit_code_with_partial_trajectory(g2_spec, tmp_path, capsys)
     assert len(rows) > 1  # partial trajectory still written
 
 
+def test_flow_that_aborts_at_its_first_step_still_writes_its_png(g2_spec, tmp_path,
+                                                                monkeypatch, capsys):
+    # every attempt at the first step fails: the trajectory is the initial
+    # record alone, and the drift panel has no point to span
+    from spectralcurves import whitham
+    from spectralcurves.errors import ResolutionError
+
+    def refuse(*args):
+        raise ResolutionError("injected stage failure")
+
+    monkeypatch.setattr(whitham, "_state_derivative", refuse)
+    out = tmp_path / "flow.csv"
+    assert main(["flow", "--spec", g2_spec, "--steps", "1", "--out", str(out)]) == 3
+    assert "after 8 step halvings" in capsys.readouterr().err
+    rows = [l for l in out.read_text().splitlines()[3:] if l and not l.startswith("#")]
+    assert len(rows) == 1
+    text, _ = png_pixels((tmp_path / "flow.png").read_bytes())
+    assert "x = t from 0 to 1, y = log10 B-period drift from 0 to 1," in text["Axes"]
+
+
 @pytest.mark.parametrize("arg", ["--dt=-1e-2", "--dt=0", "--dt=nan", "--dt=inf",
                                  "--steps=0", "--steps=-3"])
 def test_flow_rejects_invalid_step_and_count(g1_spec, arg, capsys):

@@ -126,6 +126,11 @@ def test_malformed_record_names_field():
         curve_from_dict({"roots": [[0.5, 0.0]]})
 
 
+def test_record_whose_genus_does_not_match_its_roots_is_refused():
+    with pytest.raises(ValidationError, match="genus 2 does not match 1 roots"):
+        curve_from_dict({"eta": [[0.5, 0.0]], "genus": 2})
+
+
 # --------------------------------------------------------- sheet tracking
 
 

@@ -134,6 +134,22 @@ def test_immersion_rank_values():
     assert immersion_rank(build_curve([0.41 + 0.2j, -0.33 - 0.41j])) == 4
 
 
+@pytest.mark.parametrize("sv, rank", [
+    ([], 0), ([0.0, 0.0], 0), ([3.0, 2.0, 1.0], 3), ([3.0, 2.0, 1e-5, 1e-6], 2),
+    ([1.0, 1e-2, 1e-4, 1e-6], None), ([1.0, 0.0], 1),
+], ids=["empty", "zero", "full", "gap", "no-gap", "exact-zero"])
+def test_rank_with_gap(sv, rank):
+    assert grassmann._rank_with_gap(sv) == rank
+
+
+@pytest.mark.parametrize("ranks", [(None, None), (2, None), (2, 1)], ids=["none", "one", "differ"])
+def test_immersion_rank_refuses_an_unresolved_rank(ranks, monkeypatch):
+    answers = iter(ranks)
+    monkeypatch.setattr(grassmann, "_rank_with_gap", lambda sv: next(answers))
+    with pytest.raises(ResolutionError, match="rank not resolved at fd_step 0.001"):
+        immersion_rank(build_curve([0.5]))
+
+
 def test_immersion_rank_rotation_invariant():
     c = build_curve([0.5])
     assert immersion_rank(rotate_curve(c, 0.7)) == immersion_rank(c)

@@ -37,8 +37,10 @@ FROZEN_MINUS = [-0.3967 - 0.5356j, -0.2717 - 0.7730j, -0.0925 + 0.3364j]
 FROZEN_PLUS = [0.1969 - 0.7506j, 0.3100 - 0.5850j, 0.4369 - 0.7826j]
 
 
-def synthetic_pencil(u, v, curve=None):
-    """Pencil with b1 + i b2 = u and b1 - i b2 = v (need not be reflection-real)."""
+def synthetic_pencil(u, v=None, curve=None):
+    """Pencil with b1 + i b2 = u and b1 - i b2 = v; v defaults to the circle
+    reflection rho*(conj u), which makes b1 and b2 reflection-real."""
+    v = CPoly(np.conj(u.coeffs[::-1])) if v is None else v
     return SimpleNamespace(
         b1=(u + v) * 0.5,
         b2=(u - v) * (-0.5j),
@@ -122,20 +124,30 @@ def test_winding_algorithms_agree_directly():
 
 
 def test_boundary_root_is_loud():
-    # a root 2e-10 off the unit circle that is *not* shared by the pencil:
-    # the count is ill-posed and must refuse rather than guess
+    # a root of u 2e-10 off the unit circle, and its reflection in v, at a
+    # gcd tol below their split, so the pencil does not share it: the count
+    # is ill-posed and must refuse rather than guess
     u = CPoly.from_roots([(1.0 + 2e-10) * np.exp(1.1j), 0.3])
-    v = CPoly.from_roots([0.7, 1.6])
-    pb = synthetic_pencil(u, v)
+    pb = synthetic_pencil(u)
+    assert pencil_gcd(pb.b1, pb.b2, 1e-12).formal_degree == 0
     with pytest.raises(InvariantError, match="boundary"):
-        winding_roots(pb)
+        winding_roots(pb, 1e-12)
 
 
 def test_winding_roots_counts_reflection_split():
-    # b1 + i b2 = u with one disc root; b1 - i b2 = v with two
-    u = CPoly.from_roots([0.4, 1.7])
-    v = CPoly.from_roots([0.2, 0.5])
-    assert winding_roots(synthetic_pencil(u, v)) == 1 - 2
+    # u = b1 + i b2 with these roots; v = rho*(conj u) has them reflected
+    for rts, winding in (((0.4, 1.7), 0), ((0.4, -0.2j), 2), ((2.5, 1.7j), -2)):
+        pb = synthetic_pencil(CPoly.from_roots(rts))
+        assert winding_roots(pb) == winding_arg(pb) == winding
+
+
+def test_pencil_that_is_not_reflection_real_is_refused():
+    # v with roots that are not those of u reflected: b1, b2 are not
+    # reflection-real, and neither count, nor classify, reads such a pencil
+    pb = synthetic_pencil(CPoly.from_roots([0.4, 1.7]), CPoly.from_roots([0.2, 0.5]))
+    for count in (winding_roots, winding_arg, lambda b: classify(b.curve, b), circle_map):
+        with pytest.raises(ValidationError, match="not reflection-real"):
+            count(pb)
 
 
 # ----------------------------------------------------------------- gcd
@@ -273,6 +285,19 @@ def test_gcd_memo_does_not_cache_errors(monkeypatch):
         assert counted.calls == calls
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0],
+                         ids=["nan", "inf", "negative", "zero"])
+def test_gcd_tol_must_be_finite_and_positive(tol):
+    # nan, inf, 0 and -1 are refused where the gcd is read, not taken for a zero pencil or a tol
+    curve = build_curve([0.5])
+    basis = solve_Ba(curve)
+    for call in (lambda: classify(curve, basis, tol=tol),
+                 lambda: gr_classify(B_map(curve), tol=tol),
+                 lambda: pencil_gcd(basis.b1, basis.b2, tol)):
+        with pytest.raises(ValidationError, match="gcd tol must be finite and positive"):
+            call()
+
+
 def test_classify_computes_one_gcd_per_basis(monkeypatch):
     basis = solve_Ba(random_curve(2, 22))
     _common_roots.cache_clear()
@@ -344,19 +369,21 @@ def test_winding_arg_solves_no_roots_and_winding_roots_reraises(monkeypatch):
 
 
 def test_near_circle_zero_pole_pair_counts_one():
-    # a zero of u just inside S^1 and one of v just outside, 1e-7 off the
-    # circle and 1e-7 rad apart: f~ swings a full turn over a ~1e-7 arc
+    # a zero of u just inside S^1 and its reflection, a zero of v just
+    # outside, each 1e-7 off the circle: f~ swings a full turn over a ~1e-7
+    # arc.  Degree 1 is the pencil of a genus-zero curve.
     u = CPoly.from_roots([(1.0 - 1e-7) * np.exp(1j)])
-    v = CPoly.from_roots([(1.0 + 1e-7) * np.exp(1j * (1.0 + 1e-7))])
-    pb = synthetic_pencil(u, v)
+    pb = synthetic_pencil(u, curve=build_curve([]))
     assert winding_arg(pb) == winding_roots(pb) == 1
 
 
 def test_zero_on_the_circle_is_refused_by_the_disc_count():
-    u = CPoly.from_roots([np.exp(1.1j), 0.3])
-    v = CPoly.from_roots([0.7, 1.6])
+    # u and v = rho*(conj u) share the zero on S^1; at a gcd tol of 1e-300
+    # nothing is deflated, and v keeps it
+    pb = synthetic_pencil(CPoly.from_roots([np.exp(1.1j), 0.3]))
+    assert pencil_gcd(pb.b1, pb.b2, 1e-300).formal_degree == 0
     with pytest.raises(ResolutionError, match="winding not resolved"):
-        winding_arg(synthetic_pencil(u, v))
+        winding_arg(pb, 1e-300)
 
 
 def test_disc_count_refuses_the_zero_polynomial():
@@ -382,7 +409,7 @@ def test_disc_count_matches_companion_roots(degree):
         assert _disc_count(p) == want == int(np.sum(np.abs(r) < 1.0))
 
 
-# ------------------------------------------------- one root solve per direction
+# ------------------------------------------------- one polynomial per count
 
 # Windings of random_curve(g, seed) for seeds 0-3, frozen from a classify
 # that solved each pencil direction once per winding algorithm; every
@@ -393,19 +420,19 @@ FROZEN_WINDINGS = {1: (0, 0, 0, 0), 2: (1, -1, 1, 1), 3: (-2, -2, -2, -2),
 
 @pytest.mark.parametrize("genus", [1, 2, 3, 4])
 def test_classify_solves_each_direction_once(genus, monkeypatch):
+    # u' for the root count, v' for the Schur-Cohn count, and nothing else
     import spectralcurves.invariants as inv
 
     basis = solve_Ba(random_curve(genus, 0))
-    real = inv.roots
-
-    def counted(p, tol=1e-9):
-        counted.calls += 1
-        return real(p, tol=tol)
-
-    counted.calls = 0
-    monkeypatch.setattr(inv, "roots", counted)
+    num, den = _deflated_pair(basis)
+    _common_roots.cache_clear()
+    counted = counting_roots(monkeypatch)
+    solved, real_roots = [], inv.roots
+    monkeypatch.setattr(inv, "roots", lambda p, tol=1e-9: solved.append(p) or real_roots(p, tol))
+    disc, real_disc = [], inv._disc_count
+    monkeypatch.setattr(inv, "_disc_count", lambda p: disc.append(p) or real_disc(p))
     assert classify(basis.curve, basis).gcd_degree == 0
-    assert counted.calls == 2
+    assert (counted.calls, solved, disc) == (1, [num], [den])
 
 
 @pytest.mark.parametrize("genus", [1, 2, 3, 4])
@@ -426,25 +453,24 @@ def test_classify_matches_standalone_windings_and_frozen_reports(genus):
 
 @pytest.mark.parametrize("shift, match", [
     (None, "winding algorithms disagree"),
-    (1, "different parity"),
-    (4, r"outside \(-deg, deg\]"),
     (2, "deg-2 bound"),
-], ids=["disagree", "parity", "range", "deg-2"])
+], ids=["disagree", "deg-2"])
 def test_classify_cross_checks_raise_on_a_broken_count(shift, match, monkeypatch):
-    # genus 1, deg f = 2, winding 0: shifting the winding by 1 breaks parity,
-    # by 4 the range (-2, 2] and by 2 only the deg - 2 bound; shifting the
-    # root count alone makes the two algorithms disagree
+    # genus 1, deg f = 2, winding 0 = 2 - 2 N(v'): one disc zero of v' less
+    # shifts the winding by 2 and breaks only the deg - 2 bound; shifting the
+    # root count alone makes the two algorithms disagree.  (The winding
+    # deg f - 2 N(v') cannot break parity or the range (-deg f, deg f].)
     import spectralcurves.invariants as inv
 
     basis = solve_Ba(build_curve([0.5]))
     assert classify(basis.curve, basis).winding_arg == 0
-    num, _ = inv._deflated_pair(basis)
-    real_disc, real_roots = inv._disc_count, inv._root_count
+    _, den = inv._deflated_pair(basis)
+    real_disc, real_roots = inv._disc_count, inv._root_winding
     if shift is None:
-        monkeypatch.setattr(inv, "_root_count", lambda pair, tol: real_roots(pair, tol) + 1)
+        monkeypatch.setattr(inv, "_root_winding", lambda *args: real_roots(*args) + 1)
     else:
-        monkeypatch.setattr(inv, "_disc_count", lambda p: real_disc(p) + shift * (p == num))
-        monkeypatch.setattr(inv, "_root_count", lambda pair, tol: real_roots(pair, tol) + shift)
+        monkeypatch.setattr(inv, "_disc_count", lambda p: real_disc(p) - (p == den))
+        monkeypatch.setattr(inv, "_root_winding", lambda *args: real_roots(*args) + shift)
     with pytest.raises(InvariantError, match=match):
         classify(basis.curve, basis)
 
@@ -529,6 +555,12 @@ def test_disc_and_circle_counts_are_the_exact_counts_wherever_they_answer(monkey
     bases = [solve_Ba(build_curve(eta)) for eta in (LOCUS_A, LOCUS_B, LOCUS_C)]
     bases += [solve_Ba(random_curve(1 + k % 4, 900 + k)) for k in range(200)]
     disc = [p for basis in bases for p in _deflated_pair(basis)]
+    # v' = rho*(conj u') up to rounding: the exact disc count of v' and the
+    # companion-root count of u' add up to deg u' = deg f on every pencil
+    for basis in bases:
+        num, den = _deflated_pair(basis)
+        inside = int(np.sum(np.abs(roots(num)) < 1.0))
+        assert _exact_disc_count(den.coeffs) + inside == deg_f(basis)
     ws = []
 
     def recording(w):

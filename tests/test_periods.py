@@ -602,12 +602,28 @@ def test_rational_distance_matches_subspace_angles_loop(name, shortlist):
 @pytest.mark.parametrize("kwargs", [
     {"max_denominator": 0}, {"max_denominator": -3}, {"shortlist": 1}, {"shortlist": 0},
     {"shortlist": -2}, {"max_denominator": 40000}, {"max_denominator": 40000, "shortlist": 8},
+    {"max_denominator": 2.5}, {"shortlist": 2.5}, {"max_denominator": 3.0},
 ])
 def test_rational_distance_refuses_bounds_before_building_a_grid(monkeypatch, kwargs):
     # refused values never reach the direction grid
     monkeypatch.setattr(periods, "_integer_directions", None)
     with pytest.raises(ValidationError, match="max_denominator"):
         rational_plane_distance(np.array([[1.0, 0.2, -0.3], [0.1, 1.0, 0.7]]), **kwargs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rational_distance_refuses_a_matrix_that_is_not_finite(monkeypatch, bad):
+    # a NaN QR keeps no column, which would read as a rational plane (distance 0.0)
+    m = np.array([[1.0, 0.2, -0.3], [0.1, 1.0, 0.7]])
+    m[1, 2] = bad
+    monkeypatch.setattr(periods, "_integer_directions", None)
+    with pytest.raises(ValidationError, match="needs a finite matrix"):
+        rational_plane_distance(m)
+
+
+def test_rational_distance_takes_numpy_integer_bounds():
+    m = np.array([[1.0, 0.0, -2.0], [0.0, 3.0, 1.0]])
+    assert rational_plane_distance(m, max_denominator=np.int64(4), shortlist=np.int32(8)) < 1e-12
 
 
 def test_rational_distance_grid_cap_admits_genus_four_at_twelve(monkeypatch):

@@ -1,5 +1,6 @@
 """Isoperiodic tangents, flow integration, handle attachment."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -243,6 +244,22 @@ def test_generic_flow_moves_moduli_isoperiodically():
 def test_flow_rejects_invalid_step_and_count(dt, steps):
     with pytest.raises(ValidationError, match="finite dt > 0 and steps >= 1"):
         flow(build_curve([0.5]), rotation_selector, dt=dt, steps=steps)
+
+
+@pytest.mark.parametrize("steps", [1.5, 2.0, "3"])
+def test_flow_refuses_a_steps_that_is_not_an_integer_before_any_work(steps, monkeypatch):
+    # a steps of 1.5 would count down 1.5, 0.5, -0.5, ... and never reach 0
+    def reached(*args, **kwargs):
+        raise AssertionError("flow started work on steps=%r" % (steps,))
+
+    monkeypatch.setattr(whitham, "solve_Ba", reached)
+    with pytest.raises(ValidationError, match="steps >= 1, an integer"):
+        flow(build_curve([0.5]), rotation_selector, dt=1e-3, steps=steps)
+
+
+def test_flow_takes_a_numpy_integer_steps():
+    recs = flow(build_curve([0.5]), rotation_selector, dt=1e-3, steps=np.int64(2))
+    assert [r.t for r in recs] == pytest.approx([0.0, 1e-3, 2e-3])
 
 
 @pytest.mark.parametrize("dt", [1e-16, 4e-16, 1e-9, 1e-3])
@@ -799,3 +816,24 @@ def test_flow_solves_accepted_states_and_retries_without_k1(monkeypatch):
     assert attempts == len(trajectory) - 1 + 9        # accepted, then 9 rejected
     assert [c is r.curve for c, r in zip(solved, trajectory)] == [True] * len(trajectory)
     assert len(solved) == len(trajectory)
+
+
+# ------------------------------------------------------------ tangent and Bezout refusals
+
+
+def test_tangent_check_refuses_a_perturbed_a_dot():
+    curve = build_curve([0.41 + 0.2j, -0.33 - 0.41j])
+    tan = whitham_tangent(curve, solve_Ba(curve), Q_GENERIC)
+    tan.check()
+    bad = dataclasses.replace(tan, a_dot=tan.a_dot + CPoly([1e-3]))
+    with pytest.raises(ResolutionError, match="tangent residuals exceed 1e-09 relative"):
+        bad.check()
+
+
+def test_bezout_solve_refuses_an_inconsistent_solution(monkeypatch):
+    # a least-squares solution moved off the solution set by fault injection
+    curve = build_curve([0.5])
+    basis = solve_Ba(curve)
+    monkeypatch.setattr(whitham, "real_place", lambda d, x: real_place(d, np.asarray(x) + 0.5))
+    with pytest.raises(ResolutionError, match="pencil relation inconsistent"):
+        bezout_solve(curve.a, basis.b1, basis.b2, Q_GENERIC)
