@@ -13,6 +13,8 @@ square root along sampled paths, and the radial-cut layout of a homology
 basis that the period engine integrates over.
 """
 
+import cmath
+import functools
 import json
 import logging
 import math
@@ -116,27 +118,31 @@ def build_curve(eta, tol=DEFAULT_TOL):
     Raises
     ------
     ValidationError
-        If any root sits at the origin, on or outside the unit circle, or
-        two branch points come within 1e-6 of each other, or if ``tol``
-        is not finite and positive.
+        If ``eta`` is not a flat sequence of numbers, any root sits at the
+        origin, on or outside the unit circle, or two branch points come
+        within 1e-6 of each other, or if ``tol`` is not finite and positive.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValidationError("curve tolerance must be finite and positive, got %r" % tol)
-    eta = tuple(complex(z) for z in np.atleast_1d(np.asarray(eta, dtype=complex)).ravel()) if len(np.atleast_1d(eta)) else ()
+    try:
+        tol_ok, roots = 0.0 < tol < math.inf, np.asarray(eta, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("curve needs numbers for roots and tol: %s" % exc) from None
+    if not tol_ok or roots.ndim != 1:
+        raise ValidationError("curve tolerance must be finite and positive and its roots a flat "
+                              "sequence, got %r and shape %s" % (tol, roots.shape))
+    eta = tuple(map(complex, roots))
     g = len(eta)
 
     for z in eta:
-        if not np.isfinite(z):
+        if not cmath.isfinite(z):
             raise ValidationError("root %s is not finite" % z)
         r = abs(z)
         if r < 1e-12:
             raise ValidationError("root at origin violates punctured disc")
         if r >= 1.0:
-            raise ValidationError(
-                "root %s on or outside the unit circle violates the open-disc condition |eta| < 1" % z
-            )
+            raise ValidationError("root %s on or outside the unit circle violates the open-disc "
+                                  "condition |eta| < 1" % z)
 
-    partners = tuple(1.0 / np.conj(z) for z in eta)
+    partners = tuple(complex(1.0 / np.conj(z)) for z in eta)
     allroots = eta + partners
     for i in range(len(allroots)):
         for j in range(i + 1, len(allroots)):
@@ -160,23 +166,23 @@ def build_curve(eta, tol=DEFAULT_TOL):
 
     # positivity of lambda^(-g) a on the unit circle -- automatic for this
     # construction, asserted defensively on a sample grid
-    vals = a(_CIRCLE_GRID) * _CIRCLE_GRID ** (-g)
+    vals = a(_CIRCLE_GRID) * _circle_power(g)
     if np.max(np.abs(vals.imag)) > 1e3 * tol * max(1.0, np.max(np.abs(vals))) or np.min(vals.real) <= 0:
         raise ValidationError("lambda^(-g) a(lambda) is not positive on the unit circle")
 
     cut_angles = tuple(math.atan2(z.imag, z.real) for z in eta)
     r0 = SERVICE_RADIUS_FACTOR * (min(abs(z) for z in eta) if eta else 1.0)
 
-    return SpectralCurve(
-        genus=g,
-        eta=eta,
-        partners=partners,
-        a=a,
-        lead=lead,
-        cut_angles=cut_angles,
-        r0=r0,
-        tol=float(tol),
-    )
+    return SpectralCurve(genus=g, eta=eta, partners=partners, a=a, lead=lead,
+                         cut_angles=cut_angles, r0=r0, tol=float(tol))
+
+
+@functools.lru_cache(maxsize=None)
+def _circle_power(g):
+    """Read-only ``_CIRCLE_GRID ** (-g)``, once per genus."""
+    out = _CIRCLE_GRID ** (-g)
+    out.setflags(write=False)
+    return out
 
 
 def rotate_curve(curve, phi):
@@ -301,51 +307,40 @@ class Homology:
 def _segment_distance(p, q, z):
     """Distance from point z to segment [p, q]."""
     d = q - p
-    L2 = (d * np.conj(d)).real
+    L2 = (d * d.conjugate()).real
     if L2 == 0.0:
         return abs(z - p)
-    t = ((z - p) * np.conj(d)).real / L2
+    t = ((z - p) * d.conjugate()).real / L2
     t = min(1.0, max(0.0, t))
     return abs(z - (p + t * d))
 
 
 def homology_cycles(curve):
-    """Lay out radial-cut homology representatives for the curve.
+    """Lay out radial-cut homology representatives (a :class:`Homology`) for
+    the curve; every B-lasso changes sheet around the branch point at 0.
+    Raises ResolutionError if a branch point crowds a cut or two cuts overlap
+    radially at nearly the same angle, so that no clear racetrack/lasso
+    layout exists (the curve itself may still be valid; classification by
+    winding does not need this layout)."""
+    wedges, margins = _cut_wedges(curve)
+    return Homology(curve, wedges, margins, _leg_angles(curve, wedges))
 
-    Every B-lasso changes sheet around the branch point at 0.
 
-    Returns
-    -------
-    Homology
-
-    Raises
-    ------
-    ResolutionError
-        If two cuts overlap radially at nearly the same angle, so that no
-        clear racetrack/lasso layout exists (the curve itself may still be
-        valid; classification by winding does not need this layout).
-    """
-    c = curve
-    g = c.genus
-    half_angles = []
-    margins = []
-    leg_angles = []
-
+def _cut_wedges(curve):
+    """The refusals of :func:`homology_cycles` and each cut's wedge
+    half-angle and radial margin: the layout but its B-legs."""
+    c, g, half_angles, margins = curve, curve.genus, [], []
     for j in range(g):
         th = c.cut_angles[j]
-        r_in_cut, r_out_cut = abs(c.eta[j]), abs(c.partners[j])
         # no foreign branch point may crowd the cut segment itself: the cut
         # quadrature loses its smooth-factor premise there
         for k, z in enumerate(c.branch_points):
             if k != j and k != j + g and _segment_distance(c.eta[j], c.partners[j], z) < 1e-3:
-                raise ResolutionError(
-                    "cut layout failed: branch point %s sits within 1e-3 of cut %d" % (z, j)
-                )
+                raise ResolutionError("cut layout failed: branch point %s sits within 1e-3 "
+                                      "of cut %d" % (z, j))
         # angular clearance to every other branch point whose radius could
         # interact with this cut's racetrack
-        dlt = 0.35
-        rin = max(c.r0 * 1.25, r_in_cut * 0.82)
-        rout = r_out_cut / 0.82
+        dlt, rin, rout = 0.35, max(c.r0 * 1.25, abs(c.eta[j]) * 0.82), abs(c.partners[j]) / 0.82
         for k, z in enumerate(c.branch_points):
             if k == j or k == j + g:
                 continue
@@ -353,39 +348,32 @@ def homology_cycles(curve):
             if rin * 0.9 <= rz <= rout * 1.1:
                 sep = _angdist(math.atan2(z.imag, z.real), th)
                 if sep < 1e-3:
-                    raise ResolutionError(
-                        "cut layout failed: cuts at angle %.6f overlap radially; "
-                        "the radial homology realization needs angular separation" % th
-                    )
+                    raise ResolutionError("cut layout failed: cuts at angle %.6f overlap "
+                                          "radially; the radial homology realization needs "
+                                          "angular separation" % th)
                 dlt = min(dlt, 0.45 * sep)
         half_angles.append(dlt)
         margins.append((rin, rout))
+    return tuple(half_angles), tuple(margins)
 
-        # B-leg direction: from eta_j straight to the service circle; nudge
-        # the target angle if an interior root sits near that chord
-        ang = th
-        best = None
+
+def _leg_angles(curve, half_angles):
+    """B-leg directions: from eta_j straight to the service circle; nudge the
+    target angle within the wedge if a branch point sits near that chord."""
+    c, g, leg_angles = curve, curve.genus, []
+    for j in range(g):
+        th, dlt, best = c.cut_angles[j], half_angles[j], None
         for nudge in (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5):
             cand = th + nudge * dlt
             target = c.r0 * np.exp(1j * cand)
-            clear = min(
-                (_segment_distance(c.eta[j], target, z)
-                 for k, z in enumerate(c.branch_points) if k != j and k != j + g),
-                default=1.0,
-            )
+            clear = min((_segment_distance(c.eta[j], target, z) for k, z in
+                         enumerate(c.branch_points) if k != j and k != j + g), default=1.0)
             if clear > 5e-3:
-                ang = cand
+                leg_angles.append(cand)
                 break
             if best is None or clear > best[0]:
                 best = (clear, cand)
         else:
-            ang = best[1]
+            leg_angles.append(best[1])
             log.warning("B-leg %d clearance only %.2e", j, best[0])
-        leg_angles.append(ang)
-
-    return Homology(
-        curve=c,
-        wedge_half_angle=tuple(half_angles),
-        radial_margin=tuple(margins),
-        leg_angles=tuple(leg_angles),
-    )
+    return tuple(leg_angles)

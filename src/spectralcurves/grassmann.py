@@ -29,6 +29,7 @@ by finite differences over the 2g real root coordinates.
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -364,7 +365,7 @@ def stratum_dimension_probe(plane, radius=1e-3, tol=GCD_TOL, seed=11):
     dim = 2 * g
     if dim == 0:
         raise ValidationError("genus-0 planes have no parameters to probe")
-    if not (np.isfinite(radius) and radius > 0.0):
+    if not (isinstance(radius, numbers.Real) and np.isfinite(radius) and radius > 0.0):
         raise ValidationError("radius %r must be finite and positive" % radius)
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError("probe seed must be a nonnegative integer, got %r" % (seed,))

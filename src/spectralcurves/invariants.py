@@ -27,7 +27,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import InvariantError, ResolutionError, ValidationError
 from .periods import solve_Ba
-from .polyring import CPoly, _der, _gcd_candidates, reality_check, roots
+from .polyring import CPoly, _der, _gcd_candidates, _sum, reality_check, roots
 
 GCD_TOL = 1e-6
 
@@ -152,8 +152,8 @@ def _deflated_pair(basis, tol=GCD_TOL):
     defects = [d for real, d in map(reality_check, (basis.b1, basis.b2)) if not real]
     if defects:
         raise ValidationError("pencil element is not reflection-real (defect %.3e)" % defects[0])
-    gcd = pencil_gcd(basis.b1, basis.b2, tol)
-    return tuple(_deflate(basis.b1 + basis.b2 * s, gcd) for s in (1j, -1j))
+    gcd, c1, c2 = pencil_gcd(basis.b1, basis.b2, tol), basis.b1.coeffs, basis.b2.coeffs
+    return tuple(_deflate(CPoly(_sum(c1, c2 * s)), gcd) for s in (1j, -1j))
 
 
 def circle_map(basis, tol=GCD_TOL):

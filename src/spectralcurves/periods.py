@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import SpectralCurve, homology_cycles, track_sqrt
+from .curve import Homology, SpectralCurve, _cut_wedges, _leg_angles, track_sqrt
 from .errors import ResolutionError, ValidationError
-from .polyring import CPoly, _as_poly, real_place, real_place_coeffs, reality_check
+from .polyring import CPoly, _as_poly, _chart_units, real_place_coeffs, reality_check
 
 log = logging.getLogger(__name__)
 
@@ -55,7 +55,7 @@ class QuadConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not (isinstance(self.nodes, int) and self.nodes >= 1 and 0.0 < self.tol < math.inf):
+        if not (type(self.nodes) is int and self.nodes >= 1 and 0.0 < self.tol < math.inf):
             raise ValidationError("quadrature needs nodes >= 1 (an integer) and a "
                                   "finite tol > 0, got %r" % (self,))
 
@@ -98,12 +98,18 @@ class DerivedPencil:
 @functools.lru_cache(maxsize=64)
 def _gauss_rule(kind, n):
     """Read-only ascending nodes and weights of the n-point Gauss-Jacobi
-    (0, -1/2) ("jacobi") or Gauss-Legendre ("legendre") rule on [-1, 1].
+    (0, -1/2) ("jacobi") or Gauss-Legendre ("legendre") rule on [-1, 1], or
+    the descending nodes cos((2k - 1) pi / 2n), k = 1..n, of Gauss-Chebyshev
+    ("chebyshev") and its one weight pi / n.
 
     Newton steps on the Legendre recurrence from Tricomi's estimate; each
     pass's weights 2 / ((1 - x^2) P'(x)^2) are corrected to first order for
     its step, so they belong to the root, not to its rounded node.
     """
+    if kind == "chebyshev":
+        x = np.cos((2 * np.arange(1, n + 1) - 1) * (np.pi / (2 * n)))
+        x.setflags(write=False)
+        return x, np.pi / n
     m = 2 * n if kind == "jacobi" else n
     k = np.arange((m + 1) // 2, 0, -1)
     x = (1 - (m - 1) / (8 * m**3)) * np.cos(np.pi * (4 * k - 1) / (4 * m + 2))
@@ -146,13 +152,19 @@ class PeriodEngine:
 
     def __init__(self, curve, quad):
         self.curve, self.quad = curve, quad
-        self.homology = homology_cycles(curve)
+        self._wedges = _cut_wedges(curve)     # the layout's refusals, at construction
+        self._eta, self._part = (np.array(z, dtype=complex) for z in (curve.eta, curve.partners))
         pairs = list(zip(curve.eta, curve.partners))   # column j: the other cuts' roots
         self._others = np.array([np.ravel(pairs[:j] + pairs[j + 1:]) for j in range(curve.genus)],
                                 dtype=complex).T
         self._gamma = {}
         self._a = self.a_nodes = self._b = self.b_nodes = None   # *_nodes: accepted rule sizes
         self.basis = None
+
+    @functools.cached_property
+    def homology(self):
+        """The layout of :func:`homology_cycles`; its B-legs are laid out on first use."""
+        return Homology(self.curve, *self._wedges, _leg_angles(self.curve, self._wedges[0]))
 
     # -- public moment accessors -------------------------------------------
 
@@ -254,15 +266,15 @@ class PeriodEngine:
         c = self.curve
         # the smooth square factor V = lambda*a / ((lambda-eta)(lambda-part))
         # has its branch pinned at the regular endpoint lambda = part, put first
-        x = np.cos((2 * np.arange(1, 3 * n + 1) - 1) * (np.pi / (6 * n)))
-        eta, part = np.asarray(c.eta)[todo, None], np.asarray(c.partners)[todo, None]
+        x, w = _gauss_rule("chebyshev", 3 * n)
+        eta, part = self._eta[todo, None], self._part[todo, None]
         lam = np.concatenate([part, eta + (part - eta) * ((x + 1.0) / 2.0)], axis=1)
         track, ok = track_sqrt(self._deflated_square(lam, todo[:, None]))
         lam, track = lam[:, 1:], track[:, 1:]
         # lambda^(k-1) / V^(1/2) for k = 0..g+1
         terms = _power_terms(1.0 / (lam * track), lam, c.genus + 2)
         coarse = -2j * (np.pi / n) * np.sum(terms[..., 1::3], axis=-1)
-        return coarse, -2j * (np.pi / (3 * n)) * np.sum(terms, axis=-1), ok
+        return coarse, -2j * w * np.sum(terms, axis=-1), ok
 
     # -- B and gamma: a leg and the service circle ---------------------------
 
@@ -279,7 +291,7 @@ class PeriodEngine:
         if kind == "jacobi":
             # y = sqrt(lambda - start) * root; lambda*a/(lambda-start) as a
             # root product (see _deflated_square for why not by polyval)
-            part = np.asarray(c.partners)[todo, None]
+            part = self._part[todo, None]
             root, ok = track_sqrt(self._deflated_square(lam, todo[:, None]) * (lam - part))
             jac, y_end = np.sqrt((target - start) / 2.0), np.sqrt(target - start) * root[:, -1:]
         else:
@@ -320,6 +332,8 @@ def _engine(curve, quad):
 
 def get_engine(curve, quad=None):
     """Shared, cached period engine for (curve, quad)."""
+    if quad is not None and not isinstance(quad, QuadConfig):
+        raise ValidationError("quad must be a QuadConfig, got %r" % (quad,))
     return _engine(curve, quad or DEFAULT_QUAD)
 
 
@@ -328,18 +342,18 @@ def get_engine(curve, quad=None):
 # ---------------------------------------------------------------------------
 
 def _require_real(values, tol, what):
-    """Reality self-check shared by A-periods and the phi matrix."""
-    values = np.atleast_1d(np.asarray(values, dtype=complex))
-    if values.size == 0:
-        return np.zeros(0)
-    resid = float(np.max(np.abs(values.imag)))
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if resid > 1e3 * tol * scale:
-        raise ResolutionError(
-            "homology/reality inconsistency: %s has imaginary residue %.3e" % (what, resid)
-        )
-    if resid > tol * scale:
-        log.warning("%s imaginary residue %.3e above tol %.1e", what, resid, tol)
+    """Real parts of ``values`` after the reality self-check of A-periods,
+    the A-period map and the phi matrix: each row in order (a 1-D input is
+    one row), at its own scale, logs an imaginary residue above ``tol`` and
+    raises one above 1e3 * tol, naming the row as ``what.format(row)``."""
+    rows = np.atleast_2d(values := np.asarray(values, dtype=complex))
+    resid = np.abs(rows.imag).max(axis=-1, initial=0.0)
+    scale = np.fmax(1.0, np.abs(rows).max(axis=-1, initial=0.0))
+    for i in np.flatnonzero(resid > tol * scale):
+        if resid[i] > 1e3 * tol * scale[i]:
+            raise ResolutionError("homology/reality inconsistency: %s has imaginary residue "
+                                  "%.3e" % (what.format(i), resid[i]))
+        log.warning("%s imaginary residue %.3e above tol %.1e", what.format(i), resid[i], tol)
     return values.real
 
 
@@ -406,14 +420,12 @@ def solve_Ba(curve, quad=None):
     if eng.basis is not None:
         return eng.basis
     g = curve.genus
-    dim = g + 2  # real dimension of reversal-real polynomials of degree g+1
-    chart = real_place_coeffs(g + 1, np.eye(dim))
-
-    rows = np.array([_require_real(chart @ moments, curve.tol, "A-period map row %d" % i)
-                     for i, moments in enumerate(eng.a_matrix())]).reshape(g, dim)
+    # one row per A-cycle, one column per real coordinate of degree g+1
+    rows = np.ascontiguousarray(_require_real(eng.a_matrix() @ _chart_units(g + 1).T,
+                                              curve.tol, "A-period map row {}"))
 
     if g == 0:
-        kernel = np.eye(dim)
+        kernel = np.eye(2)
         gap = np.inf
     else:
         _, s, vt = np.linalg.svd(rows)
@@ -425,12 +437,12 @@ def solve_Ba(curve, quad=None):
     if gap < 1e6:
         raise ValidationError("degenerate period map: kernel gap %.3e below 1e6" % gap)
 
-    b1, b2 = (real_place(g + 1, row) for row in graph_form(kernel))
-
-    basis = PencilBasis(curve=curve, b1=b1, b2=b2, kernel_gap=gap)
+    coeffs = real_place_coeffs(g + 1, graph_form(kernel))
+    basis = PencilBasis(curve=curve, b1=CPoly(coeffs[0]), b2=CPoly(coeffs[1]), kernel_gap=gap)
     if g > 0:
-        resid = float(np.max(np.abs(np.concatenate([a_periods(curve, b1, quad),
-                                                    a_periods(curve, b2, quad)]))))
+        # the A-periods of b1 and b2, checked as a_periods checks them
+        resid = float(np.max(np.abs(_require_real((eng.a_matrix() @ coeffs.T).T, curve.tol,
+                                                  "A-periods"))))
         if resid > 1e3 * curve.tol:
             raise ValidationError("degenerate period map: basis A-period residual %.3e" % resid)
         if resid > 10 * curve.tol:

@@ -18,6 +18,8 @@ reflection in the circle.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import InvariantError, ResolutionError, ValidationError
@@ -249,7 +251,7 @@ def roots(p: CPoly, tol=1e-9):
     if d == 0:
         return np.zeros(0, dtype=np.complex128)
     c = p.coeffs[: d + 1]
-    r = np.roots(c[::-1])
+    r = _companion_roots(c[::-1])
     # reconstruction residual guards against ill-conditioning
     rec = c[-1] * _fromroots(r)
     rel = np.abs(rec - c).max() / max(np.abs(c).max(), 1e-300)
@@ -259,6 +261,20 @@ def roots(p: CPoly, tol=1e-9):
             f"exceeds {1e3 * tol:.1e}"
         )
     return r
+
+
+def _companion_roots(desc):
+    """``np.roots`` of complex descending coefficients without its wrapper:
+    its companion matrix, eigenvalues and dtypes, so its bits."""
+    nz = np.flatnonzero(desc)
+    if not len(nz):
+        return np.array([])
+    p, r = desc[nz[0]: nz[-1] + 1], np.array([])
+    if len(p) > 1:
+        a = np.diag(np.ones(len(p) - 2, p.dtype), -1)
+        a[0, :] = -p[1:] / p[0]
+        r = np.linalg.eigvals(a)
+    return np.concatenate([r, np.zeros(len(desc) - 1 - nz[-1], r.dtype)])
 
 
 # ---------------------------------------------------------------------
@@ -272,17 +288,21 @@ def _sylvester(cp, cq):
     Stacks of vectors, shapes ``(..., n + 1)`` and ``(..., m + 1)`` with
     the same leading shape, give the stack of their Sylvester matrices.
     """
-    n = cp.shape[-1] - 1
-    m = cq.shape[-1] - 1
-    size = n + m
-    s = np.zeros(cp.shape[:-1] + (size, size), dtype=np.complex128)
-    pr = cp[..., ::-1]  # descending
-    qr = cq[..., ::-1]
+    idx = _sylvester_index(cp.shape[-1] - 1, cq.shape[-1] - 1)
+    return np.concatenate([cp, cq, np.zeros(cp.shape[:-1] + (1,), complex)], axis=-1)[..., idx]
+
+
+@functools.lru_cache(maxsize=None)
+def _sylvester_index(n, m):
+    """Read-only gather index of the Sylvester matrix into [cp, cq, 0]: rows
+    i < m hold cp descending from column i, rows m + i cq, the rest zero."""
+    idx = np.full((n + m, n + m), n + m + 2)
     for i in range(m):
-        s[..., i, i : i + n + 1] = pr
+        idx[i, i: i + n + 1] = np.arange(n, -1, -1)
     for i in range(n):
-        s[..., m + i, i : i + m + 1] = qr
-    return s
+        idx[m + i, i: i + m + 1] = np.arange(n + m + 1, n, -1)
+    idx.setflags(write=False)
+    return idx
 
 
 def approx_gcd(p: CPoly, q: CPoly, tol=1e-9) -> CPoly:
@@ -301,14 +321,13 @@ def _gcd_candidates(p, q, tol=1e-9):
     subresultant system.  Greedy pairing is sequential, so degree k takes the
     first k pairs: the pairing and its two companion solves run once, if at all.
     """
-    pt, qt = p.trimmed(tol), q.trimmed(tol)
-    pz, qz = pt.is_zero(tol), qt.is_zero(tol)
-    if pz and qz:
+    n, m = p.effective_degree(tol), q.effective_degree(tol)
+    if n < 0 and m < 0:
         raise ValidationError("gcd of two zero polynomials is undefined")
-    if pz or qz:
-        yield (qt if pz else pt).monic(tol)
+    if n < 0 or m < 0:
+        yield (q if n < 0 else p).monic(tol)
         return
-    n, m = pt.formal_degree, qt.formal_degree
+    pt, qt = CPoly(p.coeffs[: n + 1]), CPoly(q.coeffs[: m + 1])
     scale = float(np.linalg.norm(pt.coeffs) + np.linalg.norm(qt.coeffs))
     sigma = np.linalg.svd(_sylvester(pt.coeffs, qt.coeffs), compute_uv=False)
     pairs, last, t = [], None, tol
@@ -334,16 +353,14 @@ def resultant(p: CPoly, q: CPoly, tol=1e-9) -> complex:
     Vanishes (to numerical precision) exactly when the two polynomials
     share a root.
     """
-    pt = p.trimmed(tol)
-    qt = q.trimmed(tol)
-    if pt.is_zero(tol) or qt.is_zero(tol):
+    n, m = p.effective_degree(tol), q.effective_degree(tol)
+    if n < 0 or m < 0:
         return 0.0 + 0.0j
-    n, m = pt.formal_degree, qt.formal_degree
     if n == 0:
-        return complex(pt.coeffs[0] ** m)
+        return complex(p.coeffs[0] ** m)
     if m == 0:
-        return complex(qt.coeffs[0] ** n)
-    return complex(np.linalg.det(_sylvester(pt.coeffs, qt.coeffs)))
+        return complex(q.coeffs[0] ** n)
+    return complex(np.linalg.det(_sylvester(p.coeffs[: n + 1], q.coeffs[: m + 1])))
 
 
 # ---------------------------------------------------------------------
@@ -394,3 +411,11 @@ def real_place_coeffs(degree: int, x) -> np.ndarray:
     low = x[..., 0 : 2 * half : 2] + 1j * x[..., 1 : 2 * half : 2]
     # low block, the real middle coefficient (even degree only), mirrors
     return np.concatenate([low, x[..., 2 * half :], np.conj(low[..., ::-1])], axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _chart_units(degree):
+    """Read-only ``real_place_coeffs(degree, eye(degree + 1))``, once per degree."""
+    units = real_place_coeffs(degree, np.eye(degree + 1))
+    units.setflags(write=False)
+    return units

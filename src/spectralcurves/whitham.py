@@ -41,7 +41,7 @@ from .curve import build_curve
 from .errors import InvariantError, ResolutionError, ValidationError
 from .invariants import GCD_TOL, _circle_count, _common_roots, _deflated_pair, classify, pencil_gcd
 from .periods import PencilBasis, b_periods, solve_Ba
-from .polyring import (CPoly, _der, _lam, _sum, real_place, real_place_coeffs,
+from .polyring import (CPoly, _chart_units, _companion_roots, _der, _lam, _sum, real_place,
                        reality_check)
 
 log = logging.getLogger(__name__)
@@ -65,8 +65,7 @@ def _rows(p, length):
 def _times(p, degree, length):
     """Real matrix of x -> _rows(real_place(degree, x) * p, length): one
     column per chart unit, each the convolution ``CPoly.__mul__`` makes."""
-    units = real_place_coeffs(degree, np.eye(degree + 1))
-    prods = np.array([np.convolve(unit, p.coeffs) for unit in units])
+    prods = np.array([np.convolve(unit, p.coeffs) for unit in _chart_units(degree)])
     c = np.zeros((degree + 1, length), dtype=np.complex128)
     c[:, : prods.shape[1]] = prods
     return np.concatenate([c.real, c.imag], axis=1).T
@@ -526,7 +525,7 @@ def _critical_angles(num, den, block=None):
         count = _circle_count(CPoly(w))
     except ResolutionError:
         raise unresolved from None
-    r = np.roots(w[::-1])
+    r = _companion_roots(w[::-1])
     theta = np.angle(r[np.argsort(np.abs(np.abs(r) - 1.0), kind="stable")[:count]])
     for _ in range(3):
         s, ds, _ = _angular_logslope(block, theta)

@@ -17,7 +17,10 @@ from spectralcurves.curve import (
     rotate_curve,
     track_sqrt,
 )
+from spectralcurves import periods
 from spectralcurves.errors import ResolutionError, ValidationError
+from spectralcurves.invariants import classify
+from spectralcurves.periods import b_periods, solve_Ba, sym_integral
 from spectralcurves.polyring import reality_check
 
 from conftest import random_curve, sample_eta
@@ -101,6 +104,29 @@ def test_rejects_degenerate_cut_pair():
 def test_rejects_tolerance_that_is_not_finite_and_positive(tol):
     with pytest.raises(ValidationError, match="tolerance must be finite and positive"):
         build_curve([0.5], tol=tol)
+
+
+@pytest.mark.parametrize("eta, tol", [
+    ([[0.5, 0.1]], 1e-9),         # the [re, im] layout of a JSON curve record
+    ([[0.5], [0.1]], 1e-9),
+    (0.5, 1e-9),
+    ("abc", 1e-9),
+    ([0.5], "x"),
+    ([0.5], None),
+])
+def test_rejects_roots_that_are_not_a_flat_sequence_of_numbers(eta, tol):
+    with pytest.raises(ValidationError):
+        build_curve(eta, tol=tol)
+
+
+def test_repr_names_genus_and_roots():
+    assert repr(build_curve([0.5, 0.25j])) == "SpectralCurve(genus=2, eta=[(0.5+0j), 0.25j])"
+
+
+def test_partners_are_python_complex_reflections():
+    c = build_curve([0.41 + 0.2j, -0.33 - 0.41j])
+    for z, w in zip(c.eta, c.partners):
+        assert type(w) is complex and w == complex(1.0 / np.conj(z))
 
 
 def test_rotation_moves_roots_rigidly():
@@ -264,3 +290,48 @@ def test_b_leg_endpoints():
     start, target = hom.b_leg(0)
     assert start == c.eta[0]
     assert abs(abs(target) - c.r0) < 1e-14
+
+
+def test_radially_overlapping_cuts_are_refused_when_the_engine_is_built():
+    curve = build_curve([0.25, 0.2 * np.exp(5e-4j)])
+    for layout in (homology_cycles, solve_Ba):
+        with pytest.raises(ResolutionError, match="cuts at angle 0.000000 overlap radially"):
+            layout(curve)
+
+
+# a branch point 4e-3 beside each root: every B-leg chord passes within
+# 4e-3 of it, below the 5e-3 the leg search asks for
+CROWDED_LEGS = [0.5, 0.5 + 0.004j]
+
+
+def test_a_only_use_lays_out_no_b_legs(monkeypatch, caplog):
+    curve = build_curve(CROWDED_LEGS)
+    with caplog.at_level(logging.WARNING, logger="spectralcurves.curve"):
+        homology_cycles(curve)
+    assert caplog.text.count("clearance only 4.00e-03") == 2
+    caplog.clear()
+    periods._engine.cache_clear()
+
+    def no_leg_search(*args):
+        raise AssertionError("B-leg search ran")
+
+    monkeypatch.setattr(periods, "_leg_angles", no_leg_search)
+    with caplog.at_level(logging.WARNING, logger="spectralcurves.curve"):
+        rep = classify(curve, solve_Ba(curve))
+    assert rep.stratum == "V_1" and "clearance only" not in caplog.text
+
+
+@pytest.mark.parametrize("eta", [CROWDED_LEGS, [0.45, 0.5 * np.exp(2.1j), 0.55 * np.exp(-2.2j)]])
+def test_b_cycles_read_the_legs_of_homology_cycles(eta):
+    curve = build_curve(eta)
+    periods._engine.cache_clear()
+    b = solve_Ba(curve).b1
+    eng = periods.get_engine(curve)
+    assert "homology" not in vars(eng)         # not laid out by the A-only solve
+    b_periods(curve, b)
+    sym_integral(curve, b, complex(np.exp(1.0j)))
+    want = homology_cycles(curve)
+    assert eng.homology == want
+    assert np.array(eng.homology.leg_angles).tobytes() == np.array(want.leg_angles).tobytes()
+    for j in range(curve.genus):
+        assert np.array(eng.homology.b_leg(j)).tobytes() == np.array(want.b_leg(j)).tobytes()

@@ -250,6 +250,13 @@ def test_probe_rejects_radius_that_is_not_finite_and_positive(radius):
                                 radius=radius)
 
 
+@pytest.mark.parametrize("radius", ["1e-3", None, 1e-3 + 0j])
+def test_probe_rejects_radius_that_is_not_a_real_number(radius):
+    with pytest.raises(ValidationError, match="finite and positive"):
+        stratum_dimension_probe(GrPlane(genus=1, M=np.array([[-2.0, 0.0]])),
+                                radius=radius)
+
+
 @pytest.mark.parametrize("spec", [ARC_PLANES[0], PAIR_PLANES[0], ARC_PLANES[3],
                                   ARC_PLANES[4]])
 def test_probe_refuses_a_fit_that_resolves_no_normal_direction(spec):

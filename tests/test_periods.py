@@ -1,5 +1,6 @@
 """Period engine: kernel solve, independent quadrature oracles, sym map."""
 
+import logging
 import math
 import re
 import time
@@ -25,7 +26,8 @@ from spectralcurves.periods import (
     solve_Ba,
     sym_integral,
 )
-from spectralcurves.polyring import CPoly, real_coords, reality_check, symmetrize_reality
+from spectralcurves.polyring import (CPoly, _chart_units, real_coords, real_place_coeffs,
+                                     reality_check, symmetrize_reality)
 from spectralcurves.whitham import attach_handle
 
 from conftest import random_curve
@@ -755,13 +757,13 @@ def test_solve_ba_reuses_one_basis_per_curve_and_quad(monkeypatch):
 def test_solve_ba_does_not_keep_a_failed_solve(monkeypatch):
     curve = random_curve(2, 32)
     svd = _counting_a_period_svd(monkeypatch, 2)
-    real = periods.a_periods
-    monkeypatch.setattr(periods, "a_periods", lambda *args: real(*args) + 1.0)
+    real = periods.graph_form
+    monkeypatch.setattr(periods, "graph_form", lambda frame: real(frame) + 1.0)
     for calls in (1, 2):
         with pytest.raises(ValidationError, match="basis A-period residual"):
             solve_Ba(curve)
         assert svd.calls == calls
-    monkeypatch.setattr(periods, "a_periods", real)
+    monkeypatch.setattr(periods, "graph_form", real)
     basis = solve_Ba(curve)
     assert svd.calls == 3 and solve_Ba(curve) is basis
 
@@ -775,3 +777,130 @@ def test_b_map_after_solve_ba_runs_no_second_svd(monkeypatch):
     plane = B_map(curve)
     assert svd.calls == 1
     assert np.array_equal(plane.M[:, 0], real_coords(basis.b1)[2:])
+
+
+# ------------------------------------------------- solve_Ba's own checks
+
+
+def _engine_with(curve, fault):
+    """The shared engine of ``curve``, its A-matrix replaced by fault(A)."""
+    periods._engine.cache_clear()
+    eng = periods.get_engine(curve)
+    eng._a = fault(eng.a_matrix().copy())
+    return eng
+
+
+def test_solve_ba_calls_no_public_a_periods(monkeypatch):
+    # the basis check is one product of the held A-matrix with [b1 b2]
+    monkeypatch.setattr(periods, "a_periods", None)
+    periods._engine.cache_clear()
+    curve = random_curve(3, 34)
+    basis = solve_Ba(curve)
+    monkeypatch.undo()
+    for b in (basis.b1, basis.b2):
+        assert np.max(np.abs(a_periods(curve, b))) < 1e-10
+
+
+def test_solve_ba_refuses_a_rank_deficient_a_period_map():
+    curve = random_curve(2, 35)
+
+    def twin_rows(a):
+        a[1] = a[0]
+        return a
+
+    eng = _engine_with(curve, twin_rows)
+    with pytest.raises(ValidationError, match="A-period matrix is rank deficient"):
+        solve_Ba(curve)
+    assert eng.basis is None
+
+
+def test_solve_ba_refuses_a_kernel_gap_below_1e6():
+    curve = random_curve(2, 35)
+
+    def near_twin_rows(a):
+        a[1] = a[0] + 1e-11 * a[1]
+        return a
+
+    eng = _engine_with(curve, near_twin_rows)
+    with pytest.raises(ValidationError, match=r"kernel gap \S+ below 1e6"):
+        solve_Ba(curve)
+    assert eng.basis is None
+
+
+def test_solve_ba_warns_on_a_basis_residual_between_10_and_1000_tol(monkeypatch, caplog):
+    curve = random_curve(2, 37)
+    periods._engine.cache_clear()
+    unit = _chart_units(3)[2]          # the first middle coordinate
+    delta = 1e-7 / float(np.max(np.abs(periods.get_engine(curve).a_matrix() @ unit)))
+    real = periods.graph_form
+
+    def moved(frame):
+        out = real(frame)
+        out[0, 2] += delta
+        return out
+
+    monkeypatch.setattr(periods, "graph_form", moved)
+    with caplog.at_level(logging.WARNING, logger="spectralcurves.periods"):
+        basis = solve_Ba(curve)
+    assert "solved basis A-period residual 1.000e-07" in caplog.text
+    monkeypatch.setattr(periods, "graph_form", real)
+    periods._engine.cache_clear()
+    moved_by = real_coords(basis.b1) - real_coords(solve_Ba(curve).b1)
+    assert np.allclose(moved_by, [0.0, 0.0, delta, 0.0], rtol=1e-6, atol=1e-15)
+
+
+def test_a_period_map_reality_check_names_the_first_offending_row(caplog):
+    # adding i*d to every moment of a row gives its chart values an
+    # imaginary residue of 2 d: row 0 is logged, row 1 raised
+    curve = random_curve(3, 38)
+
+    def tilt(a):
+        a[0] += 1e-7j
+        a[1] += 1e-2j
+        a[2] += 1e-2j
+        return a
+
+    eng = _engine_with(curve, tilt)
+    with caplog.at_level(logging.WARNING, logger="spectralcurves.periods"):
+        with pytest.raises(ResolutionError, match="^homology/reality inconsistency: A-period map "
+                                                  "row 1 has imaginary residue 2.000e-02$"):
+            solve_Ba(curve)
+    assert "A-period map row 0 imaginary residue 2.000e-07 above tol 1.0e-09" in caplog.text
+    assert "row 2" not in caplog.text and eng.basis is None
+
+
+def test_a_period_map_residue_below_1000_tol_is_logged_and_solved(caplog):
+    curve = random_curve(3, 38)
+    _engine_with(curve, lambda a: a + np.array([[0.0], [1e-7j], [0.0]]))
+    with caplog.at_level(logging.WARNING, logger="spectralcurves.periods"):
+        basis = solve_Ba(curve)
+    assert "A-period map row 1 imaginary residue 2.000e-07" in caplog.text
+    assert "row 0" not in caplog.text and basis.kernel_gap > 1e6
+
+
+@pytest.mark.parametrize("quad", [5, "fine", (64, 1e-10)])
+def test_engine_refuses_a_quad_that_is_not_a_quad_config(quad):
+    with pytest.raises(ValidationError, match="quad must be a QuadConfig"):
+        solve_Ba(CURVE_G1, quad=quad)
+
+
+def test_quad_config_refuses_bool_nodes():
+    with pytest.raises(ValidationError, match="nodes >= 1"):
+        QuadConfig(nodes=True)
+
+
+def test_chebyshev_rule_is_the_a_cycle_nodes_shared_read_only():
+    for n in (64, 192, 5):
+        x, w = _gauss_rule("chebyshev", n)
+        want = np.cos((2 * np.arange(1, n + 1) - 1) * (np.pi / (2 * n)))
+        assert x.tobytes() == want.tobytes() and w == np.pi / n
+        assert _gauss_rule("chebyshev", n)[0] is x
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+
+def test_chart_units_are_the_chart_of_the_identity_read_only():
+    for d in range(6):
+        units = _chart_units(d)
+        assert units.tobytes() == real_place_coeffs(d, np.eye(d + 1)).tobytes()
+        assert _chart_units(d) is units and not units.flags.writeable

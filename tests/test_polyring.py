@@ -18,7 +18,7 @@ from spectralcurves.polyring import (
     roots,
     symmetrize_reality,
 )
-from spectralcurves.polyring import _sylvester
+from spectralcurves.polyring import _companion_roots, _sylvester
 
 finite_complex = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -63,6 +63,13 @@ def test_norm_inf_and_monic():
     m = p.monic()
     assert m.coeffs[-1] == pytest.approx(1.0)
     assert np.allclose(m.coeffs * 1.5, p.coeffs)
+
+
+def test_zero_polynomial_trims_to_zero_and_has_no_monic_form():
+    zero = CPoly([0.0, 0.0, 0.0])
+    assert zero.trimmed().coeffs.tobytes() == np.zeros(1, complex).tobytes()
+    with pytest.raises(ValidationError, match="cannot normalize the zero polynomial"):
+        zero.monic()
 
 
 def test_times_lambda_shifts():
@@ -167,6 +174,43 @@ def test_stacked_charts_and_sylvester_matrices_are_their_rows(d):
         row = real_place(d, x[i, j]).coeffs
         assert stack[i, j].tobytes() == row.tobytes()
         assert sylv[i, j].tobytes() == _sylvester(row, q[i, j]).tobytes()
+
+
+def _sylvester_by_slices(cp, cq):
+    """The Sylvester matrix built slice by slice, as _sylvester once did."""
+    n, m = cp.shape[-1] - 1, cq.shape[-1] - 1
+    s = np.zeros(cp.shape[:-1] + (n + m, n + m), dtype=np.complex128)
+    for i in range(m):
+        s[..., i, i: i + n + 1] = cp[..., ::-1]
+    for i in range(n):
+        s[..., m + i, i: i + m + 1] = cq[..., ::-1]
+    return s
+
+
+@pytest.mark.parametrize("n, m", [(0, 1), (1, 1), (1, 3), (4, 2), (5, 5)])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 4)])
+def test_sylvester_gather_is_bitwise_the_slice_construction(n, m, lead):
+    rng = np.random.default_rng(7 * n + m)
+    cp = rng.standard_normal(lead + (n + 1,)) + 1j * rng.standard_normal(lead + (n + 1,))
+    cq = rng.standard_normal(lead + (m + 1,)) + 1j * rng.standard_normal(lead + (m + 1,))
+    cp[cp.real > 1.0] = -0.0
+    for p, q in ((cp, cq), (cp.real, cq.real)):
+        got, want = _sylvester(p, q), _sylvester_by_slices(p, q)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_companion_roots_are_bitwise_np_roots():
+    rng = np.random.default_rng(29)
+    cases = [np.zeros(3, complex), np.array([2 + 1j]), np.array([0, 3j, 0, 0]),
+             np.array([0j, 0j, 5.0])]
+    for deg in range(1, 11):
+        for lead, trail in ((0, 0), (1, 0), (0, 2), (2, 1)):
+            c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            cases.append(np.concatenate([np.zeros(lead, complex), c, np.zeros(trail, complex)]))
+    for desc in cases:
+        want, got = np.roots(desc), _companion_roots(desc)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------ roots, gcd
