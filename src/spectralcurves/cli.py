@@ -298,7 +298,7 @@ def _sample_eta(genus, rng):
             if all(abs(z - w) >= MIN_SEPARATION for w in eta):
                 eta.append(complex(z))
                 break
-        else:  # pragma: no cover - astronomically unlikely at genus <= 4
+        else:  # astronomically unlikely at genus <= 4
             raise ValidationError("annulus too crowded at genus %d" % genus)
     return eta
 

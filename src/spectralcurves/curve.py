@@ -18,11 +18,12 @@ import functools
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError, ValidationError
+from .errors import ResolutionError, ValidationError, is_number
 from .polyring import CPoly, reality_check, symmetrize_reality
 
 log = logging.getLogger(__name__)
@@ -123,12 +124,13 @@ def build_curve(eta, tol=DEFAULT_TOL):
         within 1e-6 of each other, or if ``tol`` is not finite and positive.
     """
     try:
-        tol_ok, roots = 0.0 < tol < math.inf, np.asarray(eta, dtype=complex)
+        tol_ok, roots = is_number(tol) and 0.0 < tol < math.inf, np.asarray(eta, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValidationError("curve needs numbers for roots and tol: %s" % exc) from None
-    if not tol_ok or roots.ndim != 1:
+    if not tol_ok or roots.ndim != 1 or not all(is_number(z, numbers.Number) for z in eta):
         raise ValidationError("curve tolerance must be finite and positive and its roots a flat "
-                              "sequence, got %r and shape %s" % (tol, roots.shape))
+                              "sequence of numbers (not bools or strings), got %r and %r"
+                              % (tol, eta))
     eta = tuple(map(complex, roots))
     g = len(eta)
 
@@ -287,7 +289,7 @@ class Homology:
 
     def gamma_leg(self, lam0):
         """Endpoints of the straight detour lambda0 -> service circle."""
-        lam0 = complex(lam0)
+        lam0 = _gamma_base(lam0)
         self._check_gamma_clearance(lam0)
         return lam0, self.curve.r0 * lam0 / abs(lam0)
 
@@ -302,6 +304,14 @@ class Homology:
                     "lambda0 collides with a cut crossing of S^1 near angle %.6f; "
                     "choose a base point away from arg(eta_j)" % math.atan2(z.imag, z.real)
                 )
+
+
+def _gamma_base(lam0):
+    """``lam0`` as a complex gamma base point; a bool or a string is refused
+    (its unit-circle clearance is checked by :meth:`Homology.gamma_leg`)."""
+    if not is_number(lam0, numbers.Number):
+        raise ValidationError("gamma base point must be a number, got %r" % (lam0,))
+    return complex(lam0)
 
 
 def _segment_distance(p, q, z):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import build_curve
-from .errors import InvariantError, ResolutionError, ValidationError
+from .errors import InvariantError, ResolutionError, ValidationError, is_number
 from .invariants import GCD_TOL, _circle_band, _common_roots
 from .periods import graph_form, solve_Ba
 from .polyring import CPoly, _sylvester, real_coords, real_place_coeffs
@@ -365,9 +365,9 @@ def stratum_dimension_probe(plane, radius=1e-3, tol=GCD_TOL, seed=11):
     dim = 2 * g
     if dim == 0:
         raise ValidationError("genus-0 planes have no parameters to probe")
-    if not (isinstance(radius, numbers.Real) and np.isfinite(radius) and radius > 0.0):
-        raise ValidationError("radius %r must be finite and positive" % radius)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not (is_number(radius) and np.isfinite(radius) and radius > 0.0):
+        raise ValidationError("radius %r must be finite and positive" % (radius,))
+    if not is_number(seed, numbers.Integral) or seed < 0:
         raise ValidationError("probe seed must be a nonnegative integer, got %r" % (seed,))
     _, rts = _common_roots(*plane_basis(plane), tol)
     if not len(rts):

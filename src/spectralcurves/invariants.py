@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import InvariantError, ResolutionError, ValidationError
+from .errors import InvariantError, ResolutionError, ValidationError, is_number
 from .periods import solve_Ba
 from .polyring import CPoly, _der, _gcd_candidates, _sum, reality_check, roots
 
@@ -117,8 +117,8 @@ def _common_roots(b1, b2, tol=GCD_TOL):
     leaves a visible residue, the tolerance is tightened: the one gcd solve
     yields its next candidate, until one is consistent (possibly trivial).
     """
-    if not 0.0 < tol < np.inf:
-        raise ValidationError("gcd tol must be finite and positive, got %r" % tol)
+    if not (is_number(tol) and 0.0 < tol < np.inf):
+        raise ValidationError("gcd tol must be finite and positive, got %r" % (tol,))
     elements = None
     for gcd in _gcd_candidates(b1, b2, tol):
         if gcd.formal_degree == 0:

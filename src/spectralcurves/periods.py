@@ -30,12 +30,13 @@ provides a desk-scale probe for rationality of its row plane.
 import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Homology, SpectralCurve, _cut_wedges, _leg_angles, track_sqrt
-from .errors import ResolutionError, ValidationError
+from .curve import Homology, SpectralCurve, _cut_wedges, _gamma_base, _leg_angles, track_sqrt
+from .errors import ResolutionError, ValidationError, is_number
 from .polyring import CPoly, _as_poly, _chart_units, real_place_coeffs, reality_check
 
 log = logging.getLogger(__name__)
@@ -55,7 +56,8 @@ class QuadConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not (type(self.nodes) is int and self.nodes >= 1 and 0.0 < self.tol < math.inf):
+        if not (type(self.nodes) is int and self.nodes >= 1 and is_number(self.tol)
+                and 0.0 < self.tol < math.inf):
             raise ValidationError("quadrature needs nodes >= 1 (an integer) and a "
                                   "finite tol > 0, got %r" % (self,))
 
@@ -191,7 +193,7 @@ class PeriodEngine:
         return self.a_matrix()[j]
 
     def gamma_moments(self, lam0):
-        lam0 = complex(lam0)
+        lam0 = _gamma_base(lam0)
         if lam0 not in self._gamma:
             ends = np.array(self.homology.gamma_leg(lam0))[:, None, None]   # refuses a bad lam0
             self._gamma[lam0] = self._refine([("gamma", lam0)], functools.partial(
@@ -490,6 +492,19 @@ def _integer_directions(dim, bound):
     return vecs[np.gcd.reduce(np.abs(vecs.astype(np.int32)), axis=1) == 1]
 
 
+@functools.lru_cache(maxsize=1)
+def _direction_lattice(dim, bound):
+    """Read-only ``_integer_directions(dim, bound)`` as float64 and their
+    norms: every rational probe at one (dim, bound) scores the same grid.
+    One lattice is kept: 0.2 MB at (3, 12), 224 MB at the largest grid
+    MAX_DIRECTION_GRID admits (5, 12), less than one call's peak there."""
+    vf = _integer_directions(dim, bound).astype(np.float64)
+    norms = np.linalg.norm(vf, axis=1)
+    vf.setflags(write=False)
+    norms.setflags(write=False)
+    return vf, norms
+
+
 def rational_plane_distance(matrix, max_denominator=12, shortlist=256):
     """Smallest subspace angle (radians) between the row span of ``matrix``
     and any plane spanned by two integer vectors with entries of absolute
@@ -504,7 +519,9 @@ def rational_plane_distance(matrix, max_denominator=12, shortlist=256):
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     dim = m.shape[1]
-    integers = all(isinstance(k, (int, np.integer)) for k in (max_denominator, shortlist))
+    integers = all(is_number(k, numbers.Integral) for k in (max_denominator, shortlist))
+    if integers:    # Python ints: the grid size of a NumPy int16 bound would wrap
+        max_denominator, shortlist = int(max_denominator), int(shortlist)
     if (not np.all(np.isfinite(m)) or not integers or max_denominator < 1 or shortlist < 2
             or (2 * max_denominator + 1) ** dim > MAX_DIRECTION_GRID):
         raise ValidationError("the rational probe needs a finite matrix, integers max_denominator"
@@ -517,8 +534,7 @@ def rational_plane_distance(matrix, max_denominator=12, shortlist=256):
     if q.shape[1] in (0, dim):   # zero matrix, or a span holding every plane
         return 0.0
 
-    vf = _integer_directions(dim, max_denominator).astype(np.float64)
-    norms = np.linalg.norm(vf, axis=1)
+    vf, norms = _direction_lattice(dim, max_denominator)
     sin2 = np.empty(len(vf))
     step = 1_000_000
     for i in range(0, len(vf), step):

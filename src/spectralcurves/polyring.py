@@ -53,7 +53,7 @@ class CPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, degree=None):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128)).ravel()
+        c = np.asarray(coeffs, dtype=np.complex128).ravel()     # a scalar becomes 1-D too
         if degree is not None:
             if degree + 1 < len(c):
                 raise ValidationError(
@@ -92,7 +92,15 @@ class CPoly:
     # -- evaluation and calculus ---------------------------------------
 
     def __call__(self, lam):
-        return np.polynomial.polynomial.polyval(lam, self.coeffs)
+        """``np.polynomial.polynomial.polyval(lam, coeffs)``: its Horner
+        steps in its order, so its bits, without its argument handling."""
+        if isinstance(lam, (tuple, list)):
+            lam = np.asarray(lam)
+        c = self.coeffs
+        out = c[-1] + lam * 0
+        for i in range(2, len(c) + 1):
+            out = c[-i] + out * lam
+        return out
 
     def derivative(self):
         return CPoly(_der(self.coeffs))

@@ -32,13 +32,14 @@ circle map in a controlled way.
 import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .curve import build_curve
-from .errors import InvariantError, ResolutionError, ValidationError
+from .errors import InvariantError, ResolutionError, ValidationError, is_number
 from .invariants import GCD_TOL, _circle_count, _common_roots, _deflated_pair, classify, pencil_gcd
 from .periods import PencilBasis, b_periods, solve_Ba
 from .polyring import (CPoly, _chart_units, _companion_roots, _der, _lam, _sum, real_place,
@@ -326,7 +327,8 @@ def flow(curve, selector, dt, steps, quad=None, tol=None):
     of them when no step is rejected.  dt must be finite and positive and
     steps an integer, at least one.
     """
-    if not 0.0 < dt < math.inf or not isinstance(steps, (int, np.integer)) or steps < 1:
+    if not (is_number(dt) and 0.0 < dt < math.inf and is_number(steps, numbers.Integral)
+            and steps >= 1):
         raise ValidationError("flow needs a finite dt > 0 and steps >= 1, an integer, "
                               "got dt=%r, steps=%r" % (dt, steps))
     tol = tol if tol is not None else curve.tol
@@ -424,14 +426,22 @@ class HandleDeformation:
     basis: object            # solved pencil basis of the handle curve
 
 
+def _handle_point(alpha):
+    """The handle point as a complex number; a bool or a string is refused."""
+    if not is_number(alpha, numbers.Number):
+        raise ValidationError("handle point must be a number, got %r" % (alpha,))
+    return complex(alpha)
+
+
 def _handle_parameter(t):
-    """The handle parameter as a float, which must be finite and positive."""
-    t = float(t)
-    if not (t > 0.0 and math.isfinite(t)):
+    """The handle parameter as a float, which must be a finite and positive
+    real number."""
+    value = float(t) if is_number(t) else math.nan
+    if not (value > 0.0 and math.isfinite(value)):
         raise ValidationError(
             "handle parameter must be finite and positive, got t = %r (t = 0 "
-            "is the nodal curve: a double point over alpha on S^1)" % t)
-    return t
+            "is the nodal curve: a double point over alpha on S^1)" % (t,))
+    return value
 
 
 def attach_handle(curve, b, alpha, t, quad=None):
@@ -445,7 +455,7 @@ def attach_handle(curve, b, alpha, t, quad=None):
 
     the principal square root; the other branch only negates b_t.
     """
-    alpha = complex(alpha)
+    alpha = _handle_point(alpha)
     if not abs(abs(alpha) - 1.0) <= 1e-12:         # NaN fails too
         raise ValidationError(
             "handle point must lie on the unit circle, got |alpha| = %.12g"
@@ -591,7 +601,7 @@ def handle_invariant_check(curve, alpha, t, tol=GCD_TOL, quad=None):
     with its own type.  deg f gains one: the deformed pencil must be
     coprime, as the base one is, and the handle adds one root.
     """
-    alpha = complex(alpha)
+    alpha = _handle_point(alpha)
     t_used = _handle_parameter(t)
     if not 0.05 + 2.0 * t_used < np.pi:     # the critical-point law's window would be S^1
         raise ValidationError("handle check needs 0.05 + 2t < pi, got t = %g" % t_used)

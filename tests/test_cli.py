@@ -225,6 +225,20 @@ def test_scan_rejects_invalid_sample_and_worker_counts(arg, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_scan_exits_on_an_annulus_too_crowded_to_draw_from(monkeypatch, tmp_path, capsys):
+    # a generator that repeats one point never clears the separation
+    class Stuck:
+        def uniform(self, low=0.0, high=1.0):
+            return 0.5 * (low + high)
+
+    monkeypatch.setattr(cli.np.random, "default_rng", lambda seed: Stuck())
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--genus", "2", "--samples", "1", "--workers", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert "annulus too crowded at genus 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def collinear_draw(monkeypatch):
     # two roots on one ray: homology_cycles cannot route the cuts
     monkeypatch.setattr(cli, "_sample_eta", lambda genus, rng: [0.3, 0.6])

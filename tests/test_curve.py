@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectralcurves.curve import (
+    _segment_distance,
     build_curve,
     curve_from_dict,
     curve_from_json,
@@ -117,6 +118,25 @@ def test_rejects_tolerance_that_is_not_finite_and_positive(tol):
 def test_rejects_roots_that_are_not_a_flat_sequence_of_numbers(eta, tol):
     with pytest.raises(ValidationError):
         build_curve(eta, tol=tol)
+
+
+def test_rejects_a_bool_tolerance():
+    # True passed 0 < tol < inf and gave a curve with tol 1.0
+    with pytest.raises(ValidationError, match="tolerance must be finite and positive"):
+        build_curve([0.5], tol=True)
+
+
+@pytest.mark.parametrize("eta", [["0.5"], [0.5, False], np.array([True, False])])
+def test_rejects_roots_that_are_strings_or_bools(eta):
+    # "0.5" was parsed into a genus-1 curve, False refused as a root at the origin
+    with pytest.raises(ValidationError, match="sequence of numbers"):
+        build_curve(eta)
+
+
+def test_segment_distance_to_a_point_is_the_distance_to_it():
+    p, z = 0.3 - 0.2j, -0.1 + 0.4j
+    assert _segment_distance(p, p, z) == abs(z - p)
+    assert _segment_distance(p, p, p) == 0.0
 
 
 def test_repr_names_genus_and_roots():
@@ -242,6 +262,15 @@ def test_gamma_clearance_guard():
     # base point radially aligned with the cut crossing
     with pytest.raises(ValidationError, match="collides"):
         hom.gamma_leg(1.0 + 0.0j)
+
+
+@pytest.mark.parametrize("lam0", ["-1", True, np.True_])
+def test_gamma_base_point_that_is_not_a_number_is_refused(lam0):
+    # "-1" was parsed by complex() into the leg from lambda0 = -1
+    hom = homology_cycles(build_curve([0.5, -0.3 + 0.4j]))
+    with pytest.raises(ValidationError, match="gamma base point must be a number"):
+        hom.gamma_leg(lam0)
+    assert hom.gamma_leg(np.complex128(-1.0)) == hom.gamma_leg(-1)
 
 
 # ------------------------------------------------------------- homology

@@ -294,6 +294,21 @@ def test_probe_seed_must_be_a_nonnegative_integer(seed):
         stratum_dimension_probe(shared_plane(*ARC_PLANES[0]), seed=seed)
 
 
+def test_probe_refuses_a_bool_radius_and_seed():
+    # True ran at radius 1.0 (ending in a ResolutionError) and as seed 1
+    plane = shared_plane(*ARC_PLANES[0])
+    with pytest.raises(ValidationError, match="finite and positive"):
+        stratum_dimension_probe(plane, radius=True)
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+        stratum_dimension_probe(plane, seed=True)
+
+
+def test_probe_refuses_a_radius_pair_with_a_validation_error():
+    # the refusal message took a tuple for its format arguments (TypeError)
+    with pytest.raises(ValidationError, match=r"radius \(0.001, 0.002\) must be finite"):
+        stratum_dimension_probe(shared_plane(*ARC_PLANES[0]), radius=(1e-3, 2e-3))
+
+
 def test_probe_is_deterministic():
     plane = shared_plane([np.exp(0.4j)], [], [0.35])
     a = stratum_dimension_probe(plane, seed=7)

@@ -298,6 +298,19 @@ def test_gcd_tol_must_be_finite_and_positive(tol):
             call()
 
 
+def test_gcd_tol_that_is_a_bool_or_a_pair_is_refused():
+    # True was read as tol 1 ("gcd of two zero polynomials is undefined"),
+    # and a pair ended in the refusal's own formatting (TypeError)
+    curve = build_curve([0.5, -0.3 + 0.4j])
+    basis = solve_Ba(curve)
+    with pytest.raises(ValidationError, match="gcd tol must be finite and positive"):
+        classify(curve, basis, tol=True)
+    with pytest.raises(ValidationError, match=r"got \(1e-06, 1e-06\)"):
+        classify(curve, basis, tol=(1e-6, 1e-6))
+    with pytest.raises(ValidationError, match="gcd tol must be finite and positive"):
+        pencil_gcd(basis.b1, basis.b2, True)
+
+
 def test_classify_computes_one_gcd_per_basis(monkeypatch):
     basis = solve_Ba(random_curve(2, 22))
     _common_roots.cache_clear()

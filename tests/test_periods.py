@@ -542,6 +542,16 @@ def test_phi_map_shape_grows_with_genus():
     assert mat.shape == (2, 3)
 
 
+@pytest.mark.parametrize("lam0", ["-1", True])
+def test_gamma_base_point_that_is_not_a_number_is_refused(lam0):
+    # "-1" was parsed by complex(), True taken as lambda0 = 1
+    basis = solve_Ba(CURVE_G2)
+    for call in (lambda: sym_integral(CURVE_G2, basis.b1, lam0),
+                 lambda: phi_map(CURVE_G2, basis, lam0)):
+        with pytest.raises(ValidationError, match="gamma base point must be a number"):
+            call()
+
+
 def test_phi_rejects_marker_on_cut_crossing():
     basis = solve_Ba(CURVE_G1)
     with pytest.raises(ValidationError, match="collides"):
@@ -643,6 +653,86 @@ def test_rational_distance_detects_integer_plane():
     off = rational_plane_distance(m + 1e-3 * rng.standard_normal(m.shape),
                                   max_denominator=4)
     assert 1e-5 < off < 1e-2
+
+
+def _former_rational_plane_distance(matrix, max_denominator, shortlist):
+    """The rational probe's body before the direction lattice was cached:
+    the directions and their norms built on every call."""
+    m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    dim = m.shape[1]
+    q, r = np.linalg.qr(m.T)
+    q = q[:, np.abs(np.diag(r)) > 1e-12 * max(1.0, float(np.max(np.abs(m))))]
+    if q.shape[1] in (0, dim):
+        return 0.0
+    vf = periods._integer_directions(dim, max_denominator).astype(np.float64)
+    norms = np.linalg.norm(vf, axis=1)
+    sin2 = np.empty(len(vf))
+    step = 1_000_000
+    for i in range(0, len(vf), step):
+        proj = vf[i:i + step] @ q
+        sin2[i:i + step] = 1.0 - (proj * proj).sum(axis=1) / (norms[i:i + step] ** 2)
+    k = min(shortlist, len(vf))
+    short = vf[np.argpartition(sin2, k - 1)[:k]]
+    i, j = np.triu_indices(k, 1)
+    planes, _ = np.linalg.qr(np.stack([short[i], short[j]], axis=2))
+    small, large = (planes, q) if q.shape[1] >= 2 else (q, planes)
+    outside = small - large @ (np.swapaxes(large, -1, -2) @ small)
+    sines = np.linalg.svd(outside, compute_uv=False)[:, 0]
+    worst = np.arcsin(np.minimum(sines, 1.0))
+    return float(np.min(worst, initial=np.pi / 2))
+
+
+@pytest.mark.parametrize("shortlist", [16, 64])
+@pytest.mark.parametrize("bound", [1, 4, 12])
+def test_rational_distance_is_bitwise_its_uncached_form(bound, shortlist):
+    for name, m in sorted(_probe_matrices().items()):
+        want = _former_rational_plane_distance(m, bound, shortlist)
+        got = rational_plane_distance(m, max_denominator=bound, shortlist=shortlist)
+        assert got.hex() == want.hex(), name
+
+
+def test_direction_lattice_is_the_integer_directions_read_only_one_entry():
+    for dim in (2, 3, 4):
+        for bound in range(1, 13):
+            vf, norms = periods._direction_lattice(dim, bound)
+            want = periods._integer_directions(dim, bound).astype(np.float64)
+            assert vf.dtype == want.dtype and vf.tobytes() == want.tobytes()
+            assert norms.tobytes() == np.linalg.norm(want, axis=1).tobytes()
+            assert not vf.flags.writeable and not norms.flags.writeable
+            with pytest.raises(ValueError):
+                vf[0, 0] = 0.0
+            assert periods._direction_lattice(dim, bound)[0] is vf
+            assert periods._direction_lattice.cache_info().currsize == 1
+
+
+def test_rational_distance_shares_one_lattice_entry_across_integer_types():
+    m = np.array([[1.0, 0.2, -0.3], [0.1, 1.0, 0.7]])
+    periods._direction_lattice.cache_clear()
+    rational_plane_distance(m, max_denominator=np.int64(5))
+    rational_plane_distance(m, max_denominator=5)
+    info = periods._direction_lattice.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
+def test_rational_distance_refuses_a_bool_bound(monkeypatch):
+    # True ran at bound 1, and would key the lattice as 1
+    monkeypatch.setattr(periods, "_integer_directions", None)
+    with pytest.raises(ValidationError, match="max_denominator"):
+        rational_plane_distance(np.array([[1.0, 0.2, -0.3], [0.1, 1.0, 0.7]]),
+                                max_denominator=True)
+
+
+def test_rational_distance_refuses_a_numpy_bound_whose_grid_wraps(monkeypatch):
+    # (2 * 200 + 1)^3 wrapped in int16 arithmetic and passed the grid cap
+    monkeypatch.setattr(periods, "_integer_directions", None)
+    with pytest.raises(ValidationError, match=r"\^3 <= 10000000, got 200 and 256"):
+        rational_plane_distance(np.array([[1.0, 0.2, -0.3], [0.1, 1.0, 0.7]]),
+                                max_denominator=np.int16(200))
+
+
+def test_b_periods_refuse_a_numerator_above_degree_g_plus_one():
+    with pytest.raises(ValidationError, match="numerator degree 4 exceeds g\\+1 = 3"):
+        b_periods(CURVE_G2, CPoly([1.0, 0.0, 0.0, 0.0, 1.0]))
 
 
 # ------------------------------------------------------------ rule cache
@@ -887,6 +977,11 @@ def test_engine_refuses_a_quad_that_is_not_a_quad_config(quad):
 def test_quad_config_refuses_bool_nodes():
     with pytest.raises(ValidationError, match="nodes >= 1"):
         QuadConfig(nodes=True)
+
+
+def test_quad_config_refuses_bool_tol():
+    with pytest.raises(ValidationError, match="finite tol > 0"):
+        QuadConfig(tol=True)
 
 
 def test_chebyshev_rule_is_the_a_cycle_nodes_shared_read_only():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectralcurves.errors import ValidationError
+from spectralcurves.errors import ResolutionError, ValidationError
 from spectralcurves.polyring import (
     CPoly,
     _fromroots,
@@ -55,6 +55,50 @@ def test_evaluation_matches_polyval():
     z = np.exp(1j * np.linspace(0, 2, 17)) * 1.3
     expect = np.polynomial.polynomial.polyval(z, c)
     assert np.allclose(p(z), expect, rtol=0, atol=1e-13)
+
+
+def _polyval_arguments():
+    """Every kind of argument CPoly is called with: Python and NumPy scalars,
+    lists, tuples, 0-d, 1-D and 2-D arrays, real and complex."""
+    rng = np.random.default_rng(41)
+    z = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    return [0.7, -2, 1.5 - 0.25j, np.float64(0.3), np.int64(3), np.complex128(0.2 + 0.9j),
+            np.float32(0.6), [0.1, -0.4j, 2.0], (0.5, 1.25), np.array(0.8 - 0.1j),
+            np.array(1.1), z[0], z.real[1], z, z.real, np.arange(5), z.real.astype(np.float32)]
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_evaluation_is_bitwise_polyval(n, kind):
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(n) + (1j * rng.standard_normal(n) if kind == "complex" else 0.0)
+    p = CPoly(c)
+    for lam in _polyval_arguments():
+        want, got = np.polynomial.polynomial.polyval(lam, p.coeffs), p(lam)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_construction_from_an_array_keeps_the_callers_flags():
+    a = np.array([1.0 + 2.0j, -0.5, 3.0j, 0.25])
+    p = CPoly(a)
+    assert a.flags.writeable and not p.coeffs.flags.writeable
+    assert p == CPoly(list(a)) == CPoly(tuple(a))
+    r = CPoly(a[::-1])           # a reversed view is stored as a contiguous copy
+    assert r.coeffs.flags.c_contiguous and not np.shares_memory(r.coeffs, a)
+    assert r == CPoly(list(a[::-1])) and rho_star(p) == r
+
+
+def test_formal_degree_below_the_coefficients_is_refused_and_empty_is_zero():
+    for coeffs in ([1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0], dtype=complex)):
+        with pytest.raises(ValidationError, match="formal degree 1 below coefficient count 3"):
+            CPoly(coeffs, degree=1)
+        assert CPoly(coeffs, degree=4).coeffs.tobytes() == np.array(
+            [1, 2, 3, 0, 0], dtype=complex).tobytes()
+    for empty in ([], np.zeros(0, dtype=complex)):
+        assert CPoly(empty) == CPoly([0.0]) and CPoly(empty).formal_degree == 0
+        assert CPoly(empty, degree=2) == CPoly([0.0, 0.0, 0.0])
 
 
 def test_norm_inf_and_monic():
@@ -238,6 +282,21 @@ def test_fromroots_is_bitwise_numpy_polyfromroots(kind):
             assert got.dtype == want.dtype and np.array_equal(got, want)
             assert np.array_equal(CPoly.from_roots(list(r), lead=0.5 - 0.25j).coeffs,
                                   (0.5 - 0.25j) * want)
+
+
+def test_fromroots_of_other_dtypes_is_bitwise_numpy_polyfromroots():
+    for r in ([3, -1, 2], np.array([0.5, -0.25, 2.0], dtype=np.float32), [1, 0.5j]):
+        want = np.polynomial.polynomial.polyfromroots(r)
+        got = _fromroots(r)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_roots_refuses_a_root_set_that_does_not_rebuild_the_polynomial(monkeypatch):
+    p = CPoly.from_roots([0.4 + 0.1j, -0.8j, 1.7])
+    good = roots(p)
+    monkeypatch.setattr("spectralcurves.polyring._companion_roots", lambda desc: good + 1e-3)
+    with pytest.raises(ResolutionError, match="root set not resolved: reconstruction residual"):
+        roots(p)
 
 
 def test_roots_of_zero_poly_rejected():

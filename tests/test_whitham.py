@@ -257,6 +257,17 @@ def test_flow_refuses_a_steps_that_is_not_an_integer_before_any_work(steps, monk
         flow(build_curve([0.5]), rotation_selector, dt=1e-3, steps=steps)
 
 
+@pytest.mark.parametrize("dt, steps", [(True, 1), (1e-3, True), (np.True_, 1)])
+def test_flow_refuses_a_bool_dt_or_steps_before_any_work(dt, steps, monkeypatch):
+    # dt=True ran as dt 1.0 and steps=True as one step
+    def reached(*args, **kwargs):
+        raise AssertionError("flow started work on dt=%r, steps=%r" % (dt, steps))
+
+    monkeypatch.setattr(whitham, "solve_Ba", reached)
+    with pytest.raises(ValidationError, match="finite dt > 0 and steps >= 1"):
+        flow(build_curve([0.5]), rotation_selector, dt=dt, steps=steps)
+
+
 def test_flow_takes_a_numpy_integer_steps():
     recs = flow(build_curve([0.5]), rotation_selector, dt=1e-3, steps=np.int64(2))
     assert [r.t for r in recs] == pytest.approx([0.0, 1e-3, 2e-3])
@@ -758,6 +769,30 @@ def test_handle_check_refuses_a_t_whose_law_window_covers_the_circle(monkeypatch
     assert attach_handle(curve, None, alpha, 3.0).curve.genus == 2
     chk = handle_invariant_check(curve, alpha, 1.5)
     assert (chk.t, chk.deg_f_after) == (1.5 / 8, 3)
+
+
+@pytest.mark.parametrize("t", [True, "0.01"])
+def test_handle_parameter_that_is_not_a_real_number_is_refused(t, monkeypatch):
+    # True was taken as t = 1.0, and a string parsed by float()
+    curve, alpha = build_curve([0.5]), complex(np.exp(0.9j))
+    with pytest.raises(ValidationError, match="handle parameter must be finite and positive"):
+        attach_handle(curve, None, alpha, t=t)
+    calls = counting_attach(monkeypatch)
+    with pytest.raises(ValidationError, match="handle parameter must be finite and positive"):
+        handle_invariant_check(curve, alpha, t)
+    assert calls == []
+
+
+@pytest.mark.parametrize("alpha", ["0.6+0.8j", True])
+def test_handle_point_that_is_not_a_number_is_refused(alpha, monkeypatch):
+    # "0.6+0.8j" was parsed by complex(), True taken as alpha = 1
+    curve = build_curve([0.5, -0.3 + 0.4j])
+    with pytest.raises(ValidationError, match="handle point must be a number"):
+        attach_handle(curve, None, alpha, 1e-2)
+    calls = counting_attach(monkeypatch)
+    with pytest.raises(ValidationError, match="handle point must be a number"):
+        handle_invariant_check(curve, alpha, 1e-2)
+    assert calls == []
 
 
 def test_handle_check_keeps_the_type_of_a_resolution_error(monkeypatch):
