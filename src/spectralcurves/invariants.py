@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import InvariantError, ResolutionError, ValidationError, is_number
-from .periods import solve_Ba
+from .periods import _check_basis_curve, solve_Ba
 from .polyring import CPoly, _der, _gcd_candidates, _sum, reality_check, roots
 
 GCD_TOL = 1e-6
@@ -149,11 +149,17 @@ def deg_f(basis, tol=GCD_TOL):
 def _deflated_pair(basis, tol=GCD_TOL):
     """u = b1 + i b2 and v = b1 - i b2, gcd deflated: f~ = u/v.  The winding
     counts need v = rho*(conj u), so b1 and b2 must be reflection-real."""
-    defects = [d for real, d in map(reality_check, (basis.b1, basis.b2)) if not real]
+    return _deflated(basis.b1, basis.b2, tol)
+
+
+@functools.lru_cache(maxsize=128)
+def _deflated(b1, b2, tol):
+    """``_deflated_pair`` memoised per (b1, b2, tol), as ``_common_roots`` is."""
+    defects = [d for real, d in map(reality_check, (b1, b2)) if not real]
     if defects:
         raise ValidationError("pencil element is not reflection-real (defect %.3e)" % defects[0])
-    gcd, c1, c2 = pencil_gcd(basis.b1, basis.b2, tol), basis.b1.coeffs, basis.b2.coeffs
-    return tuple(_deflate(CPoly(_sum(c1, c2 * s)), gcd) for s in (1j, -1j))
+    gcd = pencil_gcd(b1, b2, tol)
+    return tuple(_deflate(CPoly(_sum(b1.coeffs, b2.coeffs * s)), gcd) for s in (1j, -1j))
 
 
 def circle_map(basis, tol=GCD_TOL):
@@ -231,7 +237,8 @@ def winding_roots(basis, tol=GCD_TOL):
 
 
 def classify(curve, basis=None, tol=GCD_TOL):
-    """Full invariant report for a curve (basis solved on demand).
+    """Full invariant report for a curve (basis solved on demand; a basis of
+    another curve is refused).
 
     Cross-checks the two winding algorithms and a coprime pencil's deg(f) - 2
     bound at positive genus, raising InvariantError.  Their winding
@@ -243,6 +250,7 @@ def classify(curve, basis=None, tol=GCD_TOL):
     """
     if basis is None:
         basis = solve_Ba(curve)
+    _check_basis_curve(curve, basis)
     g = curve.genus
     groots = tuple(_common_roots(basis.b1, basis.b2, tol)[1])
     gdeg = len(groots)

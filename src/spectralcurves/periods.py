@@ -17,7 +17,8 @@ cycles, until two successive estimates of each agree:
   the single square-root endpoint is absorbed by Gauss-Jacobi (0, -1/2)
   weights (the 2n-point Gauss-Legendre rule mapped by x = 2 s^2 - 1, s > 0,
   weights 2 sqrt(2) w: exact to degree 2n - 1), the circle part uses
-  Gauss-Legendre with a periodic square-root factor; their rules double.
+  Gauss-Legendre with a periodic square-root factor; their rules double,
+  and one pass gives the first two.
 * Sym paths gamma(lambda0) use the same lasso shape from a regular point,
   all-Legendre.
 
@@ -82,6 +83,13 @@ class PencilBasis:
     b1: CPoly
     b2: CPoly
     kernel_gap: float
+
+
+def _check_basis_curve(curve, basis):
+    """Refuse a basis whose curve is not ``curve`` (not the object, nor equal)."""
+    if basis.curve is not curve and basis.curve != curve:
+        raise ValidationError("the basis belongs to another curve: %r, not %r"
+                              % (basis.curve, curve))
 
 
 @dataclass(frozen=True)
@@ -186,7 +194,7 @@ class PeriodEngine:
             g = self.curve.genus
             ends = np.array([self.homology.b_leg(j) for j in range(g)], dtype=complex).T[..., None]
             self._b, self.b_nodes = self._refine([("B", j) for j in range(g)], functools.partial(
-                self._lasso, ends=ends, kind="jacobi"), self.quad.nodes, 2)
+                self._lasso, ends=ends, kind="jacobi"), 2 * self.quad.nodes, 2)
         return self._b
 
     def a_moments(self, j):
@@ -197,7 +205,7 @@ class PeriodEngine:
         if lam0 not in self._gamma:
             ends = np.array(self.homology.gamma_leg(lam0))[:, None, None]   # refuses a bad lam0
             self._gamma[lam0] = self._refine([("gamma", lam0)], functools.partial(
-                self._lasso, ends=ends, kind="legendre"), self.quad.nodes, 2)[0][0]
+                self._lasso, ends=ends, kind="legendre"), 2 * self.quad.nodes, 2)[0][0]
         return self._gamma[lam0]
 
     def period(self, moments, b):
@@ -215,11 +223,11 @@ class PeriodEngine:
 
     def _refine(self, keys, level, size, grow):
         """Moments of the cycles ``keys`` and the points of each accepted
-        rule.  ``level(todo, m)`` gives, for the rows ``todo``, estimates at
-        m // grow points (None: its own pass at m // 2) and at m, and a flag,
-        False where one is missing.  Rows settle by :func:`_settle`; the rest
-        go on at grow * m points, up to nodes * 2**MAX_DOUBLINGS, and are refused
-        once their change has not fallen for two tracked levels in a row."""
+        rule.  ``level(todo, m)`` gives, for the rows ``todo``, estimates at m // grow
+        points (None: the previous level's) and at m, and flags, False where one is
+        missing: one row for both or one per estimate.  Rows settle by :func:`_settle`;
+        the rest go on at grow * m points, up to nodes * 2**MAX_DOUBLINGS, and are
+        refused once their change has not fallen for two tracked levels in a row."""
         tol, limit = self.quad.tol, self.quad.nodes << MAX_DOUBLINGS
         out = np.empty((len(keys), self.curve.genus + 2), dtype=complex)
         last, had, nodes = np.zeros_like(out), np.zeros(len(keys), bool), np.zeros(len(keys), int)
@@ -227,14 +235,18 @@ class PeriodEngine:
         stalls = np.zeros(len(keys), int)
         while todo.size:
             coarse, fine, ok = level(todo, size)
+            coarse_ok, ok = ok if ok.ndim > 1 else (ok, ok)
             if coarse is None:
-                coarse, ok, last[todo], had[todo] = last[todo], ok & had[todo], fine, ok
+                coarse, coarse_ok = last[todo], had[todo]
+            last[todo], had[todo], ok = fine, ok, ok & coarse_ok
             rel, accept, floor = _settle(fine, coarse, prev_rel[todo], tol)
             done = ok & (accept | floor)
             for i in todo[done & ~accept]:
                 log.debug("cycle %s settled at roundoff floor", keys[i])
             out[todo[done]] = np.where(accept[:, None], fine, coarse)[done]
             nodes[todo[done]] = np.where(accept, size, size // grow)[done]
+            if done.all():
+                break
             stalls[todo] = np.where(ok & (rel >= prev_rel[todo]), stalls[todo] + 1, 0)
             prev_rel[todo] = np.where(ok, rel, np.inf)
             todo, size = todo[~done], grow * size
@@ -280,41 +292,70 @@ class PeriodEngine:
 
     # -- B and gamma: a leg and the service circle ---------------------------
 
-    def _lasso(self, todo, n, ends, kind):
-        """None, the moments of the lassos ``todo`` at n leg points, and a
-        flag, False where a root was not tracked or the circle's does not
-        continue the leg's.  Lasso i runs ends[0, i] -> ends[1, i] on the
-        service circle, around it (Legendre, max(n, 64) points) and back; a
+    def _lasso(self, todo, m, ends, kind):
+        """Moments of the lassos ``todo`` at m // 2 leg points (None past the
+        first level, m = 2 nodes) and at m, from one pass, and flags, False
+        where a root was not tracked or the circle's does not continue the
+        leg's.  Lasso i runs ends[0, i] -> ends[1, i] on the service circle,
+        around it (Legendre, max(n, 64) points at n leg points) and back; a
         "jacobi" leg's weight absorbs the root at its branch-point start."""
         c, k = self.curve, self.curve.genus + 2
+        sizes = (m // 2, m) if m == 2 * self.quad.nodes else (m,)
         start, target = ends[:, todo]
-        x, w = _gauss_rule(kind, n)
-        lam = np.concatenate([start, start + (target - start) * ((x + 1.0) / 2.0), target], axis=1)
+        x, w = _rules(kind, sizes)
+        legs = start + (target - start) * ((x[..., 1:] + 1.0) / 2.0)
+        lam = np.empty(legs.shape[:-1] + (legs.shape[-1] + 2,), dtype=complex)
+        lam[..., :1], lam[..., 1:-1], lam[..., -1:] = start, legs, target
         if kind == "jacobi":
             # y = sqrt(lambda - start) * root; lambda*a/(lambda-start) as a
             # root product (see _deflated_square for why not by polyval)
             part = self._part[todo, None]
             root, ok = track_sqrt(self._deflated_square(lam, todo[:, None]) * (lam - part))
-            jac, y_end = np.sqrt((target - start) / 2.0), np.sqrt(target - start) * root[:, -1:]
+            jac, y_end = np.sqrt((target - start) / 2.0), np.sqrt(target - start) * root[..., -1:]
         else:
             root, ok = track_sqrt(lam * c.a(lam))
-            jac, y_end = (target - start) / 2.0, root[:, -1:]
-        legs = lam[:, 1:-1]
-        leg = jac * np.sum(_power_terms(w / (legs * root[:, 1:-1]), legs, k), axis=-1)
+            jac, y_end = (target - start) / 2.0, root[..., -1:]
+        leg = _power_terms(w / (legs * root[..., 1:-1]), legs, k)
         # y = e^{i theta/2} u(theta) on the circle, u periodic with u^2 = r0 a;
         # u takes the sign that continues the leg's end value
         angle = np.angle(target)
-        x, w = _gauss_rule("legendre", max(n, 64))
-        theta = angle + np.pi * (np.concatenate([[-1.0], x]) + 1.0)
+        x, w = _rules("legendre", circle_sizes := tuple(max(n, 64) for n in sizes))
+        theta = angle + np.pi * (x + 1.0)
         z = c.r0 * np.exp(1j * theta)
         usq = c.r0 * c.a(z)
         u, tracked = track_sqrt(usq)
         seed = y_end * np.exp(-0.5j * angle)
-        matched = np.abs(seed * seed - usq[:, :1]) <= 1e-6 * np.maximum(1.0, np.abs(usq[:, :1]))
-        u = np.where((seed * u[:, :1].conj()).real < 0, -u[:, 1:], u[:, 1:])
-        first = w * np.exp(-0.5j * theta[:, 1:]) / u
-        circle = 1j * np.pi * np.sum(_power_terms(first, z[:, 1:], k), axis=-1)
-        return None, 2.0 * leg + circle, ok & tracked & matched[:, 0]
+        matched = np.abs(seed * seed - usq[..., :1]) <= 1e-6 * np.maximum(1.0, np.abs(usq[..., :1]))
+        u = np.where((seed * u[..., :1].conj()).real < 0, -u[..., 1:], u[..., 1:])
+        circle = _power_terms(w * np.exp(-0.5j * theta[..., 1:]) / u, z[..., 1:], k)
+        ok = ok & tracked & matched[..., 0]
+        est = [2.0 * (jac * np.sum(leg[i, ..., :n], axis=-1))    # each rule on its own nodes
+               + 1j * np.pi * np.sum(circle[i, ..., :nc], axis=-1)
+               for i, (n, nc) in enumerate(zip(sizes, circle_sizes))]
+        return (None, est[0], ok[0]) if len(sizes) == 1 else (est[0], est[1], ok)
+
+
+def _rules(kind, sizes):
+    """Nodes, after a first node -1, and weights of the ``kind`` rules of
+    ``sizes`` points, one row each on a middle axis of length one."""
+    if len(sizes) > 1:
+        return _rule_pair(kind, sizes)
+    x, w = _gauss_rule(kind, sizes[0])
+    return np.concatenate([[-1.0], x])[None, None], w[None, None]
+
+
+@functools.lru_cache(maxsize=64)
+def _rule_pair(kind, sizes):
+    """Read-only ``_rules`` of two sizes: the shorter rule repeats its last
+    node, with weight zero, a zero step for ``track_sqrt``, so its roots, and
+    its moments summed over its own nodes, keep the bits of its own pass."""
+    rules = [_gauss_rule(kind, n) for n in sizes]
+    top = max(len(x) for x, _ in rules)
+    x = np.array([np.pad(np.r_[-1.0, x], (0, top - len(x)), "edge") for x, _ in rules])[:, None]
+    w = np.array([np.pad(w, (0, top - len(w))) for _, w in rules])[:, None]
+    for a in (x, w):
+        a.setflags(write=False)
+    return x, w
 
 
 def _power_terms(first, lam, k):
@@ -466,7 +507,9 @@ def derived_pencil(basis):
 
 def phi_map(curve, basis, lam0, quad=None):
     """Torus-characterization matrix: rows are (1/2 pi i) * (B-periods, Sym)
-    of Theta_{b1} and Theta_{b2}; entries are real for a solved basis."""
+    of Theta_{b1} and Theta_{b2}; entries are real for a solved basis of
+    ``curve`` (a basis of another curve is refused)."""
+    _check_basis_curve(curve, basis)
     return np.vstack([
         _require_real(np.append(b_periods(curve, b, quad), sym_integral(curve, b, lam0, quad))
                       / (2j * np.pi), curve.tol, "normalized period row")

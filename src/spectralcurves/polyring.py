@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy._core.multiarray import correlate as _correlate
 
 from .errors import InvariantError, ResolutionError, ValidationError
 
@@ -119,17 +120,9 @@ class CPoly:
     def __mul__(self, other):
         if np.isscalar(other):
             return CPoly(self.coeffs * other)
-        other = _as_poly(other)
-        return CPoly(np.convolve(self.coeffs, other.coeffs))
+        return CPoly(_conv(self.coeffs, _as_poly(other).coeffs))
 
     __rmul__ = __mul__
-
-    def __radd__(self, other):
-        return self + other
-
-    def conjugate(self):
-        """Coefficient-wise conjugate (the polynomial conj(p(conj lam)))."""
-        return CPoly(np.conj(self.coeffs))
 
     def times_lambda(self):
         """Multiply by the variable, raising the formal degree by one."""
@@ -182,11 +175,18 @@ def _sum(*terms):
     difference is the sum with the negation, as in ``CPoly.__sub__``; CPoly's
     operators and the tangent algebra of ``whitham`` share these array forms,
     and so their bits."""
-    out = np.zeros(max(len(t) for t in terms), dtype=complex)
+    out = np.zeros(max(map(len, terms)), dtype=complex)
     out[: len(terms[0])] = terms[0]
     for t in terms[1:]:
         out[: len(t)] += t
     return out
+
+
+def _conv(a, v):
+    """``np.convolve(a, v)`` of 1-D arrays without its wrapper: its correlate call, its bits."""
+    if len(v) > len(a):
+        a, v = v, a
+    return _correlate(a, v[::-1], "full")
 
 
 def _as_poly(x):
@@ -202,9 +202,9 @@ def _fromroots(r):
     p = [np.array([-x, 1]) for x in np.sort(r.astype(np.common_type(r)))] or [np.ones(1)]
     while len(p) > 1:
         m = len(p) // 2
-        tmp = [np.convolve(p[i], p[i + m]) for i in range(m)]
+        tmp = [_conv(p[i], p[i + m]) for i in range(m)]
         if len(p) % 2:
-            tmp[0] = np.convolve(tmp[0], p[-1])
+            tmp[0] = _conv(tmp[0], p[-1])
         p = tmp
     return p[0]
 

@@ -33,7 +33,7 @@ import functools
 import logging
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -41,9 +41,9 @@ from numpy.polynomial import polynomial as npoly
 from .curve import build_curve
 from .errors import InvariantError, ResolutionError, ValidationError, is_number
 from .invariants import GCD_TOL, _circle_count, _common_roots, _deflated_pair, classify, pencil_gcd
-from .periods import PencilBasis, b_periods, solve_Ba
-from .polyring import (CPoly, _chart_units, _companion_roots, _der, _lam, _sum, real_place,
-                       reality_check)
+from .periods import PencilBasis, _check_basis_curve, b_periods, solve_Ba
+from .polyring import (CPoly, _chart_units, _companion_roots, _conv, _der, _lam, _sum,
+                       real_place, reality_check)
 
 log = logging.getLogger(__name__)
 
@@ -66,7 +66,7 @@ def _rows(p, length):
 def _times(p, degree, length):
     """Real matrix of x -> _rows(real_place(degree, x) * p, length): one
     column per chart unit, each the convolution ``CPoly.__mul__`` makes."""
-    prods = np.array([np.convolve(unit, p.coeffs) for unit in _chart_units(degree)])
+    prods = np.array([_conv(unit, p.coeffs) for unit in _chart_units(degree)])
     c = np.zeros((degree + 1, length), dtype=np.complex128)
     c[:, : prods.shape[1]] = prods
     return np.concatenate([c.real, c.imag], axis=1).T
@@ -79,8 +79,7 @@ def _times(p, degree, length):
 def _driver(a, da, c, dc):
     """i (2 lambda a c' - a c - lambda a' c), the c-side of the derivative
     equation, from the coefficients of a, a', c and c'."""
-    return _sum(_lam(np.convolve(a, dc)) * 2.0, -np.convolve(a, c),
-                -_lam(np.convolve(da, c))) * 1j
+    return _sum(_lam(_conv(a, dc)) * 2.0, -_conv(a, c), -_lam(_conv(da, c))) * 1j
 
 
 @dataclass(frozen=True)
@@ -103,9 +102,8 @@ class WhithamTangent:
     Q: CPoly
 
     def residuals(self):
-        a, b1, b2, a_dot, b1_dot, b2_dot, c1, c2, Q = (
-            getattr(self, f.name).coeffs for f in fields(self))
-        conv, da, dc1, dc2 = np.convolve, _der(a), _der(c1), _der(c2)
+        a, b1, b2, a_dot, b1_dot, b2_dot, c1, c2, Q = (p.coeffs for p in self._polys())
+        conv, da, dc1, dc2 = _conv, _der(a), _der(c1), _der(c2)
         cross = _lam(_sum(conv(dc1, c2), -conv(dc2, c1)))
         polys = {
             "pencil": _sum(conv(c1, b2), -conv(c2, b1), -conv(Q, a)),
@@ -118,10 +116,12 @@ class WhithamTangent:
         }
         return {k: float(np.abs(p).max()) for k, p in polys.items()}
 
+    def _polys(self):
+        return (self.a, self.b1, self.b2, self.a_dot, self.b1_dot, self.b2_dot, self.c1,
+                self.c2, self.Q)
+
     def scale(self):
-        polys = (self.a, self.b1, self.b2, self.c1, self.c2, self.Q,
-                 self.a_dot, self.b1_dot, self.b2_dot)
-        return max(1.0, max(p.norm_inf() for p in polys))
+        return max(1.0, float(np.abs(np.concatenate([p.coeffs for p in self._polys()])).max()))
 
     def check(self):
         res = self.residuals()
@@ -192,8 +192,10 @@ def whitham_tangent(curve, basis, Q):
     The linear system for (a_dot, b1_dot, b2_dot) over real coefficient
     charts is closed by the gauge Re(conj(lead a) * lead a_dot) = 0, which
     removes the common-rescaling kernel (2 s a, s b1, s b2); for a pencil
-    with gcd(a, b1, b2) = 1 the gauged solution is unique.
+    with gcd(a, b1, b2) = 1 the gauged solution is unique.  A basis of
+    another curve is refused.
     """
+    _check_basis_curve(curve, basis)
     b1, b2 = basis.b1, basis.b2
     a = curve.a
     g = curve.genus
@@ -250,7 +252,9 @@ def rotation_tangent(curve, basis):
     without which the direction is not tangent to the reversal-real family
     for g >= 1 (the root advection and the derivative equations are the
     same either way, and both conventions coincide at g = 0 up to gauge).
+    A basis of another curve is refused.
     """
+    _check_basis_curve(curve, basis)
     b1, b2 = basis.b1, basis.b2
     a = curve.a
     g = curve.genus

@@ -12,10 +12,15 @@ calls of each op untimed, storing one JSON line per op:
 * ``scan``: the basis coefficient bytes, ``kernel_gap``, the
   ``InvariantReport`` and the ``gr_classify`` dict;
 * ``whitham``: the ``HandleCheck``, the last flow record's basis, frame
-  (b1, b2), period bytes, drift and t, and the constant-Q tangent's bytes;
+  (b1, b2), period bytes, drift and t, the first flow record's period
+  bytes, and the constant-Q tangent's bytes;
 * ``probe``: the ``ProbeReport``, and for each proximity op the basis, the
   phi matrix bytes and the rational-plane distance;
 * a refusal (a ``SpectralError``) as its type and message.
+
+Each answered op also stores the accepted rule sizes (``a_nodes`` and
+``b_nodes``) of every period engine it read, in the order it first read
+them, so a change that reaches the same moments through other rules shows.
 
 Floats are stored by ``float.hex`` and arrays by dtype, shape and bytes, so
 equal lines mean identical bits.  ``compare`` names the first op whose line
@@ -40,8 +45,30 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "perfbench"))
 
 import spectralcurves as sc  # noqa: E402
+from spectralcurves import periods  # noqa: E402
 from spectralcurves.polyring import CPoly  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+_read_engines = []
+_real_engine = periods._engine
+
+
+def _recording_engine(curve, quad):
+    """``periods._engine``, noting each engine an op reads."""
+    eng = _real_engine(curve, quad)
+    _read_engines.append(eng)
+    return eng
+
+
+periods._engine = _recording_engine
+
+
+def rule_sizes():
+    """The ``a_nodes`` and ``b_nodes`` of each engine read since the last
+    call, once each, in the order first read."""
+    engines = list({id(e): e for e in _read_engines}.values())
+    _read_engines.clear()
+    return [[e.a_nodes, e.b_nodes] for e in engines]
 
 
 def encode(x):
@@ -81,7 +108,8 @@ def whitham_op(wl, inp):
     tangent = sc.whitham_tangent(curve, records[0].basis, q)
     alpha = wl.handle_point(records[0].basis, u_alpha)
     chk = sc.handle_invariant_check(records[0].curve, alpha, t)
-    return [chk, records[-1], [tangent.a_dot, tangent.b1_dot, tangent.b2_dot]]
+    return [chk, records[-1], [records[0].periods_b1, records[0].periods_b2],
+            [tangent.a_dot, tangent.b1_dot, tangent.b2_dot]]
 
 
 def probe_op(wl, inp):
@@ -111,10 +139,11 @@ def record(out, workload, seed, ops):
     with open(out, "w") as fh:
         for _ in range(ops):
             try:
-                line = ["ok", encode(OPS[workload](wl, next(gen)))]
+                line = ["ok", encode(OPS[workload](wl, next(gen))), encode(rule_sizes())]
             except sc.SpectralError as exc:
                 line = ["refused", type(exc).__name__, str(exc)]
                 refused += 1
+                rule_sizes()
             fh.write(json.dumps(line) + "\n")
     print("%s seed %d: %d ops recorded, %d refused" % (workload, seed, ops, refused))
 

@@ -644,3 +644,13 @@ def test_shared_root_on_the_circle_is_S():
     gr = gr_classify(B_map(curve))
     assert (gr["gcd_degree"], gr["in_R"], len(gr["S1_roots"])) == (1, True, 1)
     assert abs(gr["S1_roots"][0] - lam0) <= 1e-10
+
+
+@pytest.mark.parametrize("roots", [[0.45, -0.3 + 0.35j], [0.5, -0.3 + 0.4j, -0.4 - 0.3j]],
+                         ids=["genus 2", "genus 3"])
+def test_classify_refuses_a_basis_of_another_curve(roots):
+    # the genus-2 neighbour's basis was classified as V_-1, and the genus-3
+    # one ended in "winding algorithms disagree" (InvariantError, exit 4)
+    curve = build_curve([0.5, -0.3 + 0.4j])
+    with pytest.raises(ValidationError, match="basis belongs to another curve"):
+        classify(curve, solve_Ba(build_curve(roots)))

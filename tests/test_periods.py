@@ -1,5 +1,6 @@
 """Period engine: kernel solve, independent quadrature oracles, sym map."""
 
+import functools
 import logging
 import math
 import re
@@ -384,8 +385,8 @@ def test_lasso_rows_match_independent_per_cycle_rules(monkeypatch, genus, seed):
 
 
 def _counting_lasso_passes(monkeypatch):
-    """Record (rule, rows, leg points) of every lasso pass, from an empty
-    engine memo."""
+    """Record (rule, rows, leg points of the finer rule) of every lasso pass,
+    from an empty engine memo."""
     periods._engine.cache_clear()
     real = periods.PeriodEngine._lasso
     passes = []
@@ -400,9 +401,10 @@ def _counting_lasso_passes(monkeypatch):
 
 @pytest.mark.parametrize("fault", ["untracked", "unmatched"])
 def test_lasso_tracking_failure_holds_back_only_its_own_row(monkeypatch, fault):
-    # the first leg pass cannot track B_0, or ends it off the value the
-    # circle continues; B_1 still settles at 128 points, and B_0, with no
-    # estimate at 64, compares 128 with 256
+    # the first leg pass, which holds both first rules, cannot track B_0's
+    # 64-point leg, or ends it off the value the circle continues; B_1
+    # still settles at 128 points, and B_0, with no estimate at 64,
+    # compares 128 with 256
     real = periods.track_sqrt
     failed = []
 
@@ -410,17 +412,17 @@ def test_lasso_tracking_failure_holds_back_only_its_own_row(monkeypatch, fault):
         root, ok = real(values)
         if not failed:
             if fault == "untracked":
-                ok[0] = False
+                ok[0, 0] = False
             else:
-                root[0, -1] *= 1.01
-            failed.append(len(ok))
+                root[0, 0, -1] *= 1.01
+            failed.append(ok.shape)
         return root, ok
 
     passes = _counting_lasso_passes(monkeypatch)
     monkeypatch.setattr(periods, "track_sqrt", failing_first_row_once)
     eng = periods.PeriodEngine(CURVE_G2, periods.DEFAULT_QUAD)
     rows = eng.b_matrix()
-    assert failed == [2] and passes == [("jacobi", 2, 64), ("jacobi", 2, 128), ("jacobi", 1, 256)]
+    assert failed == [(2, 2)] and passes == [("jacobi", 2, 128), ("jacobi", 1, 256)]
     assert list(eng.b_nodes) == [256, 128]
     for j, n in enumerate(eng.b_nodes):
         assert _rel(rows[j], gauss_lasso_moments(CURVE_G2, ("B", j), n)) <= 1e-13
@@ -466,8 +468,7 @@ def test_phi_map_on_a_clear_curve_stacks_the_b_rows(monkeypatch):
     basis = solve_Ba(curve)
     passes = _counting_lasso_passes(monkeypatch)
     phi_map(curve, basis, complex(np.exp(1.0j)))
-    assert passes == [("jacobi", 3, 64), ("jacobi", 3, 128),
-                      ("legendre", 1, 64), ("legendre", 1, 128)]
+    assert passes == [("jacobi", 3, 128), ("legendre", 1, 128)]
 
 
 def test_flow_step_takes_one_b_pass_per_level_for_each_curve(monkeypatch):
@@ -476,7 +477,94 @@ def test_flow_step_takes_one_b_pass_per_level_for_each_curve(monkeypatch):
     passes = _counting_lasso_passes(monkeypatch)
     records = flow(CURVE_G2, rotation_selector, dt=1e-3, steps=1)
     assert len(records) == 2
-    assert passes == [("jacobi", 2, 64), ("jacobi", 2, 128)] * 2
+    assert passes == [("jacobi", 2, 128)] * 2
+
+
+def _lasso_ends(eng, kind):
+    """``ends`` as b_matrix gives them ("jacobi": every B-lasso) or as
+    gamma_moments does ("legendre": gamma(e^{2.1i}))."""
+    if kind == "jacobi":
+        return np.array([eng.homology.b_leg(j) for j in range(eng.curve.genus)],
+                        dtype=complex).T[..., None]
+    return np.array(eng.homology.gamma_leg(complex(np.exp(2.1j))))[:, None, None]
+
+
+def _bits(x):
+    """Equal for two outputs exactly when their bits are: arrays by dtype,
+    shape and bytes, a refusal by its message."""
+    if isinstance(x, (tuple, list)):
+        return [_bits(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    return x
+
+
+def _refined(eng, level, size, keys):
+    try:
+        return _bits(eng._refine(keys, level, size, 2))
+    except ResolutionError as exc:
+        return str(exc)
+
+
+def _one_rule_a_pass(eng, ends, kind):
+    """The level of the previous layout, one pass a rule from the n-point
+    rule on: ``_lasso`` of an engine at 3n nodes, whose fused pass (at 6n)
+    no doubling of n reaches."""
+    quad = QuadConfig(nodes=3 * eng.quad.nodes, tol=eng.quad.tol)
+    return functools.partial(periods.PeriodEngine(eng.curve, quad)._lasso, ends=ends, kind=kind)
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "legendre"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 48, 50, 64, 100, 256])
+def test_fused_first_lasso_level_is_two_separate_passes(n, kind):
+    # one pass holds the n- and 2n-point rules, the shorter padded by its
+    # last node: each rule's moments and flags keep the bits of its own pass
+    eng = periods.PeriodEngine(CURVE_G2, QuadConfig(nodes=n))
+    ends = _lasso_ends(eng, kind)
+    todo = np.arange(ends.shape[1])
+    apart = _one_rule_a_pass(eng, ends, kind)
+    got = eng._lasso(todo, 2 * n, ends, kind)
+    assert got[0] is not None and got[2].shape == (2, len(todo)) and got[2].all()
+    coarse, fine = apart(todo, n), apart(todo, 2 * n)
+    assert _bits(got) == _bits((coarse[1], fine[1], np.stack([coarse[2], fine[2]])))
+    assert _bits(apart(todo, 4 * n)) == _bits(eng._lasso(todo, 4 * n, ends, kind))
+    # and so the refinement, its refusals included, and b_nodes
+    keys = [(kind, j) for j in todo]
+    fused = functools.partial(eng._lasso, ends=ends, kind=kind)
+    want = _refined(eng, apart, n, keys)
+    assert _refined(eng, fused, 2 * n, keys) == want
+    if kind == "jacobi" and not isinstance(want, str):
+        assert _bits([eng.b_matrix(), eng.b_nodes]) == want
+
+
+@pytest.mark.parametrize("fault", ["coarse", "fine", "both"])
+def test_fused_first_level_keeps_each_rules_tracking_failure(monkeypatch, fault):
+    # B_0's 64-point rule, its 128-point rule or both fail to track in the
+    # fused pass: B_0 then compares 128 with 256 (no estimate at 64) or 256
+    # with 512 (none at 128), as with one pass a rule, and B_1 settles at 128
+    failing = {"coarse": [0], "fine": [1], "both": [0, 1]}[fault]
+    real, calls = periods.track_sqrt, []
+
+    def failing_b0(plan):
+        def track(values):
+            root, ok = real(values)
+            for rule in plan.get(len(calls), ()):
+                ok[rule, 0] = False
+            calls.append(ok.shape)
+            return root, ok
+        return track
+
+    eng = periods.PeriodEngine(CURVE_G2, periods.DEFAULT_QUAD)
+    ends, keys = _lasso_ends(eng, "jacobi"), [("B", 0), ("B", 1)]
+    # the one-pass layout tracks each leg in its pass's first call of two
+    monkeypatch.setattr(periods, "track_sqrt", failing_b0({2 * r: [0] for r in failing}))
+    want = _refined(eng, _one_rule_a_pass(eng, ends, "jacobi"), 64, keys)
+    calls.clear()
+    monkeypatch.setattr(periods, "track_sqrt", failing_b0({0: failing}))
+    assert _refined(eng, functools.partial(eng._lasso, ends=ends, kind="jacobi"), 128,
+                    keys) == want
+    assert calls[0] == (2, 2)
+    assert want[1] == _bits(np.array([256 if fault == "coarse" else 512, 128]))
 
 
 def test_near_nodal_curve_stays_resolved():
@@ -534,6 +622,15 @@ def test_phi_map_rows_are_real_and_frozen_value():
     mat = phi_map(CURVE_G1, basis, complex(np.exp(1j * np.pi)))
     assert mat.shape == (2, 2)
     assert np.allclose(mat, [[-1.31157273, 0.0], [0.0, 1.35047447]], atol=1e-6)
+
+
+@pytest.mark.parametrize("roots", [[0.45, -0.3 + 0.35j], [0.5, -0.3 + 0.4j, -0.4 - 0.3j]],
+                         ids=["genus 2", "genus 3"])
+def test_phi_map_refuses_a_basis_of_another_curve(roots):
+    # the genus-2 neighbour's basis ended in an imaginary residue (exit 3)
+    curve = build_curve([0.5, -0.3 + 0.4j])
+    with pytest.raises(ValidationError, match="basis belongs to another curve"):
+        phi_map(curve, solve_Ba(build_curve(roots)), 1j)
 
 
 def test_phi_map_shape_grows_with_genus():

@@ -18,7 +18,7 @@ from spectralcurves.polyring import (
     roots,
     symmetrize_reality,
 )
-from spectralcurves.polyring import _companion_roots, _sylvester
+from spectralcurves.polyring import _companion_roots, _conv, _sylvester
 
 finite_complex = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -255,6 +255,22 @@ def test_companion_roots_are_bitwise_np_roots():
     for desc in cases:
         want, got = np.roots(desc), _companion_roots(desc)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_conv_is_bitwise_np_convolve():
+    # every product of the package: CPoly.__mul__, _fromroots and the
+    # tangent algebra of whitham
+    rng = np.random.default_rng(31)
+    for n in range(1, 13):
+        for m in range(1, 13):
+            for dtypes in ((float, float), (complex, complex), (float, complex)):
+                a, v = (rng.standard_normal(k) + (1j * rng.standard_normal(k) if t is complex
+                                                  else 0.0)
+                        for k, t in zip((n, m), dtypes))
+                for x, y in ((a, v), (v, a)):
+                    want, got = np.convolve(x, y), _conv(x, y)
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------ roots, gcd

@@ -39,6 +39,11 @@ from conftest import LOCUS_B, LOCUS_C, grow_to_genus3, random_curve, shared_plan
 Q_GENERIC = CPoly([0.4 + 0.25j, -0.3, 0.4 - 0.25j])
 
 
+# a curve, a nearby one of the same genus, and one of genus 3 sharing its roots
+HOST = build_curve([0.5, -0.3 + 0.4j])
+FOREIGN = (build_curve([0.45, -0.3 + 0.35j]), build_curve([0.5, -0.3 + 0.4j, -0.4 - 0.3j]))
+
+
 def tangent_scale(t):
     return max(1.0, t.a.norm_inf(), t.b1.norm_inf(), t.b2.norm_inf(),
                t.c1.norm_inf(), t.c2.norm_inf())
@@ -872,3 +877,21 @@ def test_bezout_solve_refuses_an_inconsistent_solution(monkeypatch):
     monkeypatch.setattr(whitham, "real_place", lambda d, x: real_place(d, np.asarray(x) + 0.5))
     with pytest.raises(ResolutionError, match="pencil relation inconsistent"):
         bezout_solve(curve.a, basis.b1, basis.b2, Q_GENERIC)
+
+
+@pytest.mark.parametrize("other", FOREIGN, ids=["genus 2", "genus 3"])
+def test_whitham_tangent_refuses_a_basis_of_another_curve(other):
+    # it returned a tangent for the neighbour's basis, and the genus-3 one
+    # ended in "pencil relation inconsistent" (exit 3)
+    with pytest.raises(ValidationError, match="basis belongs to another curve"):
+        whitham_tangent(HOST, solve_Ba(other), [0.1, 0.05, 0.1])
+    # an equal curve built apart is the same curve
+    same = dataclasses.replace(solve_Ba(HOST), curve=build_curve([0.5, -0.3 + 0.4j]))
+    assert same.curve is not HOST and same.curve == HOST
+    whitham_tangent(HOST, same, [0.1, 0.05, 0.1]).check()
+
+
+@pytest.mark.parametrize("other", FOREIGN, ids=["genus 2", "genus 3"])
+def test_rotation_tangent_refuses_a_basis_of_another_curve(other):
+    with pytest.raises(ValidationError, match="basis belongs to another curve"):
+        rotation_tangent(HOST, solve_Ba(other))
